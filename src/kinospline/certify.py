@@ -97,9 +97,10 @@ def _axis_scan(k: int, cell: float) -> tuple[float, tuple]:
 def certify(k: int, cell_sizes, mode: str = "per-axis") -> InflationCertificate:
     """Minimum obstacle inflation covering every admissible span pattern.
 
-    Per-axis mode scans the 3^k step sequences for each distinct cell size
-    and takes the largest deviation. Full mode recombines all 27^k 3-D
-    patterns and exists only to cross-validate separability (k <= 3).
+    Per-axis mode scans the 3^k step sequences once per distinct cell size,
+    in order of first appearance, and takes the largest deviation. Full
+    mode recombines all 27^k 3-D patterns and exists only to cross-validate
+    separability (k <= 3).
     """
     if mode not in ("per-axis", "full"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
@@ -127,7 +128,8 @@ def certify(k: int, cell_sizes, mode: str = "per-axis") -> InflationCertificate:
         return InflationCertificate(k, cell_sizes, best, worst, mode="full")
     best = 0.0
     worst = (0,) * k
-    for cell in cell_sizes:
+    # equal cell sizes give equal scans; the first one seen decides ties
+    for cell in dict.fromkeys(cell_sizes):
         d, steps = _axis_scan(k, cell)
         if d > best:
             best = d

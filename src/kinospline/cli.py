@@ -115,9 +115,12 @@ def plan_once(w, cs_bk, cs_elas, contract, bounds, start_pos, start_vel,
     rec["search_cost"] = res.cost
     rec["search_effort"] = res.effort
     if use_eo:
+        # verify against the map the body center must avoid, as replan does
+        raw = w if contract.body_radius <= 0 else w.with_occ(
+            world.build_config_space(w, contract.body_radius).occ_inflated)
         ref = elastic.refine_adaptive(res.positions[k + 1:-1],
                                       res.positions[:k + 1],
-                                      goal_tup.positions, cs_elas, w,
+                                      goal_tup.positions, cs_elas, raw,
                                       contract, bounds, order, dt,
                                       solver_tol=2e-6, solver_max_iter=8000)
         rec["eo_status"] = ref.status

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import elastic, search, world
 from .kernels import collision_scan
-from .splines import SplineDef, check_feasible, eval_span, eval_span_many
+from .splines import SplineDef, check_feasible, eval_span_many
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class PlanWindow:
     def state(self, l: int = 0) -> np.ndarray:
         j = self.exec_span
         u = min(max(self.clock / self.dt - j, 0.0), 1.0)
-        return eval_span(self.cps[j:j + self.k + 1], u, l, self.dt)
+        return eval_span_many(self.cps[j:j + self.k + 1], (u,), l, self.dt)[0]
 
     def advance(self, dt_sim: float) -> int:
         """Move the clock forward; returns how many spans finished."""
@@ -219,15 +219,22 @@ class SimAgent:
 
 
 class KnownMap:
-    """Occupancy revealed so far, with copy-on-update config spaces."""
+    """Occupancy revealed so far, with copy-on-update config spaces.
+
+    The true occupied cells not yet revealed are kept as flat indices with
+    their centers, so a reveal costs time in the hidden obstacle cells,
+    not in the grid.
+    """
 
     def __init__(self, true_world: world.VoxelWorld,
                  contract: elastic.InflationContract):
         self.true_world = true_world
         self.contract = contract
         self.known = np.zeros(tuple(true_world.dims), dtype=bool)
-        self._centers = (np.indices(tuple(true_world.dims)).reshape(3, -1).T
-                         + 0.5) * true_world.cell_sizes + true_world.origin
+        self._hidden = np.flatnonzero(true_world.occ)
+        self._hidden_centers = (
+            np.column_stack(np.unravel_index(self._hidden, self.known.shape))
+            + 0.5) * true_world.cell_sizes + true_world.origin
         self.version = 0
         self._fresh = np.zeros_like(self.known)
         self._cs_bk = None
@@ -235,20 +242,31 @@ class KnownMap:
         self._cs_body = None
 
     def reveal(self, position, radius: float) -> int:
-        """Merge true occupancy within radius of position; returns new cells."""
+        """Merge true occupancy within radius of position; returns new cells.
+
+        Cells already known (say, given as prior knowledge) never count.
+        """
         if radius <= 0:
             return 0
-        d2 = np.sum((self._centers - np.asarray(position)) ** 2, axis=1)
-        near = (d2 <= radius * radius).reshape(self.known.shape)
-        fresh = near & self.true_world.occ & ~self.known
-        n = int(fresh.sum())
-        if n:
-            self.known |= fresh
-            self._fresh |= fresh
+        d2 = np.sum((self._hidden_centers - np.asarray(position)) ** 2,
+                    axis=1)
+        near = d2 <= radius * radius
+        if not near.any():
+            return 0
+        idx = self._hidden[near]
+        self._hidden = self._hidden[~near]
+        self._hidden_centers = self._hidden_centers[~near]
+        known = self.known.reshape(-1)
+        idx = idx[~known[idx]]
+        if idx.size:
+            known[idx] = True
+            self._fresh.reshape(-1)[idx] = True
             self.version += 1
-        return n
+        return int(idx.size)
 
     def reveal_all(self) -> None:
+        self._hidden = self._hidden[:0]
+        self._hidden_centers = self._hidden_centers[:0]
         fresh = self.true_world.occ & ~self.known
         if fresh.any():
             self.known |= fresh

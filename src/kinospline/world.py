@@ -9,6 +9,7 @@ transforms over cell centers of the raw occupancy.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -82,8 +83,16 @@ def neighbors26(cell, dims) -> np.ndarray:
 
 
 def _inflation_stencil(cell_sizes, delta: float) -> np.ndarray:
-    """Boolean dilation stencil for center-to-box distance <= delta."""
-    cs = np.asarray(cell_sizes, dtype=float)
+    """Boolean dilation stencil for center-to-box distance <= delta.
+
+    Memoized per (cell sizes, delta); the shared array is read-only.
+    """
+    return _stencil(tuple(float(c) for c in cell_sizes), float(delta))
+
+
+@lru_cache(maxsize=64)
+def _stencil(cell_sizes: tuple, delta: float) -> np.ndarray:
+    cs = np.asarray(cell_sizes)
     reach = np.maximum(np.ceil(delta / cs + 0.5).astype(int), 0)
     ax = [np.arange(-r, r + 1) for r in reach]
     gx, gy, gz = np.meshgrid(*ax, indexing="ij")
@@ -91,7 +100,9 @@ def _inflation_stencil(cell_sizes, delta: float) -> np.ndarray:
     for g, c in ((gx, cs[0]), (gy, cs[1]), (gz, cs[2])):
         over = np.maximum(np.abs(g) - 0.5, 0.0) * c
         d2 += over * over
-    return d2 <= delta * delta + 1e-12
+    stencil = d2 <= delta * delta + 1e-12
+    stencil.flags.writeable = False
+    return stencil
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,14 +225,15 @@ def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
     untouched for concurrent readers.
     """
     inflated = prev.occ_inflated | fresh
-    cells = np.argwhere(fresh)
-    if prev.delta > 0 and cells.size:
+    flat = np.flatnonzero(fresh)
+    if prev.delta > 0 and flat.size:
         # the dilation of the fresh cells stays within the stencil reach
         # of their bounding box, so only that box is dilated
+        cells = np.unravel_index(flat, fresh.shape)
         stencil = _inflation_stencil(world.cell_sizes, prev.delta)
         reach = np.array(stencil.shape) // 2
-        lo = np.maximum(cells.min(axis=0) - reach, 0)
-        hi = np.minimum(cells.max(axis=0) + reach + 1, world.dims)
+        lo = np.maximum([c.min() for c in cells] - reach, 0)
+        hi = np.minimum([c.max() for c in cells] + reach + 1, world.dims)
         box = tuple(slice(a, b) for a, b in zip(lo, hi))
         inflated[box] |= ndimage.binary_dilation(fresh[box], structure=stencil)
     return _finish_config_space(world, prev.delta, inflated)

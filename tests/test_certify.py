@@ -100,6 +100,28 @@ class TestCertify:
         assert d == cert.delta_bk
 
 
+@pytest.mark.parametrize("cells, scans", [((0.2, 0.2, 0.2), 1),
+                                          ((0.2, 0.2, 0.4), 2)])
+def test_certify_scans_each_cell_size_once(monkeypatch, cells, scans):
+    scan = ct._axis_scan
+    seen = []
+
+    def counted(k, cell):
+        seen.append(cell)
+        return scan(k, cell)
+
+    monkeypatch.setattr(ct, "_axis_scan", counted)
+    cert = ct.certify(5, cells)
+    assert len(seen) == scans
+    # reference: one scan per axis, a later axis wins only when larger
+    best, worst = 0.0, (0,) * 5
+    for cell in cells:
+        d, steps = scan(5, cell)
+        if d > best:
+            best, worst = d, steps
+    assert cert.delta_bk == best and cert.worst_pattern == worst
+
+
 def test_certificate_roundtrip(tmp_path):
     cert = ct.certify(5, (0.16, 0.2, 0.4))
     path = tmp_path / "c.txt"

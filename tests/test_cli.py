@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from kinospline import cli, stats, world as wd
-from kinospline.splines import SplineDef
+from kinospline import certify, cli, elastic, stats, world as wd
+from kinospline.kernels import collision_scan
+from kinospline.splines import DerivativeBounds, SplineDef
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,39 @@ def test_plan_success_and_outputs(small_map, tmp_path):
     for key in ("duration", "length", "avg_velocity", "max_velocity",
                 "avg_acceleration", "max_acceleration"):
         assert re[key] == pytest.approx(rec[key], rel=1e-6)
+
+
+def test_plan_with_body_radius_verifies_against_dilated_map(monkeypatch):
+    # a box beside the straight line: the refined curve must keep the body
+    # radius from it, so refinement is verified against the dilated map
+    w = wd.add_box(wd.generate(wd.MapGenSpec(kind="empty", extent=(10, 6, 2),
+                                             cell_sizes=(0.2,) * 3)),
+                   (4.4, 1.6, 0.0), (5.0, 2.6, 2.0))
+    radius = 0.3
+    cert = certify.certify(5, (0.2,) * 3)
+    contract = elastic.InflationContract.default((0.2,) * 3, cert.delta_bk,
+                                                 body_radius=radius)
+    body = wd.build_config_space(w, radius)
+    seen = []
+    refine = elastic.refine_adaptive
+
+    def spy(*args, **kw):
+        seen.append(args[4])
+        return refine(*args, **kw)
+
+    monkeypatch.setattr(elastic, "refine_adaptive", spy)
+    rec, spline = cli.plan_once(
+        w, wd.build_config_space(w, contract.delta_bk),
+        wd.build_config_space(w, contract.delta_elas), contract,
+        DerivativeBounds.symmetric(2.0, 4.7), np.array([0.9, 3.0, 1.0]),
+        np.zeros(3), np.array([8.9, 3.0, 1.0]), 0.17, 20.0, 2, 1,
+        budget_ms=1e5)
+    assert rec["status"] == "success"
+    assert seen and all(np.array_equal(m.occ, body.occ_inflated)
+                        for m in seen)
+    _, pos = spline.sample(0.01)
+    assert collision_scan(np.ascontiguousarray(pos), body.occ_flat, w.dims,
+                          w.origin, w.cell_sizes) == -1
 
 
 def test_plan_goal_inside_obstacle_exit_code(small_map, tmp_path):

@@ -141,6 +141,80 @@ class TestKnownMap:
         assert cs_bk2 is not cs_bk  # copy on update
 
 
+def _brute_force_reveal(true_occ, known, centers, position, radius):
+    """Reference: distance test on every cell center of the grid."""
+    if radius <= 0:
+        return 0
+    d2 = np.sum((centers - np.asarray(position)) ** 2, axis=1)
+    fresh = (d2 <= radius * radius).reshape(known.shape) & true_occ & ~known
+    known |= fresh
+    return int(fresh.sum())
+
+
+@pytest.mark.parametrize("seed, body_radius", [(0, 0.0), (1, 0.0), (2, 0.3),
+                                               (3, 0.0)])
+def test_reveal_matches_full_grid_reference(seed, body_radius):
+    rng = np.random.default_rng(seed)
+    dims = tuple(rng.integers(6, 14, size=3))
+    cells = rng.uniform(0.15, 0.3, size=3)
+    origin = rng.uniform(-2.0, 2.0, size=3)
+    true_occ = rng.random(dims) < 0.15
+    w = wd.VoxelWorld(np.array(dims), cells, origin, true_occ)
+    contract = make_settings(body_radius=body_radius).contract
+    centers = (np.indices(dims).reshape(3, -1).T + 0.5) * cells + origin
+    m = rp.KnownMap(w, contract)
+    # prior knowledge: some true obstacles and a few cells that are free
+    prior = (true_occ & (rng.random(dims) < 0.3)) | (rng.random(dims) < 0.02)
+    m.known |= prior
+    known = prior.copy()
+    version = 0
+    diag = float(np.linalg.norm(w.extent))
+    radii = [0.0, 0.6, 1.0, 0.0, 2.0 * diag] if seed % 2 else \
+        list(rng.uniform(0.0, 1.2, size=8)) + [0.0]
+    for radius in radii:
+        pos = origin + rng.uniform(-0.2, 1.2, size=3) * w.extent
+        want = _brute_force_reveal(true_occ, known, centers, pos, radius)
+        version += want > 0
+        assert m.reveal(pos, radius) == want
+        assert np.array_equal(m.known, known)
+        assert m.version == version
+        cs_bk, cs_elas = m.spaces()
+        ref_world = w.with_occ(known.copy())
+        for cs, delta in ((cs_bk, contract.delta_bk),
+                          (cs_elas, contract.delta_elas)):
+            ref = wd.build_config_space(ref_world, delta)
+            assert np.array_equal(cs.occ_inflated, ref.occ_inflated)
+        body = wd.build_config_space(ref_world, body_radius).occ_inflated
+        assert np.array_equal(m.body_occupancy(), body)
+    m.reveal_all()
+    version += bool((true_occ & ~known).any())
+    assert np.array_equal(m.known, known | true_occ)
+    assert m.version == version
+    assert m.reveal(origin, 2.0 * diag) == 0
+    cs_bk, _ = m.spaces()
+    ref = wd.build_config_space(w.with_occ(known | true_occ), contract.delta_bk)
+    assert np.array_equal(cs_bk.occ_inflated, ref.occ_inflated)
+
+
+def test_agent_state_matches_eval_span():
+    rng = np.random.default_rng(6)
+    win = random_window(rng)
+    dt = win.dt
+    # (span, u): span starts and ends, inside a span, the window's end
+    cases = [(0, 0.0), (3, 0.0), (3, 0.5), (7, 0.123), (9, 0.999),
+             (win.n_spans - 1, 1.0)]
+    for j, u in cases:
+        win.clock = (j + u) * dt
+        agent = rp.SimAgent.from_window(win, 1.0)
+        tracked = rp.SimAgent(np.zeros(3), np.zeros(3), np.zeros(3), 1.0)
+        tracked.track(win)
+        for a in (agent, tracked):
+            for l, got in enumerate((a.position, a.velocity,
+                                     a.acceleration)):
+                ref = sp.eval_span(win.cps[j:j + 6], u, l, dt)
+                assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
 class TestReplannerRuns:
     def _world(self):
         w = wd.generate(wd.MapGenSpec(kind="pillars", extent=(12, 8, 2.4),

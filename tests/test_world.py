@@ -196,6 +196,36 @@ def test_updated_config_space_matches_rebuild():
     assert np.array_equal(cs1.occ_inflated, cs_ref.occ_inflated)
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.2, 0.45])
+def test_updated_config_space_on_faces_and_corners(delta):
+    # fresh cells on grid corners, edges and faces dilate into a clipped box
+    rng = np.random.default_rng(3)
+    dims = (7, 6, 5)
+    base = wd.VoxelWorld(np.array(dims), np.array([0.2, 0.25, 0.15]),
+                         np.array([-1.0, 0.5, 0.0]),
+                         rng.random(dims) < 0.05)
+    cs0 = wd.build_config_space(base, delta)
+    fresh = np.zeros(dims, dtype=bool)
+    for cell in ((0, 0, 0), (6, 5, 4), (0, 5, 0), (6, 0, 4), (0, 3, 2),
+                 (6, 2, 1), (3, 0, 4), (2, 5, 3), (4, 1, 0), (5, 4, 4)):
+        fresh[cell] = True
+    w = base.with_occ(base.occ | fresh)
+    cs1 = wd.updated_config_space(cs0, w, fresh & ~base.occ)
+    ref = wd.build_config_space(w, delta)
+    assert np.array_equal(cs1.occ_inflated, ref.occ_inflated)
+    assert np.array_equal(cs1.occ_flat, ref.occ_flat)
+    assert not np.array_equal(cs0.occ_inflated, cs1.occ_inflated)
+
+
+def test_inflation_stencil_is_shared_and_read_only():
+    a = wd._inflation_stencil(np.array([0.2, 0.2, 0.4]), 0.3)
+    b = wd._inflation_stencil((0.2, 0.2, 0.4), 0.3)
+    assert a is b
+    with pytest.raises(ValueError):
+        a[0, 0, 0] = not a[0, 0, 0]
+    assert a[2, 2, 2] and not a[0, 0, 0]
+
+
 def test_reachable_mask_blocks_walls():
     occ = np.zeros((9, 9, 1), dtype=bool)
     occ[4, :, 0] = True
