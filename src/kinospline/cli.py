@@ -127,6 +127,8 @@ def plan_once(w, cs_bk, cs_elas, contract, bounds, start_pos, start_vel,
         rec["eo_tube_time"] = ref.expand_time
         rec["eo_solve_time"] = ref.solve_time
         rec["eo_inserted"] = ref.inserted
+        rec["eo_solver_iterations"] = ref.solver_iterations
+        rec["eo_knot_repeat"] = ref.knot_repeat
         if not ref.ok:
             rec["status"] = ref.status   # infeasible, or solver-failed
             return rec, None

@@ -9,7 +9,7 @@ point constrained to the lens of two consecutive balls is inserted and the
 problem is re-solved, at most k times per ball gap (k^2 per span).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -301,7 +301,9 @@ class RefineResult:
     cost: float = np.inf
     initial_cost: float = np.inf
     inserted: int = 0
-    iterations: int = 0
+    iterations: int = 0         # solve rounds of the insertion loop
+    solver_iterations: int = 0  # Newton iterations of the last solve
+    knot_repeat: int = 1        # cell repeat factor of the refined placement
     solve_time: float = 0.0
     expand_time: float = 0.0
 
@@ -368,7 +370,9 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
             status = "infeasible" if sol.status == "infeasible-detected" \
                 else "solver-failed"
             return RefineResult(status=status, inserted=inserted,
-                                iterations=iterations, solve_time=solve_time,
+                                iterations=iterations,
+                                solver_iterations=sol.iterations,
+                                solve_time=solve_time,
                                 expand_time=expand_time, initial_cost=initial_cost)
         new_free = sol.x.reshape(-1, 3)
         seq = np.vstack([start_pins, new_free, goal_pins])
@@ -382,6 +386,7 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
                 if not check_feasible(seq[j:j + k + 1], bounds, dt):
                     return RefineResult(status="infeasible", inserted=inserted,
                                         iterations=iterations,
+                                        solver_iterations=sol.iterations,
                                         solve_time=solve_time,
                                         expand_time=expand_time,
                                         initial_cost=initial_cost)
@@ -393,12 +398,15 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
                                                  tube.supports),
                                 cost=cost, initial_cost=initial_cost,
                                 inserted=inserted, iterations=iterations,
+                                solver_iterations=sol.iterations,
                                 solve_time=solve_time, expand_time=expand_time)
         site = _insertion_site(bad[0], k, point_balls, centers, radii,
                                new_free, gap_of_point, gap_inserts)
         if site is None:
             return RefineResult(status="infeasible", inserted=inserted,
-                                iterations=iterations, solve_time=solve_time,
+                                iterations=iterations,
+                                solver_iterations=sol.iterations,
+                                solve_time=solve_time,
                                 expand_time=expand_time, initial_cost=initial_cost)
         pos, ball_a, ball_b, gap = site
         lens_point = _lens_center(centers[ball_a], radii[ball_a],
@@ -421,7 +429,7 @@ def refine_adaptive(free_points, start_pins, goal_pins, cs_elas, raw_world,
     profiles near rest, so a placement that cannot be certified gets its
     cells repeated (same route, more knots) and a bare seam-to-goal hop
     gets one synthesized midpoint. Returns the first certified result, or
-    the last failure.
+    the last failure; its knot_repeat is the factor it was refined at.
     """
     free_points = np.asarray(free_points, dtype=float).reshape(-1, 3)
     start_pins = np.asarray(start_pins, dtype=float)
@@ -434,9 +442,11 @@ def refine_adaptive(free_points, start_pins, goal_pins, cs_elas, raw_world,
         if slow > 2 and free_points.shape[0] > 24:
             break  # quadrupling a long placement buys nothing but solve time
         pts = np.repeat(free_points, slow, axis=0) if slow > 1 else free_points
-        res = refine(pts, start_pins, goal_pins, cs_elas, raw_world, contract,
-                     bounds, l, dt, params=params, solver_tol=solver_tol,
-                     solver_max_iter=solver_max_iter)
+        res = replace(refine(pts, start_pins, goal_pins, cs_elas, raw_world,
+                             contract, bounds, l, dt, params=params,
+                             solver_tol=solver_tol,
+                             solver_max_iter=solver_max_iter),
+                      knot_repeat=slow)
         if res.ok:
             break
     return res

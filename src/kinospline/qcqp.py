@@ -19,6 +19,16 @@ The main iteration starts infeasible. When its steps stall short of
 feasibility, a phase-I problem (minimize the common violation t of every
 constraint) either finds a strictly feasible point to restart from or
 certifies through its dual that the feasible set is empty.
+
+On tube problems nearly every derivative row sits far from its bounds at
+the optimum, yet the rows make up almost all of the cone degree. So the
+rows enter through a working set: the first sub-problem holds the balls
+only, every row of A is then tested exactly at its optimum, and the
+broken rows join the set for the next sub-problem, until no row outside
+the set is broken. Each round adds a row, so the rounds end; rows left
+out have zero multipliers, so the last optimum is a KKT point of the
+whole problem, and a sub-problem's infeasibility certificate holds for
+the whole problem, of which it is a relaxation.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +40,7 @@ _pbtrf, _pbtrs = linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
                                          (np.zeros((1, 1)),))
 
 _STEP = 0.99          # fraction of the way to the cone boundary
-_STALL_STEP = 0.05    # phase II steps shorter than this count as stalled
+_STALL_STEP = 0.05    # shorter steps from a primal infeasible point stall
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,21 +141,60 @@ def _lower_band(H, bw: int) -> np.ndarray:
     return ab
 
 
-class _Cones:
-    """The constraints as G x + s = h with s in a product cone.
+class _Rows:
+    """The linear rows of a problem, cleaned and normalized once per solve.
 
-    Ball j on point p is the second-order cone s = (r_j, q_j - x_p) of
-    size 4; a finite row side is the slack s = hi - a'x or a'x - lo of a
-    row normalized to unit largest coefficient. The x-dependent rows of G
-    (three per ball, then one per row side) form one sparse matrix.
-
-    The normal matrix H + G' Phi G is assembled in lower band storage by
-    one sparse product Q [d; Phi_b] over a precomputed scatter Q: a
-    column per row of A holding its coefficient pairs, and a column per
-    lower entry of a ball's 3x3 block.
+    A holds the problem's coefficients (explicit zeros dropped) for the
+    exact row test; A_s, lo_s and hi_s are the rows scaled to unit largest
+    coefficient. A row without coefficients is the fixed number 0:
+    `violated` says that such a row breaks its bounds, which makes the
+    problem infeasible before any step is taken.
     """
 
     def __init__(self, p: QcqpProblem):
+        m = p.n_rows
+        A = sparse.csr_matrix(p.A if m else (0, p.n), dtype=float)
+        A.eliminate_zeros()
+        A.sort_indices()
+        rnnz = np.diff(A.indptr)
+        empty = rnnz == 0
+        amax = np.ones(m)
+        starts = A.indptr[:-1][~empty]
+        if starts.size:
+            amax[~empty] = np.maximum.reduceat(np.abs(A.data), starts)
+        rs = 1.0 / amax
+        self.A = A
+        self.A_s = sparse.csr_matrix((A.data * np.repeat(rs, rnnz),
+                                      A.indices, A.indptr), shape=A.shape)
+        self.lo = np.asarray(p.lo, dtype=float) if m else np.zeros(0)
+        self.hi = np.asarray(p.hi, dtype=float) if m else np.zeros(0)
+        self.lo_s = self.lo * rs
+        self.hi_s = self.hi * rs
+        self.violated = bool(np.any(empty & ((self.lo_s > 0.0)
+                                             | (self.hi_s < 0.0))))
+
+    def broken(self, x) -> np.ndarray:
+        """Rows with a.x outside [lo, hi], tested exactly."""
+        ax = self.A @ x
+        return np.flatnonzero((ax < self.lo) | (ax > self.hi))
+
+
+class _Cones:
+    """The balls and the working rows as G x + s = h, s in a product cone.
+
+    Ball j on point p is the second-order cone s = (r_j, q_j - x_p) of
+    size 4; a finite side of a working row is the slack s = hi - a'x or
+    a'x - lo of the row normalized to unit largest coefficient. The
+    x-dependent rows of G (three per ball, then one per row side) form
+    one sparse matrix.
+
+    The normal matrix H + G' Phi G is assembled in lower band storage by
+    one sparse product Q [d; Phi_b] over a precomputed scatter Q: a
+    column per working row holding its coefficient pairs, and a column
+    per lower entry of a ball's 3x3 block.
+    """
+
+    def __init__(self, p: QcqpProblem, rows: _Rows, work, bw_h: int):
         n = p.n
         self.n = n
         nb = len(p.balls)
@@ -157,41 +206,27 @@ class _Cones:
             self.hb[:, 0] = [b.radius for b in p.balls]
             self.hb[:, 1:] = [b.center for b in p.balls]
 
-        mrows = p.n_rows
-        A = sparse.csr_matrix(p.A if mrows else (0, n), dtype=float)
-        A.eliminate_zeros()
-        A.sort_indices()
+        # the working rows; none of them is empty (an empty row that holds
+        # is never broken, one that does not ends the solve up front)
+        A = rows.A_s[work]
+        hi, lo = rows.hi_s[work], rows.lo_s[work]
+        mrows = A.shape[0]
         rnnz = np.diff(A.indptr)
-        empty = rnnz == 0
-        amax = np.ones(mrows)
-        starts = A.indptr[:-1][~empty]
-        if starts.size:
-            amax[~empty] = np.maximum.reduceat(np.abs(A.data), starts)
-        rs = 1.0 / amax
-        self.violated = False
-        if mrows:
-            hi = np.asarray(p.hi, dtype=float) * rs
-            lo = np.asarray(p.lo, dtype=float) * rs
-            # a row without coefficients is the fixed number 0
-            self.violated = bool(np.any(empty & ((lo > 0.0) | (hi < 0.0))))
-            up = np.flatnonzero(np.isfinite(hi) & ~empty)
-            dn = np.flatnonzero(np.isfinite(lo) & ~empty)
-        else:
-            hi = lo = up = dn = np.zeros(0, dtype=np.int64)
+        up = np.flatnonzero(np.isfinite(hi))
+        dn = np.flatnonzero(np.isfinite(lo))
         lp_row = np.concatenate([up, dn])
         lp_sign = np.concatenate([np.ones(up.size), -np.ones(dn.size)])
         self.hl = np.concatenate([hi[up], -lo[dn]])
         self.ml = lp_row.size
         self.degree = nb + self.ml
 
-        # G's x rows: ball selectors, then the signed normalized row sides
-        vals = A.data * np.repeat(rs, rnnz)
+        # G's x rows: ball selectors, then the signed row sides
         side_len = rnnz[lp_row]
         src = (np.repeat(A.indptr[lp_row] - np.cumsum(side_len) + side_len,
                          side_len) + np.arange(side_len.sum()))
         self.G = sparse.csr_matrix(
             (np.concatenate([np.ones(3 * nb),
-                             vals[src] * np.repeat(lp_sign, side_len)]),
+                             A.data[src] * np.repeat(lp_sign, side_len)]),
              np.concatenate([(3 * pts[:, None] + np.arange(3)).reshape(-1),
                              A.indices[src]]),
              np.concatenate([np.arange(3 * nb),
@@ -200,21 +235,21 @@ class _Cones:
         self.Gt = self.G.T
         self.nb3 = 3 * nb
 
-        # the normal matrix in band storage: one column of Q per row of A
+        # the normal matrix in band storage: one column of Q per row
         # (entry v_i v_j at band position (c_i - c_j, c_j) for each pair
         # i >= j of its coefficients) and one per lower ball-block entry
         rmax = int(rnnz.max(initial=0))
         bw_rows = 0
-        if starts.size:
-            bw_rows = int(np.max(A.indices[A.indptr[1:][~empty] - 1]
-                                 - A.indices[starts]))
-        self.bw = max(_bandwidth(p.H), 2 if nb else 0, bw_rows)
+        if mrows:
+            bw_rows = int(np.max(A.indices[A.indptr[1:] - 1]
+                                 - A.indices[A.indptr[:-1]]))
+        self.bw = max(bw_h, 2 if nb else 0, bw_rows)
         pos = np.arange(A.nnz) - np.repeat(A.indptr[:-1], rnnz)
         row_of = np.repeat(np.arange(mrows), rnnz)
         pc = np.zeros((mrows, rmax), dtype=np.int64)
         pv = np.zeros((mrows, rmax))
         pc[row_of, pos] = A.indices
-        pv[row_of, pos] = vals
+        pv[row_of, pos] = A.data
         ii, jj = np.tril_indices(rmax)
         a, b = np.tril_indices(3)
         self.ball_ab = (a + 1, b + 1)
@@ -348,11 +383,17 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
     banded block.
 
     Returns (reason, x, t, sb, sl, zb, zl, iterations). reason is
-    "optimal"; "stall" when a step falls under _STALL_STEP of the way or
-    the normal matrix stops factoring (a point that meets the tolerances
-    within a factor 100, as happens at the roundoff floor, counts as
-    optimal instead); "max-iter"; and for phase I "interior" (t < 0) or
-    "converged" (the phase-I optimum, t >= 0).
+    "optimal"; "stall" when a step from a point that breaks the
+    constraints falls under _STALL_STEP of the way, or the normal matrix
+    stops factoring (a point that meets the tolerances within a factor
+    100, as happens at the roundoff floor, counts as optimal instead);
+    "max-iter"; and for phase I "interior" (t < 0) or "converged" (the
+    phase-I optimum, t >= 0).
+
+    A short step is a stall only while the primal residual is open: there
+    it says feasibility may be out of reach, which phase I decides. From a
+    primal feasible point (phase I, the restart after it) every step keeps
+    feasibility and makes progress, so short steps continue.
     """
     nb = cones.nb
     m = cones.degree
@@ -465,7 +506,7 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
         zl = zl + alpha * dzl
         if t is not None:
             t = t + alpha * dt
-        stalled = alpha < _STALL_STEP
+        stalled = alpha < _STALL_STEP and pres > tol_feas
 
 
 def _into_cone(ub, ul):
@@ -483,15 +524,21 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
           x0=None, feas_tol: float = 5e-7) -> QcqpSolution:
     """Interior point solve; status optimal, infeasible-detected or max-iter.
 
-    The solve ends optimal once the primal and dual residuals fall below
+    The rows join a working set as they break (see the module docstring):
+    the first sub-problem holds the balls only, the last one leaves no
+    row outside the set broken. A sub-problem is bounded when H is
+    positive definite on the coordinates that no ball holds.
+
+    A sub-solve ends optimal once the primal and dual residuals fall below
     min(tol, feas_tol)/100 relative to the data and every complementarity
     product below 1e-4 max(tol, 1e-7) (1 + |Hx + g|).
     feas_tol is also the common violation above which phase I declares
-    the problem infeasible. max_iter bounds the Newton iterations of the
-    whole solve, phase I included. max-iter means the solve did not
-    converge: with iterations == max_iter the budget ran out; with fewer,
-    a step stalled and phase I gave neither a strictly feasible restart
-    nor a certificate, or the restart stalled. x0 seeds phase I when the main
+    the problem infeasible. max_iter bounds the Newton iterations summed
+    over every sub-solve, phase I included, and iterations reports that
+    sum. max-iter means the solve did not converge: with iterations ==
+    max_iter the budget ran out; with fewer, a step stalled and phase I
+    gave neither a strictly feasible restart nor a certificate, or the
+    restart broke down numerically. x0 seeds phase I when a main
     iteration stalls; the main iteration starts from its own
     least-squares point, which is well centered whatever x0 is.
     """
@@ -499,20 +546,48 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
     n = p.n
     if n == 0:
         return QcqpSolution(np.zeros(0), p.const, 0.0, 0, "optimal")
-    cones = _Cones(p)
-    if cones.violated:
+    rows = _Rows(p)
+    if rows.violated:
         x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
         return QcqpSolution(x, p.objective(x), p.violation(x), 0,
                             "infeasible-detected")
-    if cones.degree == 0:
-        x = linalg.lstsq(p.H, -p.g, lapack_driver="gelsd")[0]
-        return QcqpSolution(x, p.objective(x), 0.0, 1, "optimal")
-
     H = np.asarray(p.H, dtype=float)
     g = np.asarray(p.g, dtype=float)
-    H_band = _lower_band(H, cones.bw)
+    bw_h = _bandwidth(H)
     tol_gap = 1e-4 * max(tol, 1e-7)
     tol_feas = min(tol, feas_tol) * 1e-2
+
+    work = np.zeros(0, dtype=np.int64)
+    total = 0
+    while True:
+        cones = _Cones(p, rows, work, bw_h)
+        status, x, it = _solve_cones(cones, H, g, x0, tol_gap, tol_feas,
+                                     feas_tol, max_iter - total)
+        total += it
+        if status != "optimal":
+            break
+        new = np.setdiff1d(rows.broken(x), work, assume_unique=True)
+        if not new.size:
+            break
+        if total >= max_iter:
+            status = "max-iter"
+            break
+        work = np.union1d(work, new)
+    return QcqpSolution(x, p.objective(x), p.violation(x), total, status)
+
+
+def _solve_cones(cones: _Cones, H, g, x0, tol_gap, tol_feas, feas_tol,
+                 max_iter):
+    """One interior point solve over the given cones.
+
+    Returns (status, x, iterations) with status optimal,
+    infeasible-detected or max-iter.
+    """
+    n = cones.n
+    if cones.degree == 0:
+        x = linalg.lstsq(H, -g, lapack_driver="gelsd")[0]
+        return "optimal", x, 1
+    H_band = _lower_band(H, cones.bw)
 
     # least-squares start: (H + G'G) x = -g + G'h, then both slacks and
     # duals shifted into the cone interior
@@ -559,24 +634,23 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
             t0, tol_gap, tol_feas, max_iter - total, phase1=True)
         total += it1
         if reason1 == "interior":
-            # strictly feasible restart: the primal residual starts at 0
+            # strictly feasible restart: the primal residual starts at 0,
+            # and z = mu s^-1 centers every cone (s o z = mu e)
             gb, gl = cones.g_x(x1)
             sb, sl = cones.hb - gb, cones.hl - gl
-            zb = np.zeros((nb, 4))
-            zb[:, 0] = 1.0
-            zl = np.ones(ml)
+            mu = float(sb[:, 0].sum() + sl.sum()) / cones.degree
+            zb = mu * sb * _J / _soc_det(sb)[:, None]
+            zl = mu / sl
             reason, x, _, sb, sl, zb, zl, it = _ipm(
                 cones, H.dot, H_band, g, x1, sb, sl, zb, zl, None,
                 tol_gap, tol_feas, max_iter - total)
             total += it
         elif reason1 == "converged" and _certified(cones, x1, t1, zb1, zl1,
                                                    feas_tol):
-            return QcqpSolution(x1, p.objective(x1), p.violation(x1), total,
-                                "infeasible-detected")
+            return "infeasible-detected", x1, total
         else:
             reason, x = "max-iter", x1
-    status = "optimal" if reason == "optimal" else "max-iter"
-    return QcqpSolution(x, p.objective(x), p.violation(x), total, status)
+    return ("optimal" if reason == "optimal" else "max-iter"), x, total
 
 
 def _certified(cones: _Cones, x, t, zb, zl, feas_tol) -> bool:
@@ -631,10 +705,13 @@ def kkt_residual(p: QcqpProblem, x, active_tol: float = 1e-6) -> float:
         A = sparse.csr_matrix(p.A)
         ax = A @ x
         for i in range(A.shape[0]):
-            if p.hi[i] - ax[i] <= active_tol * (1 + abs(p.hi[i])):
+            # an infinite bound is no constraint, never an active one
+            if np.isfinite(p.hi[i]) \
+                    and p.hi[i] - ax[i] <= active_tol * (1 + abs(p.hi[i])):
                 cols.append(A[i].toarray().ravel())
                 slacks.append(abs(p.hi[i] - ax[i]))
-            if ax[i] - p.lo[i] <= active_tol * (1 + abs(p.lo[i])):
+            if np.isfinite(p.lo[i]) \
+                    and ax[i] - p.lo[i] <= active_tol * (1 + abs(p.lo[i])):
                 cols.append(-A[i].toarray().ravel())
                 slacks.append(abs(ax[i] - p.lo[i]))
     if cols:

@@ -533,7 +533,9 @@ class Replanner:
         self.tube_time.append(ref.expand_time)
         self.opt_time.append(ref.solve_time)
         if not ref.ok:
-            self._event("refine_fail", status=ref.status)
+            self._event("refine_fail", status=ref.status,
+                        solver_iterations=ref.solver_iterations,
+                        knot_repeat=ref.knot_repeat)
             return False
         self.window.splice(seam, ref.points)
         self._event("replan", seam=seam, cost=ref.cost,

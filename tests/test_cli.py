@@ -45,6 +45,8 @@ def test_plan_success_and_outputs(small_map, tmp_path):
     assert rc == 0
     rec = json.loads((out / "stats.json").read_text())
     assert rec["status"] == "success"
+    assert rec["eo_solver_iterations"] > 0
+    assert rec["eo_knot_repeat"] in (1, 2, 4)
     rows = stats.read_csv(out / "trajectory.csv")
     assert rows.shape[1] == 10
 

@@ -286,6 +286,36 @@ class TestRefine:
                         contract, BOUNDS, 3, 0.25, solver_max_iter=1)
         assert res.status == "solver-failed"
         assert not res.ok
+        assert (res.solver_iterations, res.knot_repeat) == (1, 1)
+
+    def test_failure_reports_last_solve_and_knot_repeat(self, monkeypatch):
+        # every knot repeat fails under frozen bounds: the result is the
+        # last attempt's, with that solve's Newton iterations
+        from kinospline import qcqp
+        w = open_world()
+        contract = contract_for(0.25)
+        cs = wd.build_config_space(w, contract.delta_elas)
+        pts = w.cell_center(np.array([[6 + i, 20, 20] for i in range(10)]))
+        frozen = sp.DerivativeBounds.symmetric(1e-6, 1e-6)
+        solves = []
+        inner = qcqp.solve
+
+        def spy(p, **kw):
+            solves.append(inner(p, **kw))
+            return solves[-1]
+
+        monkeypatch.setattr(qcqp, "solve", spy)
+        res = el.refine_adaptive(pts[6:-1], pts[:6], np.tile(pts[-1], (6, 1)),
+                                 cs, w, contract, frozen, 3, 0.25)
+        assert res.status == "infeasible"
+        assert res.knot_repeat == 4
+        assert solves[-1].status == "infeasible-detected"
+        assert res.solver_iterations == solves[-1].iterations > 0
+        # a placement that refines at once stops at factor 1
+        ok = el.refine_adaptive(pts[6:-1], pts[:6], np.tile(pts[-1], (6, 1)),
+                                cs, w, contract, BOUNDS, 3, 0.25)
+        assert ok.ok and ok.knot_repeat == 1
+        assert ok.solver_iterations == solves[-1].iterations
 
     def test_insertion_resolves_corner(self):
         # concave notch; k=3 tube hugging the corner forces insertions

@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,56 @@ import oracles
 
 def ball(point, center, radius):
     return qcqp.BallConstraint(point, np.asarray(center, dtype=float), radius)
+
+
+def short_step_instance():
+    """A tube QCQP with its rows dropped whose iterates take short steps.
+
+    Thirty free points (n = 90) of a bench_course refinement at knot
+    repeat 2: banded H (smallest eigenvalue 0.59), one ball per point, and
+    the placement x0 that seeds phase I. The ball centers are feasible, so
+    the problem is strictly feasible.
+    """
+    z = np.load(Path(__file__).parent / "data" / "qcqp_short_steps_n90.npz")
+    band = z["H_band"]
+    n = z["g"].size
+    H = np.zeros((n, n))
+    for d in range(band.shape[0]):
+        i = np.arange(n - d)
+        H[i + d, i] = H[i, i + d] = band[d, :n - d]
+    balls = tuple(ball(int(p), c, float(r))
+                  for p, c, r in zip(z["points"], z["centers"], z["radii"]))
+    return qcqp.QcqpProblem(H=H, g=z["g"], balls=balls), z["x0"]
+
+
+def with_cut_rows(rng, p, n_cut=3, n_loose=40):
+    """p plus rows that its balls-only optimum breaks, among loose ones.
+
+    The balls-only optimum comes from the projected-gradient oracle; each
+    cut row asks a random direction to fall 0.1 below its value there.
+    """
+    x_b = oracles.projected_gradient(p)
+    cut = rng.normal(size=(n_cut, p.n))
+    loose = rng.normal(size=(n_loose, p.n))
+    A = np.vstack([cut, loose])
+    lo = np.concatenate([np.full(n_cut, -np.inf), -np.full(n_loose, 1e3)])
+    hi = np.concatenate([cut @ x_b - 0.1, np.full(n_loose, 1e3)])
+    full = qcqp.QcqpProblem(H=p.H, g=p.g, balls=p.balls, A=A, lo=lo, hi=hi)
+    return full, x_b
+
+
+def count_rounds(monkeypatch):
+    """Record (working rows, status, iterations) of each sub-solve."""
+    rounds = []
+    inner = qcqp._solve_cones
+
+    def spy(cones, *args):
+        status, x, it = inner(cones, *args)
+        rounds.append((cones.mrows, status, it))
+        return status, x, it
+
+    monkeypatch.setattr(qcqp, "_solve_cones", spy)
+    return rounds
 
 
 def random_instance(rng, n_points=10, pd_shift=0.2):
@@ -134,12 +187,87 @@ class TestSolve:
         assert s.objective == pytest.approx(5.0)
 
 
+class TestWorkingSet:
+    def test_short_steps_continue_to_optimum(self):
+        # with short steps counted as stalls, the restart after phase I
+        # stalled too and the solve ended max-iter after 6 iterations
+        p, x0 = short_step_instance()
+        s = qcqp.solve(p, tol=1e-6, x0=x0)
+        assert s.status == "optimal"
+        assert qcqp.kkt_residual(p, s.x) <= 1e-5
+
+    def test_broken_rows_join_until_every_row_holds(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        balls_only = random_instance(rng, n_points=6)
+        p, x_b = with_cut_rows(rng, balls_only)
+        rounds = count_rounds(monkeypatch)
+        s = qcqp.solve(p, tol=1e-9)
+        assert s.status == "optimal"
+        assert len(rounds) >= 2 and rounds[0][0] == 0
+        assert qcqp.kkt_residual(p, s.x) <= 1e-5
+        ax = p.A @ s.x
+        assert np.all((p.lo <= ax) & (ax <= p.hi))
+        # the rows only cut the balls-only problem down
+        assert s.objective >= balls_only.objective(x_b) - 1e-9
+
+    def test_infeasible_only_once_rows_join(self, monkeypatch):
+        # the ball alone holds x0 <= 1 and the row alone x0 >= 2
+        p = qcqp.QcqpProblem(H=np.eye(3), g=np.array([1.0, 0.0, 0.0]),
+                             balls=(ball(0, [0, 0, 0], 1.0),),
+                             A=np.array([[1.0, 0.0, 0.0]]),
+                             lo=np.array([2.0]), hi=np.array([np.inf]))
+        rounds = count_rounds(monkeypatch)
+        s = qcqp.solve(p)
+        assert s.status == "infeasible-detected"
+        assert [(m, st) for m, st, _ in rounds] == [
+            (0, "optimal"), (1, "infeasible-detected")]
+
+    def test_max_iter_bounds_iterations_summed_over_rounds(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        p, _ = with_cut_rows(rng, random_instance(rng, n_points=6))
+        rounds = count_rounds(monkeypatch)
+        full = qcqp.solve(p, tol=1e-9)
+        assert full.iterations == sum(it for _, _, it in rounds)
+        first = rounds[0][2]
+        # the first round fits the budget exactly, the second gets none
+        s = qcqp.solve(p, tol=1e-9, max_iter=first)
+        assert (s.status, s.iterations) == ("max-iter", first)
+        for budget in range(first + 1, full.iterations):
+            s = qcqp.solve(p, tol=1e-9, max_iter=budget)
+            assert s.status == "max-iter" and s.iterations <= budget
+        s = qcqp.solve(p, tol=1e-9, max_iter=full.iterations)
+        assert s.status == "optimal"
+
+    def test_empty_broken_row_decided_before_any_step(self, monkeypatch):
+        A = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        p = qcqp.QcqpProblem(H=np.eye(3), g=-np.ones(3),
+                             balls=(ball(0, [0, 0, 0], 1.0),), A=A,
+                             lo=np.array([0.5, -1.0]), hi=np.array([1.0, 1.0]))
+        rounds = count_rounds(monkeypatch)
+        s = qcqp.solve(p)
+        assert (s.status, s.iterations, rounds) == ("infeasible-detected",
+                                                    0, [])
+
+
 class TestKktResidual:
     def test_zero_at_analytic_optimum(self):
         p = qcqp.QcqpProblem(H=np.diag([2.0, 2.0, 2.0]),
                              g=np.array([-4.0, 0.0, 0.0]),
                              balls=(ball(0, [0, 0, 0], 1.0),))
         assert qcqp.kkt_residual(p, np.array([1.0, 0.0, 0.0])) < 1e-9
+
+    def test_infinite_row_side_is_never_active(self):
+        # analytic optimum (1, 0, 0) on the ball; the row's missing lower
+        # side must not enter the active set with an infinite slack
+        p = qcqp.QcqpProblem(H=np.diag([2.0, 2.0, 2.0]),
+                             g=np.array([-4.0, 0.0, 0.0]),
+                             balls=(ball(0, [0, 0, 0], 1.0),),
+                             A=np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                             lo=np.array([-np.inf, -3.0]),
+                             hi=np.array([5.0, np.inf]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qcqp.kkt_residual(p, np.array([1.0, 0.0, 0.0])) < 1e-9
 
     def test_primal_violation_passes_through(self):
         p = qcqp.QcqpProblem(H=np.diag([2.0, 2.0, 2.0]),

@@ -324,6 +324,21 @@ class TestReplannerRuns:
         assert collision_scan(np.ascontiguousarray(pos), body.occ_flat, w.dims,
                               w.origin, w.cell_sizes) == -1
 
+    def test_refine_fail_event_carries_its_reason(self, monkeypatch):
+        failed = el.RefineResult(status="infeasible", solver_iterations=17,
+                                 knot_repeat=4)
+        monkeypatch.setattr(rp.elastic, "refine_adaptive",
+                            lambda *a, **kw: failed)
+        w = self._world()
+        sim = rp.Replanner(w, (0.9, 4.1, 1.1), (11.0, 4.1, 1.1),
+                           make_settings())
+        sim.step(0.1)
+        fails = [e for e in sim.events if e["kind"] == "refine_fail"]
+        assert fails
+        for e in fails:
+            assert (e["status"], e["solver_iterations"],
+                    e["knot_repeat"]) == ("infeasible", 17, 4)
+
     def test_event_log_schema(self):
         w = self._world()
         sim = rp.Replanner(w, (0.9, 4.1, 1.1), (11.0, 4.1, 1.1),
