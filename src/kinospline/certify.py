@@ -3,14 +3,16 @@
 A span pattern is the sequence of k grid steps (components in {-1, 0, +1})
 between the k+1 control points of one span. The curve of a span can exit
 the union of cell intervals its control points visit; the certification
-enumerates every pattern, measures that excursion per axis in closed form,
-and records the largest value. Inflating obstacles by the certified amount
-then makes collision checking during the search unnecessary.
+enumerates every pattern, measures that excursion per axis from the
+extrema of the position polynomial, and records the largest value.
+Inflating obstacles by the certified amount then makes collision checking
+during the search unnecessary.
 
 Deviation is axis-separable: evaluation is linear and per-axis, and the
 excursion beyond the 1-D cell-interval envelope on one axis depends only
 on that axis's step sequence and cell size. The production path therefore
-enumerates 3^k per-axis patterns; the 27^k full product survives as a
+evaluates the 3^k per-axis patterns (in one batch, enumerated as
+`patterns` enumerates them); the 27^k full product survives as a
 cross-check oracle for small degrees.
 """
 
@@ -19,7 +21,8 @@ from itertools import product
 
 import numpy as np
 
-from .splines import position_extrema_axis
+from .patterns import all_steps
+from .splines import _poly_extrema, _profile_coefs
 
 
 @dataclass(frozen=True)
@@ -54,23 +57,34 @@ def _match_pieces(k: int):
     return ((0.0, 1.0, k // 2),)
 
 
+def _deviations(steps, cell: float, k: int) -> np.ndarray:
+    """Excursion of each row of a (n, k) step array beyond its matched cells.
+
+    The control points sit at cell centers. Over each matching piece the
+    curve must stay inside the matched cell's interval [center - cell/2,
+    center + cell/2]; a row's value is its largest overshoot (0 if none),
+    from the extrema of its position polynomial on each piece. Every
+    operation is per row, so a pattern's value does not depend on the
+    other rows.
+    """
+    steps = np.asarray(steps, dtype=float).reshape(-1, k)
+    pos = np.zeros((steps.shape[0], k + 1))
+    pos[:, 1:] = np.cumsum(steps, axis=1) * cell
+    a = _profile_coefs(pos)
+    worst = np.zeros(steps.shape[0])
+    for u_lo, u_hi, m in _match_pieces(k):
+        lo, hi = _poly_extrema(a, u_lo, u_hi)
+        worst = np.maximum(worst, np.maximum((pos[:, m] - cell / 2.0) - lo,
+                                             hi - (pos[:, m] + cell / 2.0)))
+    return worst
+
+
 def pattern_deviation_axis(steps, cell: float, k: int) -> float:
     """Excursion of one axis profile beyond its matched cell intervals.
 
-    steps are the k per-knot increments in {-1, 0, +1}; the control points
-    sit at cell centers. Over each matching piece the curve must stay
-    inside the matched cell's interval [center - cell/2, center + cell/2];
-    the returned value is the largest overshoot, computed from closed-form
-    extrema of the position polynomial on the piece.
+    steps are the k per-knot increments in {-1, 0, +1}; see _deviations.
     """
-    pos = np.concatenate(([0.0], np.cumsum(np.asarray(steps, dtype=float)))) * cell
-    worst = 0.0
-    for u_lo, u_hi, m in _match_pieces(k):
-        lo, hi = position_extrema_axis(pos, k, u_lo, u_hi)
-        worst = max(worst,
-                    (pos[m] - cell / 2.0) - lo,
-                    hi - (pos[m] + cell / 2.0))
-    return max(0.0, worst)
+    return float(_deviations(steps, cell, k)[0])
 
 
 def pattern_deviation(steps3, cell_sizes, k: int) -> float:
@@ -83,15 +97,18 @@ def pattern_deviation(steps3, cell_sizes, k: int) -> float:
 
 
 def _axis_scan(k: int, cell: float) -> tuple[float, tuple]:
-    """(largest deviation, worst step sequence) over the 3^k axis patterns."""
-    best = 0.0
-    worst = (0,) * k
-    for steps in product((-1, 0, 1), repeat=k):
-        d = pattern_deviation_axis(steps, cell, k)
-        if d > best:
-            best = d
-            worst = steps
-    return best, worst
+    """(largest deviation, worst step sequence) over the 3^k axis patterns.
+
+    Ties go to the lexicographically smallest step sequence; with no
+    excursion at all the worst sequence is the static one.
+    """
+    steps = all_steps(k)
+    dev = _deviations(steps, cell, k)
+    best = float(dev.max())
+    if best <= 0.0:
+        return 0.0, (0,) * k
+    return best, min(tuple(int(v) for v in steps[i])
+                     for i in np.flatnonzero(dev == best))
 
 
 def certify(k: int, cell_sizes, mode: str = "per-axis") -> InflationCertificate:
@@ -99,8 +116,9 @@ def certify(k: int, cell_sizes, mode: str = "per-axis") -> InflationCertificate:
 
     Per-axis mode scans the 3^k step sequences once per distinct cell size,
     in order of first appearance, and takes the largest deviation. Full
-    mode recombines all 27^k 3-D patterns and exists only to cross-validate
-    separability (k <= 3).
+    mode recombines all 27^k 3-D patterns from the per-axis deviations and
+    exists only to cross-validate separability (k <= 3); its worst pattern
+    is the first maximum in lexicographic (pattern, axis) order.
     """
     if mode not in ("per-axis", "full"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
@@ -108,23 +126,17 @@ def certify(k: int, cell_sizes, mode: str = "per-axis") -> InflationCertificate:
     if mode == "full":
         if k > 3:
             raise ValueError("full enumeration is limited to k <= 3")
-        cache = {}
-
-        def axis_dev(steps, cell):
-            key = (steps, cell)
-            if key not in cache:
-                cache[key] = pattern_deviation_axis(steps, cell, k)
-            return cache[key]
-
-        best = 0.0
-        worst = (0,) * k
-        for flat in product(product((-1, 0, 1), repeat=3), repeat=k):
-            for ax in range(3):
-                steps = tuple(step[ax] for step in flat)
-                d = axis_dev(steps, cell_sizes[ax])
-                if d > best:
-                    best = d
-                    worst = steps
+        tables = {c: _deviations(all_steps(k), c, k)
+                  for c in dict.fromkeys(cell_sizes)}
+        flat = np.array(list(product(product((-1, 0, 1), repeat=3),
+                                     repeat=k)))
+        codes = ((flat + 1) * 3 ** np.arange(k)[:, None]).sum(axis=1)
+        dev = np.column_stack([tables[c][codes[:, ax]]
+                               for ax, c in enumerate(cell_sizes)])
+        i = int(np.argmax(dev))
+        best = float(dev.flat[i])
+        worst = (tuple(int(v) for v in flat[i // 3, :, i % 3])
+                 if best > 0.0 else (0,) * k)
         return InflationCertificate(k, cell_sizes, best, worst, mode="full")
     best = 0.0
     worst = (0,) * k

@@ -5,11 +5,13 @@ worlds), plan (one search + optional refinement), replan (receding-horizon
 simulation), suite (goal sweeps with aggregate statistics). Configuration
 comes from key=value text files overridden by flags; stats land as JSON
 records and trajectories as CSV. Exit codes: 0 success, 2 no path,
-3 infeasible, 4 budget exceeded, 1 anything else.
+3 infeasible, 4 budget exceeded, 1 anything else (malformed input and
+usage errors included). plan, replan and suite fly degree-5 splines.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -17,8 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certify, elastic, kernels, replan, search, stats, world
+from . import certify, elastic, replan, search, stats, world
 from .splines import DerivativeBounds, SplineDef
+
+DEGREE = 5
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -45,13 +49,28 @@ def load_config(path) -> dict:
 
 
 def _vec(text) -> np.ndarray:
-    return np.array([float(v) for v in str(text).replace(",", " ").split()])
+    """A finite 3-vector from "x y z" or "x,y,z"; ValueError otherwise."""
+    v = np.array([float(t) for t in str(text).replace(",", " ").split()])
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"expected three finite numbers, got {text!r}")
+    return v
+
+
+def _check_args(args) -> None:
+    """Parse the vector settings in place and reject a knot spacing that is
+    not positive and finite, once flags and config file are merged."""
+    for name in ("start", "start_vel", "goal"):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, _vec(getattr(args, name)))
+    dt = getattr(args, "dt", None)
+    if dt is not None and not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"--dt must be positive and finite, got {dt}")
 
 
 def _setup(args):
     """World, contract and config spaces shared by plan/replan/suite."""
     w = world.load_map(args.map)
-    cert = certify.certify(args.degree, tuple(w.cell_sizes))
+    cert = certify.certify(DEGREE, tuple(w.cell_sizes))
     contract = elastic.InflationContract.default(tuple(w.cell_sizes),
                                                  cert.delta_bk,
                                                  body_radius=args.body_radius)
@@ -93,7 +112,7 @@ def plan_once(w, cs_bk, cs_elas, contract, bounds, start_pos, start_vel,
               goal_pos, dt, lam, order, d, use_eo=True, budget_ms=500.0,
               max_expansions=500_000):
     """Search (and refine) one query; returns (record, spline or None)."""
-    k = 5
+    k = DEGREE
     refs = search.state_reference_points(start_pos, start_vel, k, dt)
     tup = search.snap_tuple(refs, w, dt, cs_bk, bounds)
     if tup is None:
@@ -141,13 +160,11 @@ def plan_once(w, cs_bk, cs_elas, contract, bounds, start_pos, start_vel,
 
 
 def cmd_plan(args) -> int:
-    kernels.warmup()
     w, contract, cs_bk, cs_elas, bounds = _setup(args)
     t0 = time.perf_counter()
     rec, spline = plan_once(w, cs_bk, cs_elas, contract, bounds,
-                            _vec(args.start), _vec(args.start_vel),
-                            _vec(args.goal), args.dt, args.lam, args.order,
-                            args.d, use_eo=not args.no_eo,
+                            args.start, args.start_vel, args.goal, args.dt,
+                            args.lam, args.order, args.d, use_eo=not args.no_eo,
                             budget_ms=args.budget_ms)
     rec["run_time"] = time.perf_counter() - t0
     out = Path(args.output)
@@ -164,13 +181,12 @@ def cmd_plan(args) -> int:
 
 
 def cmd_replan(args) -> int:
-    kernels.warmup()
     w, contract, cs_bk, cs_elas, bounds = _setup(args)
     settings = replan.ReplanSettings(
-        k=5, dt=args.dt, lam=args.lam, order=args.order, bounds=bounds,
+        k=DEGREE, dt=args.dt, lam=args.lam, order=args.order, bounds=bounds,
         contract=contract, d=args.d, mode=args.mode, planner=args.planner,
         sense_radius=args.sense, local_range=args.local_range)
-    sim = replan.Replanner(w, _vec(args.start), _vec(args.goal), settings)
+    sim = replan.Replanner(w, args.start, args.goal, settings)
     t0 = time.perf_counter()
     rows = sim.run(max_time=args.max_time)
     wall = time.perf_counter() - t0
@@ -210,9 +226,8 @@ def _suite_goals(w, cs_bk, start_cell, sep, z):
 
 
 def cmd_suite(args) -> int:
-    kernels.warmup()
     w, contract, cs_bk, cs_elas, bounds = _setup(args)
-    start_pos = _vec(args.start)
+    start_pos = args.start
     start_cell = w.point_to_cell(start_pos)
     goals = _suite_goals(w, cs_bk, start_cell, args.goal_sep, start_pos[2])
     if args.max_goals:
@@ -268,7 +283,7 @@ class _suite_runner:
         goal_pos = self.w.cell_center(np.asarray(goal_cell))
         rec, spline = plan_once(self.w, self.cs_bk, self.cs_elas,
                                 self.contract, self.bounds,
-                                _vec(a.start), _vec(a.start_vel), goal_pos,
+                                a.start, a.start_vel, goal_pos,
                                 a.dt, a.lam, a.order, a.d,
                                 use_eo=not a.no_eo, budget_ms=a.budget_ms,
                                 max_expansions=1_000_000)
@@ -283,7 +298,6 @@ class _suite_runner:
 def _add_common(p):
     p.add_argument("--map", required=True)
     p.add_argument("--config", help="key=value file; flags override")
-    p.add_argument("--degree", type=int, default=5)
     p.add_argument("--dt", type=float, default=0.17)
     p.add_argument("--lam", type=float, default=20.0)
     p.add_argument("--order", type=int, default=3)
@@ -296,8 +310,16 @@ def _add_common(p):
     p.add_argument("-o", "--output", default="out")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (argparse's own 2 is the no-path code)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_OTHER, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="kinospline")
+    ap = _Parser(prog="kinospline")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="compute the inflation certificate")
@@ -377,9 +399,13 @@ def _apply_config(args, argv) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
-    _apply_config(args, argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error (1) or --help (0)
+        return exc.code
+    try:
+        _apply_config(args, argv)
+        _check_args(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(json.dumps({"status": "error", "message": str(exc)}),

@@ -15,7 +15,8 @@ import numpy as np
 from scipy import sparse
 
 from . import qcqp
-from .splines import SplineDef, blending_tables, check_feasible, eval_span_many
+from .splines import (SplineDef, blending_tables, check_feasible,
+                      eval_span_many, span_stack)
 from .world import ConfigSpace, VoxelWorld
 from .kernels import collision_scan
 
@@ -382,14 +383,14 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
         if not bad:
             # the derivative-bound rows cover every span touching a free
             # point; spans made purely of pins still need the exact check
-            for j in _pin_spans(k, len(init_pts)):
-                if not check_feasible(seq[j:j + k + 1], bounds, dt):
-                    return RefineResult(status="infeasible", inserted=inserted,
-                                        iterations=iterations,
-                                        solver_iterations=sol.iterations,
-                                        solve_time=solve_time,
-                                        expand_time=expand_time,
-                                        initial_cost=initial_cost)
+            pins = span_stack(seq, k)[list(_pin_spans(k, len(init_pts)))]
+            if not check_feasible(pins, bounds, dt).all():
+                return RefineResult(status="infeasible", inserted=inserted,
+                                    iterations=iterations,
+                                    solver_iterations=sol.iterations,
+                                    solve_time=solve_time,
+                                    expand_time=expand_time,
+                                    initial_cost=initial_cost)
             spline = SplineDef(k=k, dt=dt, points=seq)
             cost = spline.cost(l)
             return RefineResult(status="safe", points=seq, spline=spline,

@@ -1,369 +1,18 @@
-"""Hot numeric kernels: span evaluation, extrema, feasibility, successor scans.
+"""Grid collision scan of sampled trajectory points (plain numpy).
 
-Every kernel but ``collision_scan`` (plain numpy) is written as a scalar-loop
-function so the same source runs two ways:
-
-* jitted with ``numba.njit(cache=True)`` when numba imports (the optional
-  ``jit`` extra of the package), or
-* as ordinary Python/numpy when the environment variable
-  ``KINOSPLINE_NO_NUMBA`` is set to a non-empty value, or numba is missing.
-
-``numba_active()`` reports which path was selected; ``warmup()`` forces JIT
-compilation up front so timed code does not pay the compile cost.
+Span evaluation, extrema and feasibility live in ``splines``; successor
+sets come from the step-pattern tables in ``patterns``.
 """
-
-import math
-import os
 
 import numpy as np
 
-_DISABLED = bool(os.environ.get("KINOSPLINE_NO_NUMBA", ""))
-
-if not _DISABLED:
-    try:
-        from numba import njit as _njit
-
-        def _jit(fn):
-            return _njit(cache=True)(fn)
-
-        _NUMBA = True
-    except ImportError:
-        _NUMBA = False
-else:
-    _NUMBA = False
-
-if not _NUMBA:
-    def _jit(fn):
-        return fn
-
 
 def numba_active() -> bool:
-    """True when kernels run under numba, False on the pure-Python path."""
-    return _NUMBA
+    """Always False: every kernel runs as plain numpy.
 
-
-# Degenerate-leading-coefficient / discriminant cutoff for the closed-form
-# root branches, relative to the coefficient scale.
-_ROOT_EPS = 1e-12
-
-
-@_jit
-def _quad_roots(c2, c1, c0, scale, out):
-    """Real roots of c2 x^2 + c1 x + c0, written into out; returns count."""
-    if abs(c2) <= _ROOT_EPS * scale:
-        if abs(c1) <= _ROOT_EPS * scale:
-            return 0
-        out[0] = -c0 / c1
-        return 1
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return 0
-    sq = math.sqrt(disc)
-    # Citardauq form for the small root to avoid cancellation.
-    if c1 >= 0.0:
-        q = -0.5 * (c1 + sq)
-    else:
-        q = -0.5 * (c1 - sq)
-    out[0] = q / c2
-    if q != 0.0:
-        out[1] = c0 / q
-        return 2
-    out[1] = -out[0]
-    return 2
-
-
-@_jit
-def _cubic_roots(c3, c2, c1, c0, out):
-    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 in out; returns count.
-
-    Falls back to the quadratic branch when the leading coefficient is
-    below the cutoff; otherwise trigonometric form for three real roots
-    and Cardano for one. Roots get two Newton polish steps.
+    Kept because benchmark reports record it in their environment block.
     """
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
-    if scale == 0.0:
-        return 0
-    if abs(c3) <= _ROOT_EPS * scale:
-        return _quad_roots(c2, c1, c0, scale, out)
-
-    b = c2 / c3
-    c = c1 / c3
-    d = c0 / c3
-    # depressed cubic t^3 + p t + q with x = t - b/3
-    p = c - b * b / 3.0
-    q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    disc = -4.0 * p * p * p - 27.0 * q * q
-    n = 0
-    if disc > _ROOT_EPS * scale:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        if arg > 1.0:
-            arg = 1.0
-        elif arg < -1.0:
-            arg = -1.0
-        theta = math.acos(arg) / 3.0
-        for i in range(3):
-            out[n] = m * math.cos(theta - 2.0943951023931953 * i) + shift
-            n += 1
-    elif disc < -_ROOT_EPS * scale:
-        half_q = -0.5 * q
-        rad = math.sqrt(q * q / 4.0 + p * p * p / 27.0)
-        u = half_q + rad
-        v = half_q - rad
-        cu = math.copysign(abs(u) ** (1.0 / 3.0), u)
-        cv = math.copysign(abs(v) ** (1.0 / 3.0), v)
-        out[0] = cu + cv + shift
-        n = 1
-    else:
-        # borderline: repeated roots
-        if abs(p) <= _ROOT_EPS:
-            out[0] = shift
-            n = 1
-        else:
-            out[0] = 3.0 * q / p + shift
-            out[1] = -1.5 * q / p + shift
-            n = 2
-    for i in range(n):
-        x = out[i]
-        for _ in range(2):
-            f = ((c3 * x + c2) * x + c1) * x + c0
-            fp = (3.0 * c3 * x + 2.0 * c2) * x + c1
-            if fp != 0.0:
-                x -= f / fp
-        out[i] = x
-    return n
-
-
-@_jit
-def _poly_eval(coef, n, x):
-    """Evaluate sum(coef[i] * x^i, i=0..n) by Horner."""
-    acc = coef[n]
-    for i in range(n - 1, -1, -1):
-        acc = acc * x + coef[i]
-    return acc
-
-
-@_jit
-def _poly_minmax_unit(coef, n, roots):
-    """(min, max) of a degree<=4 polynomial over [0, 1], closed form.
-
-    roots is a caller-provided scratch array of length >= 3.
-    """
-    lo = _poly_eval(coef, n, 0.0)
-    hi = _poly_eval(coef, n, 1.0)
-    if lo > hi:
-        lo, hi = hi, lo
-    if n >= 2:
-        if n == 2:
-            scale = max(abs(coef[1]), abs(2.0 * coef[2]))
-            cnt = _quad_roots(0.0, 2.0 * coef[2], coef[1], scale, roots)
-        elif n == 3:
-            cnt = _quad_roots(3.0 * coef[3], 2.0 * coef[2], coef[1],
-                              max(abs(coef[1]), abs(coef[2]), abs(coef[3])),
-                              roots)
-        else:
-            cnt = _cubic_roots(4.0 * coef[4], 3.0 * coef[3],
-                               2.0 * coef[2], coef[1], roots)
-        for i in range(cnt):
-            r = roots[i]
-            if 0.0 < r < 1.0:
-                v = _poly_eval(coef, n, r)
-                if v < lo:
-                    lo = v
-                if v > hi:
-                    hi = v
-    return lo, hi
-
-
-@_jit
-def _axis_minmax_scratch(a, k, l, inv_dt_l, d, roots):
-    """axis_derivative_minmax with caller-provided scratch buffers."""
-    n = k - l
-    for i in range(n + 1):
-        f = 1.0
-        for m in range(i + 1, i + l + 1):
-            f *= m
-        d[i] = a[i + l] * f
-    lo, hi = _poly_minmax_unit(d, n, roots)
-    return lo * inv_dt_l, hi * inv_dt_l
-
-
-@_jit
-def axis_derivative_minmax(a, k, l, inv_dt_l):
-    """Extrema of the l-th time derivative of one axis over a span.
-
-    a holds the monomial coefficients of the position polynomial in the
-    normalized span parameter (a = M_k @ P_axis); inv_dt_l = dt**-l.
-    """
-    d = np.empty(k + 1)
-    roots = np.empty(3)
-    return _axis_minmax_scratch(a, k, l, inv_dt_l, d, roots)
-
-
-@_jit
-def span_extrema_kernel(P, Mk, l, dt, out):
-    """Per-axis (min, max) of the l-th derivative over one span into out (3,2)."""
-    k = P.shape[0] - 1
-    inv = dt ** (-l)
-    a = np.empty(k + 1)
-    for ax in range(3):
-        for i in range(k + 1):
-            s = 0.0
-            for j in range(k + 1):
-                s += Mk[i, j] * P[j, ax]
-            a[i] = s
-        lo, hi = axis_derivative_minmax(a, k, l, inv)
-        out[ax, 0] = lo
-        out[ax, 1] = hi
-
-
-@_jit
-def span_feasible_kernel(P, Mk, dt, vlo, vhi, alo, ahi):
-    """True when velocity and acceleration extrema fit the per-axis bounds."""
-    k = P.shape[0] - 1
-    inv1 = 1.0 / dt
-    inv2 = inv1 * inv1
-    a = np.empty(k + 1)
-    d = np.empty(k + 1)
-    roots = np.empty(3)
-    for ax in range(3):
-        for i in range(k + 1):
-            s = 0.0
-            for j in range(k + 1):
-                s += Mk[i, j] * P[j, ax]
-            a[i] = s
-        lo, hi = _axis_minmax_scratch(a, k, 1, inv1, d, roots)
-        if lo < vlo[ax] or hi > vhi[ax]:
-            return False
-        lo, hi = _axis_minmax_scratch(a, k, 2, inv2, d, roots)
-        if lo < alo[ax] or hi > ahi[ax]:
-            return False
-    return True
-
-
-@_jit
-def span_cost_kernel(P, cost_mat, scale):
-    """Quadratic control cost of one span: scale * sum_ax P_ax^T C P_ax."""
-    k1 = P.shape[0]
-    total = 0.0
-    for ax in range(3):
-        for i in range(k1):
-            row = 0.0
-            for j in range(k1):
-                row += cost_mat[i, j] * P[j, ax]
-            total += row * P[i, ax]
-    return total * scale
-
-
-@_jit
-def eval_span_kernel(P, Mk, u, l, dt, out):
-    """l-th time derivative of one span at normalized u, into out (3,)."""
-    k = P.shape[0] - 1
-    inv = dt ** (-l)
-    db = np.zeros(k + 1)
-    for i in range(l, k + 1):
-        f = 1.0
-        for m in range(i - l + 1, i + 1):
-            f *= m
-        db[i] = f * u ** (i - l)
-    for ax in range(3):
-        s = 0.0
-        for i in range(k + 1):
-            w = 0.0
-            for j in range(k + 1):
-                w += Mk[i, j] * P[j, ax]
-            s += db[i] * w
-        out[ax] = s * inv
-
-
-@_jit
-def successor_scan(pos, last_cell, occ, dims, lo_cell, hi_cell, origin,
-                   cells, Mk, cost_mat, dt, lam, cost_scale,
-                   vlo, vhi, alo, ahi,
-                   out_mask, out_cost, out_cells, out_codes):
-    """Evaluate the 27 shift-and-append successors of one vertex tuple.
-
-    pos is the (k+1, 3) stacked position matrix of the current tuple and
-    last_cell its final grid cell. Candidates follow lexicographic offset
-    order over {-1,0,1}^3 (self-step included). A candidate survives when
-    its cell is inside the grid, free in occ (flat x-major bitmap), and the
-    shifted span passes the velocity/acceleration extrema check. Node costs
-    lam*dt + span control cost are written for surviving candidates.
-
-    The 27 candidate spans share their first k rows, so the blending
-    product and the cost quadratic form are split into a hoisted part over
-    the shared window plus an O(1) correction per candidate.
-    """
-    k1 = pos.shape[0]
-    k = k1 - 1
-    inv1 = 1.0 / dt
-    inv2 = inv1 * inv1
-    # a(cand)[i, ax] = base[i, ax] + Mk[i, k] * cand[ax]
-    base = np.zeros((k1, 3))
-    for i in range(k1):
-        for j in range(k):
-            w = Mk[i, j]
-            for ax in range(3):
-                base[i, ax] += w * pos[j + 1, ax]
-    # cost(cand)[ax] = qconst[ax] + 2 * qlin[ax] * cand[ax] + qkk * cand^2
-    qkk = cost_mat[k, k]
-    qconst = np.zeros(3)
-    qlin = np.zeros(3)
-    for ax in range(3):
-        for i in range(k):
-            row = 0.0
-            for j in range(k):
-                row += cost_mat[i, j] * pos[j + 1, ax]
-            qconst[ax] += row * pos[i + 1, ax]
-            qlin[ax] += cost_mat[k, i] * pos[i + 1, ax]
-    a = np.empty(k1)
-    d = np.empty(k1)
-    roots = np.empty(3)
-    cand = np.empty(3)
-    idx = 0
-    for dx in range(-1, 2):
-        for dy in range(-1, 2):
-            for dz in range(-1, 2):
-                out_mask[idx] = 0
-                cx = last_cell[0] + dx
-                cy = last_cell[1] + dy
-                cz = last_cell[2] + dz
-                if (lo_cell[0] <= cx <= hi_cell[0]
-                        and lo_cell[1] <= cy <= hi_cell[1]
-                        and lo_cell[2] <= cz <= hi_cell[2]):
-                    flat = (cx * dims[1] + cy) * dims[2] + cz
-                    if occ[flat] == 0:
-                        cand[0] = origin[0] + (cx + 0.5) * cells[0]
-                        cand[1] = origin[1] + (cy + 0.5) * cells[1]
-                        cand[2] = origin[2] + (cz + 0.5) * cells[2]
-                        ok = True
-                        for ax in range(3):
-                            for i in range(k1):
-                                a[i] = base[i, ax] + Mk[i, k] * cand[ax]
-                            lo, hi = _axis_minmax_scratch(a, k, 1, inv1,
-                                                          d, roots)
-                            if lo < vlo[ax] or hi > vhi[ax]:
-                                ok = False
-                                break
-                            lo, hi = _axis_minmax_scratch(a, k, 2, inv2,
-                                                          d, roots)
-                            if lo < alo[ax] or hi > ahi[ax]:
-                                ok = False
-                                break
-                        if ok:
-                            quad = 0.0
-                            for ax in range(3):
-                                quad += (qconst[ax]
-                                         + 2.0 * qlin[ax] * cand[ax]
-                                         + qkk * cand[ax] * cand[ax])
-                            out_mask[idx] = 1
-                            out_cost[idx] = lam * dt + quad * cost_scale
-                            out_cells[idx, 0] = cx
-                            out_cells[idx, 1] = cy
-                            out_cells[idx, 2] = cz
-                            out_codes[idx] = flat
-                idx += 1
+    return False
 
 
 def collision_scan(points, occ, dims, origin, cells):
@@ -380,29 +29,3 @@ def collision_scan(points, occ, dims, origin, cells):
                     + inside[:, 2]] != 0
     first = np.flatnonzero(hit)
     return int(first[0]) if first.size else -1
-
-
-def warmup(k: int = 5) -> None:
-    """Trigger JIT compilation of every kernel so timed runs start warm."""
-    from .splines import blending_tables
-
-    tab = blending_tables(k)
-    P = np.linspace(0.0, 1.0, 3 * (k + 1)).reshape(k + 1, 3)
-    out = np.empty((3, 2))
-    span_extrema_kernel(P, tab.M, 1, 0.2, out)
-    big = np.full(3, 1e9)
-    span_feasible_kernel(P, tab.M, 0.2, -big, big, -big, big)
-    span_cost_kernel(P, tab.cost_mat(2), 1.0)
-    v = np.empty(3)
-    eval_span_kernel(P, tab.M, 0.5, 1, 0.2, v)
-    occ = np.zeros(27, dtype=np.uint8)
-    dims = np.array([3, 3, 3], dtype=np.int64)
-    geo = np.zeros(3)
-    ones = np.ones(3)
-    zero3 = np.zeros(3, dtype=np.int64)
-    successor_scan(P, np.array([1, 1, 1], dtype=np.int64), occ, dims, zero3,
-                   dims - 1, geo, ones, tab.M, tab.cost_mat(2), 0.2, 1.0, 1.0,
-                   -big, big, -big, big,
-                   np.empty(27, dtype=np.uint8), np.empty(27),
-                   np.empty((27, 3), dtype=np.int64), np.empty(27, dtype=np.int64))
-    collision_scan(P, occ, dims, geo, ones)

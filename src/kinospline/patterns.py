@@ -11,12 +11,13 @@ of precomputed controls; Pivtoraiko, Knepper & Kelly, JFR 2009).
 A pattern is encoded as sum_i (step_i + 1) * 3^i over its k steps, so
 appending a step to a tuple's pattern is ``code // 3 + (step + 1) * 3^(k-1)``.
 
-Node costs come from `WindowCosts`: the successor scan's split of a
-span's cost into a quadratic in the appended coordinate, evaluated in the
-scan's floating-point order from absolute coordinates and cached per
-window. Costs that agree mathematically but not in their last bits break
-search ties differently, so exact agreement with the scan keeps the
-search's expansion order.
+Node costs come from `WindowCosts`: a span's cost split into a quadratic
+qc + 2 ql c + qkk c c in the appended coordinate c, summed in a fixed
+floating-point order from absolute coordinates and cached per window.
+Costs that agree mathematically but not in their last bits break search
+ties differently, so that order is part of the contract: the start cost
+(`splines.span_cost` on one span) and the test oracle's direct scan sum
+in it too.
 """
 
 from functools import lru_cache
@@ -24,8 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from . import kernels
-from .splines import blending_tables
+from .splines import _motion_extrema, blending_tables
 
 
 def encode(steps) -> int:
@@ -45,32 +45,28 @@ def axis_patterns(cells) -> tuple:
     return tuple(encode(steps[:, a]) for a in range(3))
 
 
+def all_steps(k: int) -> np.ndarray:
+    """The 3^k step sequences as a (3^k, k) float array; row r has code r."""
+    return np.array(list(product((-1, 0, 1), repeat=k)), dtype=float)[:, ::-1]
+
+
 @lru_cache(maxsize=256)
 def feasible_table(k: int, dt: float, cell: float, v_lo: float, v_hi: float,
                    a_lo: float, a_hi: float) -> list:
     """Per-pattern feasibility along one axis (a list of 3^k bools).
 
-    Each pattern's profile starts at 0 and moves by step * cell per knot;
-    its velocity and acceleration extrema come from the same closed-form
-    root routine as the span kernels.
+    Each pattern's profile starts at 0 and moves by step * cell per knot.
+    Its velocity and acceleration extrema come from one batched root
+    finder call over all patterns (splines._motion_extrema). The
+    coefficients are one matrix product over the whole table, which is
+    only ever built whole.
     """
-    M = blending_tables(k).M
-    steps = np.array(list(product((-1, 0, 1), repeat=k)), dtype=float)[:, ::-1]
+    steps = all_steps(k)
     pos = np.zeros((steps.shape[0], k + 1))
     pos[:, 1:] = np.cumsum(steps, axis=1) * cell
-    inv1 = 1.0 / dt
-    inv2 = inv1 * inv1
-    d = np.empty(k + 1)
-    roots = np.empty(3)
-    out = []
-    for a in pos @ M.T:
-        lo, hi = kernels._axis_minmax_scratch(a, k, 1, inv1, d, roots)
-        ok = v_lo <= lo and hi <= v_hi
-        if ok:
-            lo, hi = kernels._axis_minmax_scratch(a, k, 2, inv2, d, roots)
-            ok = a_lo <= lo and hi <= a_hi
-        out.append(ok)
-    return out
+    lo, hi = _motion_extrema(pos @ blending_tables(k).M.T, dt)
+    return ((v_lo <= lo[:, 0]) & (hi[:, 0] <= v_hi)
+            & (a_lo <= lo[:, 1]) & (hi[:, 1] <= a_hi)).tolist()
 
 
 def feasible_tables(k: int, dt: float, cell_sizes, bounds) -> tuple:
@@ -87,9 +83,9 @@ class WindowCosts:
     A successor drops the tuple's first cell and appends one, so its span
     shares the k cells c_1..c_k (the window) with the tuple. Along one
     axis its cost is qc + 2 ql c + qkk c^2 in the appended coordinate c,
-    where qc and ql depend only on the window. They are computed as the
-    successor scan computes them, from cell-center coordinates, and
-    cached under (last cell, window pattern).
+    where qc and ql depend only on the window. They are summed in nested
+    loop order from cell-center coordinates and cached under (last cell,
+    window pattern).
     """
 
     def __init__(self, k: int, order: int, origin: float, cell: float,

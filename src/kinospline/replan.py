@@ -16,7 +16,7 @@ import numpy as np
 
 from . import elastic, search, world
 from .kernels import collision_scan
-from .splines import SplineDef, check_feasible, eval_span_many
+from .splines import SplineDef, check_feasible, eval_span_many, span_stack
 
 
 @dataclass(frozen=True)
@@ -113,21 +113,17 @@ class PlanWindow:
         preferred, so the hover does not strand inside the inflated set.
         """
         k = self.k
-        candidates = []
-        for s in range(max(seam, self.exec_span + 1), self.n_spans):
-            if s + k + 1 > self.cps.shape[0]:
-                break
-            tail = np.vstack([self.cps[s:s + k + 1],
-                              np.tile(self.cps[s + k], (k + 1, 1))])
-            ok = True
-            if self.bounds is not None:
-                for j in range(tail.shape[0] - k):
-                    if not check_feasible(tail[j:j + k + 1], self.bounds,
-                                          self.dt):
-                        ok = False
-                        break
-            if ok:
-                candidates.append((s, tail))
+        seams = [s for s in range(max(seam, self.exec_span + 1), self.n_spans)
+                 if s + k + 1 <= self.cps.shape[0]]
+        tails = [np.vstack([self.cps[s:s + k + 1],
+                            np.tile(self.cps[s + k], (k + 1, 1))])
+                 for s in seams]
+        ok = [True] * len(seams)
+        if self.bounds is not None and seams:
+            spans = np.concatenate([span_stack(t, k) for t in tails])
+            ok = check_feasible(spans, self.bounds, self.dt).reshape(
+                len(seams), -1).all(axis=1)
+        candidates = [(s, t) for s, t, good in zip(seams, tails, ok) if good]
         if not candidates:
             return False
         if cs_free is not None:
@@ -144,10 +140,10 @@ class PlanWindow:
         last = self.cps[-1]
         ext = np.vstack([self.cps, np.tile(last, (self.k + 1, 1))])
         if self.bounds is not None:
-            for j in range(max(ext.shape[0] - 2 * (self.k + 1), 0),
-                           ext.shape[0] - self.k):
-                if not check_feasible(ext[j:j + self.k + 1], self.bounds, self.dt):
-                    return False
+            j0 = max(ext.shape[0] - 2 * (self.k + 1), 0)
+            if not check_feasible(span_stack(ext[j0:], self.k), self.bounds,
+                                  self.dt).all():
+                return False
         self.cps = ext
         return True
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, patterns
-from .splines import DerivativeBounds, blending_tables, check_feasible, span_cost
+from . import patterns
+from .splines import DerivativeBounds, span_cost
 from .world import ConfigSpace
 
 _OFFSETS27 = np.array([(dx, dy, dz)
@@ -117,13 +117,33 @@ def heuristic(t: VertexTuple, goal: VertexTuple, lam: float, dt: float) -> float
 def feasible_succs(t: VertexTuple, cs: ConfigSpace, bounds: DerivativeBounds,
                    dt: float, lam: float = 0.0, l: int = 2):
     """Successor tuples in deterministic lexicographic offset order."""
+    pats = _unit_patterns(t, "tuple")
     expand = _Expander(cs, bounds, dt, lam, l, t.k)
     full = tuple(int(c) for c in cell_code(t.cells, cs.world.dims))
     out = []
-    for code, _, _ in expand(full, patterns.axis_patterns(t.cells)):
+    for code, _, _ in expand(full, pats):
         nxt = np.vstack([t.cells[1:], _decode(code, cs.world.dims)])
         out.append(VertexTuple.from_cells(nxt, cs.world))
     return out
+
+
+def _unit_patterns(t: VertexTuple, name: str) -> tuple:
+    """The tuple's axis pattern codes; ValueError unless all steps are unit.
+
+    Only the raw VertexTuple constructor can build such a tuple
+    (from_cells refuses one), and the pattern tables cannot expand it.
+    """
+    pats = patterns.axis_patterns(t.cells)
+    if min(pats) < 0:
+        raise ValueError(f"{name} tuple has a cell step outside {{-1, 0, 1}}")
+    return pats
+
+
+def _tuple_feasible(pats, k: int, dt: float, world, bounds) -> bool:
+    """Velocity and acceleration bounds of a cell-center tuple, read from
+    the per-axis pattern tables that decide every search successor."""
+    tables = patterns.feasible_tables(k, dt, world.cell_sizes, bounds)
+    return all(tab[p] for tab, p in zip(tables, pats))
 
 
 def _decode(code: int, dims) -> np.ndarray:
@@ -135,14 +155,14 @@ def _decode(code: int, dims) -> np.ndarray:
 class _Expander:
     """Feasible free successors of a tuple, as (code, node cost, patterns).
 
-    A tuple is given by its flat cell codes and its axis pattern codes.
-    When every step lies in {-1, 0, 1}, the per-axis feasibility tables
-    give the steps whose appended pattern is feasible (and which stay in
+    A tuple is given by its flat cell codes and its axis pattern codes
+    (every step lies in {-1, 0, 1}). The per-axis feasibility tables give
+    the steps whose appended pattern is feasible (and which stay in
     the crop box); their product, filtered by occupancy, is the successor
     set, and each node cost is lam*dt plus the three window-cached axis
     terms (see patterns). The per-axis options are memoized by cell
-    coordinate and window pattern. Any other tuple is scanned directly.
-    Order is lexicographic over the offsets in {-1, 0, 1}^3.
+    coordinate and window pattern. Order is lexicographic over the offsets
+    in {-1, 0, 1}^3.
     """
 
     def __init__(self, cs, bounds, dt, lam, l, k, region=None):
@@ -165,12 +185,9 @@ class _Expander:
         self.step_cost = lam * dt
         self.cost_scale = dt ** (1 - 2 * l)
         self.memo = ({}, {}, {})
-        self.cs, self.bounds, self.dt, self.lam, self.l = cs, bounds, dt, lam, l
 
     def __call__(self, full, pats):
         last = full[-1]
-        if min(pats) < 0:
-            return self._scan(full)
         cx, rem = divmod(last, self.nyz)
         cy, cz = divmod(rem, self.nz)
         top = self.top
@@ -212,30 +229,6 @@ class _Expander:
         self.memo[a][c0 * self.top + wcode] = opts
         return opts
 
-    def _scan(self, full):
-        world = self.cs.world
-        dims = world.dims
-        cells = np.array([_decode(c, dims) for c in full])
-        k = cells.shape[0] - 1
-        tab = blending_tables(k)
-        mask = np.empty(27, dtype=np.uint8)
-        costs = np.empty(27)
-        ncells = np.empty((27, 3), dtype=np.int64)
-        codes = np.empty(27, dtype=np.int64)
-        b = self.bounds
-        kernels.successor_scan(
-            np.ascontiguousarray(world.cell_center(cells)), cells[-1],
-            self.cs.occ_flat, dims, np.asarray(self.lo, dtype=np.int64),
-            np.asarray(self.hi, dtype=np.int64), world.origin,
-            world.cell_sizes, tab.M, tab.cost_mat(self.l), self.dt, self.lam,
-            self.dt ** (1 - 2 * self.l),
-            np.asarray(b.v_min, dtype=float), np.asarray(b.v_max, dtype=float),
-            np.asarray(b.a_min, dtype=float), np.asarray(b.a_max, dtype=float),
-            mask, costs, ncells, codes)
-        return [(int(codes[i]), float(costs[i]),
-                 patterns.axis_patterns(np.vstack([cells[1:], ncells[i]])))
-                for i in range(27) if mask[i]]
-
 
 @dataclass(frozen=True)
 class SearchQuery:
@@ -252,9 +245,9 @@ class SearchQuery:
     region: tuple = None            # optional (lo_cell, hi_cell) crop box
     allow_occupied_start: bool = False  # treat the start as a seed: it may
                                         # sit inside the inflated set or
-                                        # exceed the grid's representable
-                                        # speed; successors must be free
-                                        # and feasible as always
+                                        # exceed the derivative bounds, but
+                                        # needs unit steps; successors must
+                                        # be free and feasible as always
 
     def __post_init__(self):
         if self.start.k != self.goal.k:
@@ -287,10 +280,16 @@ class SearchResult:
         return self.cells[k + 1:n - (k + 1)]
 
 
-def _validate_endpoint(t: VertexTuple, cs: ConfigSpace, bounds, dt, name):
+def _validate_endpoint(t: VertexTuple, cs: ConfigSpace, bounds, dt, name,
+                       seed: bool = False):
+    """ValueError unless the tuple has unit steps and, unless it is a seed
+    (allow_occupied_start), is free and within the derivative bounds."""
+    pats = _unit_patterns(t, name)
+    if seed:
+        return
     if not np.all(cs.cells_free(t.cells)):
         raise ValueError(f"{name} tuple intersects inflated obstacles")
-    if not check_feasible(t.positions, bounds, dt):
+    if not _tuple_feasible(pats, t.k, dt, cs.world, bounds):
         raise ValueError(f"{name} tuple violates derivative bounds")
 
 
@@ -308,16 +307,16 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     Internally tuples live as flat cell codes; an aggregated node is keyed
     by the tuple of its last d codes and stores [g, full codes, parent key,
     closed, axis patterns]. Successors come from the step-pattern tables
-    (see patterns); a tuple whose steps leave {-1, 0, 1} (possible only
-    within k steps of a hand-made start) is scanned directly.
+    (see patterns), so a start or goal whose steps leave {-1, 0, 1} is
+    rejected with ValueError, seed start or not.
     """
     world = cs.world
     dims = world.dims
     k = q.start.k
     if not key_space_fits(dims, q.d):
         raise ValueError("grid too large for the packed key at this aggregation level")
-    if not q.allow_occupied_start:
-        _validate_endpoint(q.start, cs, q.bounds, q.dt, "start")
+    _validate_endpoint(q.start, cs, q.bounds, q.dt, "start",
+                       seed=q.allow_occupied_start)
     _validate_endpoint(q.goal, cs, q.bounds, q.dt, "goal")
     lam, dt, l, d = q.lam, q.dt, q.order, q.d
     nyz = int(dims[1]) * int(dims[2])
@@ -521,7 +520,8 @@ def snap_tuple(ref_points, world, dt: float, cs: ConfigSpace = None,
     tup = VertexTuple.from_cells(np.array(cells, dtype=np.int64), world)
     if cs is not None and not np.all(cs.cells_free(tup.cells)):
         return None
-    if bounds is not None and not check_feasible(tup.positions, bounds, dt):
+    if bounds is not None and not _tuple_feasible(
+            patterns.axis_patterns(tup.cells), k1 - 1, dt, world, bounds):
         return None
     return tup
 

@@ -1,9 +1,11 @@
 """Uniform B-spline math on control-point spans.
 
 A span is the (k+1) x 3 stacked matrix of consecutive control points that
-supports one knot interval. Evaluation, control cost, derivative-span
-transforms and closed-form extrema all reduce to small dense matrix
-algebra against cached per-degree blending tables.
+supports one knot interval. Evaluation, control cost and derivative-span
+transforms reduce to small dense matrix algebra against cached
+per-degree blending tables. Extrema of span profiles (velocity and
+acceleration bounds, the offline deviation certificate, the step-pattern
+tables) all come from one batched root finder, `_poly_extrema`.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +14,6 @@ from functools import lru_cache
 from math import comb, factorial, perm
 
 import numpy as np
-
-from . import kernels
 
 SUPPORTED_EVAL_DEGREES = range(1, 8)
 EXTREMA_DEGREES = (3, 5)
@@ -164,6 +164,12 @@ class DerivativeBounds:
                 raise ValueError("bounds require min <= max per axis")
 
 
+def span_stack(points, k: int) -> np.ndarray:
+    """Every span of a control point array as a (n - k, k+1, 3) view."""
+    return np.lib.stride_tricks.sliding_window_view(
+        np.asarray(points, dtype=float), (k + 1, 3))[:, 0]
+
+
 @dataclass(frozen=True)
 class SplineDef:
     """Uniform B-spline: degree, knot spacing and a 3-D control point row list.
@@ -197,9 +203,7 @@ class SplineDef:
         return self.n_spans * self.dt
 
     def _spans(self) -> np.ndarray:
-        """Every span's control points as a (n_spans, k+1, 3) view."""
-        return np.lib.stride_tricks.sliding_window_view(
-            self.points, (self.k + 1, 3))[:, 0]
+        return span_stack(self.points, self.k)
 
     def span(self, j: int) -> np.ndarray:
         if not (0 <= j < self.n_spans):
@@ -236,16 +240,9 @@ class SplineDef:
 
 def eval_span(P, u: float, l: int, dt: float) -> np.ndarray:
     """l-th time derivative of a span at normalized u in [0, 1]."""
-    P = np.asarray(P, dtype=float)
-    k = P.shape[0] - 1
-    if not (0 <= l <= k):
-        raise ValueError(f"derivative order {l} outside 0..{k}")
     if not (0.0 <= u <= 1.0):
         raise ValueError("u outside [0, 1]")
-    tab = blending_tables(k)
-    out = np.empty(3)
-    kernels.eval_span_kernel(P, tab.M, float(u), l, float(dt), out)
-    return out
+    return eval_span_many(P, [u], l, dt)[0]
 
 
 def _derivative_basis(us, k: int, l: int) -> np.ndarray:
@@ -273,8 +270,9 @@ def span_cost(P, l: int, dt: float):
     """Integral over the span of the squared l-th time derivative.
 
     P may also be a stack of spans, (nspan, k+1, 3); the result is then
-    the array of their costs. A single span goes through the search's
-    kernel, so tuple costs keep its floating-point order.
+    the array of their costs. A single span is summed term by term in the
+    order the step-pattern cost pieces use (see patterns.WindowCosts), so
+    a tuple's start cost agrees with its successors' costs to the bit.
     """
     P = np.asarray(P, dtype=float)
     k = P.shape[-2] - 1
@@ -283,8 +281,20 @@ def span_cost(P, l: int, dt: float):
     C = blending_tables(k).cost_mat(l)
     scale = dt ** (1 - 2 * l)
     if P.ndim == 2:
-        return max(float(kernels.span_cost_kernel(P, C, scale)), 0.0)
+        return max(_span_cost_terms(P.tolist(), C.tolist()) * scale, 0.0)
     return np.maximum(np.einsum("jia,ib,jba->j", P, C, P) * scale, 0.0)
+
+
+def _span_cost_terms(P, C) -> float:
+    """sum_ax P_ax^T C P_ax of one span, in nested-loop order (lists)."""
+    total = 0.0
+    for ax in range(3):
+        for i, ci in enumerate(C):
+            row = 0.0
+            for j, cij in enumerate(ci):
+                row += cij * P[j][ax]
+            total += row * P[i][ax]
+    return total
 
 
 def derivative_span(P, l: int, dt: float) -> np.ndarray:
@@ -301,67 +311,127 @@ def derivative_span(P, l: int, dt: float) -> np.ndarray:
     return blending_tables(k).bound_transform(l, dt) @ P
 
 
+def _horner(c, x) -> np.ndarray:
+    """Each row of c (ascending powers) at the points in the same row of x.
+
+    Elementwise, in numpy.polynomial.polyval's order, so a row's values do
+    not depend on the other rows.
+    """
+    acc = c[:, -1:] + x * 0
+    for i in range(c.shape[1] - 2, -1, -1):
+        acc = c[:, i:i + 1] + acc * x
+    return acc
+
+
+def _poly_extrema(coefs, u_lo: float = 0.0, u_hi: float = 1.0):
+    """(min, max) of each row of a polynomial stack over [u_lo, u_hi].
+
+    coefs is (n, m+1) in ascending powers. The candidates are the interval
+    ends and the real roots of each row's derivative inside the interval:
+    companion-matrix eigenvalues (as numpy.polynomial.polyroots builds
+    them) polished by three Newton steps. A derivative whose top
+    coefficients are exactly zero is solved at its true degree, so
+    all-zero rows (static axes) give constant extrema, and a zero column
+    appended on top leaves a row's result unchanged.
+    """
+    a = np.asarray(coefs, dtype=float)
+    n, m1 = a.shape
+    ends = _horner(a, np.array([[u_lo, u_hi]]))
+    lo = ends.min(axis=1)
+    hi = ends.max(axis=1)
+    if m1 < 3:
+        return lo, hi
+    d = a[:, 1:] * np.arange(1, m1)
+    dd = d[:, 1:] * np.arange(1, m1 - 1)
+    nz = d != 0.0
+    deg = np.where(nz.any(axis=1), m1 - 2 - np.argmax(nz[:, ::-1], axis=1), 0)
+    x = np.full((n, m1 - 2), np.nan)
+    lin = deg == 1
+    x[lin, 0] = -d[lin, 0] / d[lin, 1]
+    for m in np.unique(deg[deg >= 2]):
+        rows = np.flatnonzero(deg == m)
+        comp = np.zeros((rows.size, m, m))
+        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        comp[:, :, -1] -= d[rows, :m] / d[rows, m:m + 1]
+        r = np.linalg.eigvals(comp)
+        x[rows, :m] = np.where(np.abs(r.imag) > 1e-9, np.nan, r.real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            fp = _horner(dd, x)
+            x = np.where(fp != 0.0, x - _horner(d, x) / fp, x)
+        v = _horner(a, x)
+    inside = (x > u_lo) & (x < u_hi)
+    lo = np.minimum(lo, np.where(inside, v, np.inf).min(axis=1))
+    hi = np.maximum(hi, np.where(inside, v, -np.inf).max(axis=1))
+    return lo, hi
+
+
+def _profile_coefs(prof) -> np.ndarray:
+    """Monomial coefficients M_k p of each row p of 1-D control values.
+
+    One matrix-vector product per row, so a row's coefficients are the
+    same floats whether it is transformed alone or in a stack.
+    """
+    prof = np.asarray(prof, dtype=float)
+    M = blending_tables(prof.shape[-1] - 1).M
+    return (M @ prof[..., None])[..., 0]
+
+
+def _motion_extrema(a, dt: float):
+    """(lo, hi) of velocity and acceleration of profiles with coefficient
+    rows a (..., k+1); each result is a.shape[:-1] + (2,), order 1 then 2.
+
+    Both orders go through one _poly_extrema call, the acceleration rows
+    padded with a zero top coefficient, and are scaled after root finding
+    by 1/dt and (1/dt)(1/dt).
+    """
+    k = a.shape[-1] - 1
+    ff = [np.array([perm(i, l) for i in range(l, k + 1)], dtype=float)
+          for l in (1, 2)]
+    acc = a[..., 2:] * ff[1]
+    rows = np.stack([a[..., 1:] * ff[0],
+                     np.concatenate([acc, np.zeros(acc.shape[:-1] + (1,))],
+                                    axis=-1)], axis=-2)
+    lo, hi = _poly_extrema(rows.reshape(-1, k))
+    inv1 = 1.0 / dt
+    scale = np.array([inv1, inv1 * inv1])
+    return (lo.reshape(rows.shape[:-1]) * scale,
+            hi.reshape(rows.shape[:-1]) * scale)
+
+
+def _span_motion_extrema(P, dt: float):
+    """_motion_extrema of each axis of a span or stack, (..., 3, 2) each."""
+    P = np.asarray(P, dtype=float)
+    k = P.shape[-2] - 1
+    if k not in EXTREMA_DEGREES:
+        raise ValueError(f"extrema unsupported for degree {k}")
+    return _motion_extrema(_profile_coefs(np.swapaxes(P, -1, -2)), dt)
+
+
 def span_extrema(P, l: int, dt: float) -> np.ndarray:
     """Tight per-axis (min, max) of the l-th derivative over u in [0, 1].
 
-    Closed form: roots of the derivative polynomial (cubic at worst for the
-    supported degrees) plus interval endpoints. Returns a (3, 2) array.
+    The roots of the next derivative plus the interval ends (see
+    _poly_extrema). Returns a (3, 2) array, or (nspan, 3, 2) for a stack.
     """
-    P = np.asarray(P, dtype=float)
-    k = P.shape[0] - 1
-    if k not in EXTREMA_DEGREES or l not in (1, 2):
-        raise ValueError(f"extrema unsupported for degree {k}, order {l}")
-    tab = blending_tables(k)
-    out = np.empty((3, 2))
-    kernels.span_extrema_kernel(P, tab.M, l, float(dt), out)
-    return out
+    if l not in (1, 2):
+        raise ValueError(f"extrema unsupported for order {l}")
+    lo, hi = _span_motion_extrema(P, dt)
+    return np.stack([lo[..., l - 1], hi[..., l - 1]], axis=-1)
 
 
-def check_feasible(P, bounds: DerivativeBounds, dt: float) -> bool:
-    """True iff velocity and acceleration extrema respect bounds per axis."""
-    P = np.asarray(P, dtype=float)
-    k = P.shape[0] - 1
-    if k not in EXTREMA_DEGREES:
-        raise ValueError(f"feasibility check unsupported for degree {k}")
-    tab = blending_tables(k)
-    return bool(kernels.span_feasible_kernel(
-        P, tab.M, float(dt),
-        np.asarray(bounds.v_min, dtype=float), np.asarray(bounds.v_max, dtype=float),
-        np.asarray(bounds.a_min, dtype=float), np.asarray(bounds.a_max, dtype=float)))
+def check_feasible(P, bounds: DerivativeBounds, dt: float):
+    """True iff velocity and acceleration extrema respect bounds per axis.
 
-
-def position_extrema_axis(p_axis, k: int, u_lo: float = 0.0,
-                          u_hi: float = 1.0) -> tuple[float, float]:
-    """(min, max) of one axis of a span position profile over [u_lo, u_hi].
-
-    The derivative polynomial has degree k-1; real roots come from the
-    companion matrix with a Newton polish, so any supported degree works.
-    Used by the offline deviation certification.
+    P may also be a stack of spans, (nspan, k+1, 3); the result is then a
+    boolean array with one entry per span, equal to the single-span
+    answers.
     """
-    a = blending_tables(k).M @ np.asarray(p_axis, dtype=float)
-    lo = float(np.polynomial.polynomial.polyval(u_lo, a))
-    hi = float(np.polynomial.polynomial.polyval(u_hi, a))
-    if lo > hi:
-        lo, hi = hi, lo
-    d = np.polynomial.polynomial.polyder(a)
-    d = np.trim_zeros(d, "b")
-    if d.size > 1:
-        roots = np.polynomial.polynomial.polyroots(d)
-        dd = np.polynomial.polynomial.polyder(d)
-        for r in roots:
-            if abs(r.imag) > 1e-9:
-                continue
-            x = float(r.real)
-            for _ in range(3):
-                fp = np.polynomial.polynomial.polyval(x, dd)
-                if fp == 0.0:
-                    break
-                x -= np.polynomial.polynomial.polyval(x, d) / fp
-            if u_lo < x < u_hi:
-                v = float(np.polynomial.polynomial.polyval(x, a))
-                lo = min(lo, v)
-                hi = max(hi, v)
-    return lo, hi
+    lo, hi = _span_motion_extrema(P, dt)
+    lower = np.column_stack([bounds.v_min, bounds.a_min])
+    upper = np.column_stack([bounds.v_max, bounds.a_max])
+    ok = np.all((lower <= lo) & (hi <= upper), axis=(-2, -1))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def insert_control_point(spline: SplineDef, index: int, point) -> SplineDef:

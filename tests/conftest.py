@@ -1,13 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from kinospline import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    kernels.warmup()

@@ -162,3 +162,19 @@ def test_cli_error_paths(tmp_path):
     assert cli.main(["plan", "--map", str(tmp_path / "missing.ksg"),
                      "--start", "0 0 0", "--goal", "1 1 1",
                      "-o", str(tmp_path / "x")]) == cli.EXIT_OTHER
+
+
+@pytest.mark.parametrize("extra", [
+    ["--dt", "0"],
+    ["--dt", "-0.1"],
+    ["--start", "nan 3.0 1.0"],
+    ["--start", "0.9 3.0"],
+    ["--start-vel", "1.2 0"],
+    ["--degree", "3"],          # removed: the planner flies degree 5
+    ["--bogus"],
+])
+def test_malformed_plan_input_exits_1(small_map, tmp_path, capsys, extra):
+    argv = ["plan", "--map", str(small_map), "--start", "0.9 3.0 1.0",
+            "--goal", "8.9 3.0 1.0", "--no-eo", "-o", str(tmp_path / "p")]
+    assert cli.main(argv + extra) == cli.EXIT_OTHER
+    assert "Traceback" not in capsys.readouterr().err

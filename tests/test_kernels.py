@@ -1,46 +1,64 @@
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from kinospline import kernels
-from kinospline.splines import blending_tables
+from kinospline.splines import _poly_extrema
 
 
-def test_cubic_roots_against_numpy():
+def _root_extrema(c, u_lo=0.0, u_hi=1.0):
+    """Reference (min, max) of one polynomial from numpy.roots."""
+    c = np.asarray(c, dtype=float)
+    d = np.polynomial.polynomial.polyder(c)
+    pts = [u_lo, u_hi]
+    if np.any(d != 0.0):
+        r = np.roots(np.trim_zeros(d, "b")[::-1])
+        pts += [x.real for x in r
+                if abs(x.imag) < 1e-9 and u_lo < x.real < u_hi]
+    v = np.polynomial.polynomial.polyval(np.array(pts), c)
+    return v.min(), v.max()
+
+
+def test_poly_extrema_against_numpy_roots():
     rng = np.random.default_rng(0)
-    out = np.empty(3)
-    for _ in range(500):
-        c = rng.normal(size=4)
-        n = kernels._cubic_roots(c[3], c[2], c[1], c[0], out)
-        ref = np.roots([c[3], c[2], c[1], c[0]])
-        ref = np.sort(ref[np.abs(ref.imag) < 1e-9].real)
-        got = np.sort(out[:n])
-        assert n == len(ref)
-        if n:
-            assert np.abs(got - ref).max() < 1e-8
+    for deg in (2, 3, 4):
+        c = rng.normal(size=(300, deg + 1))
+        lo, hi = _poly_extrema(c)
+        for row, a, b in zip(c, lo, hi):
+            ref = _root_extrema(row)
+            assert a == pytest.approx(ref[0], abs=1e-9)
+            assert b == pytest.approx(ref[1], abs=1e-9)
 
 
-def test_cubic_degenerate_branches():
-    out = np.empty(3)
-    # leading coefficient under the cutoff falls back to the quadratic
-    n = kernels._cubic_roots(1e-15, 1.0, -3.0, 2.0, out)
-    assert n == 2 and np.allclose(np.sort(out[:2]), [1.0, 2.0], atol=1e-9)
-    # triple root
-    n = kernels._cubic_roots(1.0, -3.0, 3.0, -1.0, out)
-    assert n >= 1 and abs(out[0] - 1.0) < 1e-6
+def test_poly_extrema_vanishing_leading_coefficient():
+    # the derivative's top coefficients are exactly zero: the row is solved
+    # at its true degree, and the result equals the unpadded row's
+    c = np.array([[0.3, -1.2, 1.0, 0.0, 0.0],
+                  [0.1, 0.0, -3.0, 2.0, 0.0]])
+    lo, hi = _poly_extrema(c)
+    for i, m in enumerate((3, 4)):
+        ref_lo, ref_hi = _poly_extrema(c[i:i + 1, :m])
+        assert (lo[i], hi[i]) == (ref_lo[0], ref_hi[0])
+    # 0.3 - 1.2u + u^2 has its minimum at u = 0.6
+    assert lo[0] == pytest.approx(0.3 - 0.36, abs=1e-15)
 
 
-def test_quad_roots_cancellation_safe():
-    out = np.empty(3)
-    n = kernels._quad_roots(1.0, -1e8, 1.0, 1e8, out)
-    assert n == 2
-    r = np.sort(out[:2])
-    assert r[0] == pytest.approx(1e-8, rel=1e-6)
-    assert r[1] == pytest.approx(1e8, rel=1e-12)
+def test_poly_extrema_cancellation_safe():
+    # derivative 1e8 - 2e8 u + u^2 has roots near 0.5 and 2e8; the small
+    # one must not be lost to cancellation
+    c = np.array([[0.0, 1e8, -1e8, 1.0 / 3.0]])
+    lo, hi = _poly_extrema(c)
+    r = 1e8 - np.sqrt(1e16 - 1e8)
+    ref = np.polynomial.polynomial.polyval(r, c[0])
+    assert r == pytest.approx(0.5, rel=1e-6)
+    assert hi[0] == pytest.approx(ref, rel=1e-12)
+    assert lo[0] == 0.0
+
+
+def test_poly_extrema_all_zero_rows():
+    lo, hi = _poly_extrema(np.zeros((4, 6)))
+    assert np.all(lo == 0.0) and np.all(hi == 0.0)
+    lo, hi = _poly_extrema(np.array([[2.5, 0.0, 0.0, 0.0]]), 0.25, 0.75)
+    assert (lo[0], hi[0]) == (2.5, 2.5)
 
 
 def test_collision_scan_modes():
@@ -54,70 +72,3 @@ def test_collision_scan_modes():
     assert kernels.collision_scan(free, occ, dims, np.zeros(3), np.ones(3)) == -1
     outside = np.array([[-0.1, 0.5, 0.5]])
     assert kernels.collision_scan(outside, occ, dims, np.zeros(3), np.ones(3)) == 0
-
-
-_WORKER = r"""
-import json
-import numpy as np
-from kinospline import kernels
-from kinospline.splines import blending_tables
-
-rng = np.random.default_rng(42)
-tab = blending_tables(5)
-out = {"numba": kernels.numba_active()}
-P = rng.normal(size=(6, 3))
-ex = np.empty((3, 2))
-kernels.span_extrema_kernel(P, tab.M, 1, 0.17, ex)
-out["extrema"] = ex.tolist()
-out["cost"] = kernels.span_cost_kernel(P, tab.cost_mat(3), 0.17 ** -5)
-v = np.empty(3)
-kernels.eval_span_kernel(P, tab.M, 0.37, 2, 0.17, v)
-out["eval"] = v.tolist()
-occ = np.zeros(5 * 5 * 5, dtype=np.uint8)
-occ[31] = 1
-dims = np.array([5, 5, 5], dtype=np.int64)
-zero3 = np.zeros(3, dtype=np.int64)
-cells = np.full(3, 0.2)
-pos = np.array([[0.5 + 0.2 * i, 0.5, 0.5] for i in range(6)])
-m = np.empty(27, dtype=np.uint8); c = np.empty(27)
-oc = np.empty((27, 3), dtype=np.int64); cd = np.empty(27, dtype=np.int64)
-b = np.full(3, 2.0); a = np.full(3, 4.7)
-kernels.successor_scan(pos, np.array([2, 2, 2], dtype=np.int64), occ, dims,
-                       zero3, dims - 1, np.zeros(3), cells, tab.M,
-                       tab.cost_mat(2), 0.17, 20.0, 0.17 ** -3,
-                       -b, b, -a, a, m, c, oc, cd)
-out["mask"] = m.tolist()
-out["costs"] = [c[i] for i in range(27) if m[i]]
-print(json.dumps(out))
-"""
-
-
-def _run_worker(no_numba: bool):
-    env = dict(os.environ)
-    if no_numba:
-        env["KINOSPLINE_NO_NUMBA"] = "1"
-    else:
-        env.pop("KINOSPLINE_NO_NUMBA", None)
-    res = subprocess.run([sys.executable, "-c", _WORKER], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
-    return json.loads(res.stdout)
-
-
-def test_pure_python_fallback_matches_numba():
-    """The env-flag fallback path must agree with the jitted path exactly."""
-    pytest.importorskip("numba")
-    jit = _run_worker(no_numba=False)
-    pure = _run_worker(no_numba=True)
-    assert jit["numba"] is True
-    assert pure["numba"] is False
-    assert pure["mask"] == jit["mask"]
-    assert np.allclose(pure["extrema"], jit["extrema"], rtol=0, atol=0)
-    assert pure["cost"] == jit["cost"]
-    assert pure["eval"] == jit["eval"]
-    assert pure["costs"] == jit["costs"]
-
-
-def test_warmup_idempotent():
-    kernels.warmup()
-    kernels.warmup()

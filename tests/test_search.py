@@ -58,12 +58,12 @@ class TestIndexing:
     def test_key_space_overflow_detection(self):
         assert se.key_space_fits(np.array([51, 51, 5]), 4)
         assert not se.key_space_fits(np.array([51, 51, 5]), 6)
-        w = empty_world((120, 120, 40), cell=0.2)
+        w = empty_world((51, 51, 5), cell=0.2)
         cs = wd.build_config_space(w, 0.0)
-        t = se.static_tuple((2, 2, 2), 1, w)
+        t = se.static_tuple((2, 2, 2), 5, w)
         q = se.SearchQuery(start=t, goal=t, dt=0.2, lam=1.0, order=1,
-                           bounds=WIDE, d=2)
-        with pytest.raises(ValueError):
+                           bounds=WIDE, d=6)
+        with pytest.raises(ValueError, match="packed key"):
             se.search(q, cs)
 
     def test_estimated_nodes_growth(self):
@@ -166,19 +166,20 @@ class TestFeasibleSuccs:
                    for i in range(27) if mask[i]]
             assert [(c, v) for c, v, _ in got] == ref
 
-    def test_non_unit_step_start_searched(self):
-        # a hand-made start whose steps leave {-1, 0, 1} is expanded by
-        # direct evaluation until its window holds unit steps only
+    def test_non_unit_step_start_rejected(self):
+        # the pattern tables cannot expand a hand-made start whose steps
+        # leave {-1, 0, 1}; it is refused even as a seed start
         w = empty_world((14, 9, 1), cell=0.2)
         cs = wd.build_config_space(w, 0.0)
         cells = np.array([[2, 4, 0], [2, 4, 0], [4, 4, 0], [4, 4, 0]])
         start = se.VertexTuple(cells, w.cell_center(cells))
         goal = se.static_tuple((10, 4, 0), 3, w)
-        res = se.search(se.SearchQuery(start=start, goal=goal, dt=0.4,
-                                       lam=5.0, order=2, bounds=WIDE,
-                                       max_wall_ms=60000), cs)
-        assert res.ok
-        assert np.abs(np.diff(res.cells[3:], axis=0)).max() <= 1
+        for seed in (False, True):
+            q = se.SearchQuery(start=start, goal=goal, dt=0.4, lam=5.0,
+                               order=2, bounds=WIDE,
+                               allow_occupied_start=seed)
+            with pytest.raises(ValueError, match="step"):
+                se.search(q, cs)
 
     def test_deterministic_order(self):
         w = empty_world((9, 9, 9))

@@ -195,6 +195,20 @@ class TestSpanExtrema:
 
 
 class TestCheckFeasible:
+    def test_stack_equals_per_span(self):
+        rng = np.random.default_rng(11)
+        bounds = sp.DerivativeBounds.symmetric(2.0, 4.7)
+        for k in (3, 5):
+            P = rng.normal(scale=0.3, size=(40, k + 1, 3))
+            P[::7] = P[::7, :1]  # static spans
+            got = sp.check_feasible(P, bounds, 0.17)
+            ref = [sp.check_feasible(p, bounds, 0.17) for p in P]
+            assert got.tolist() == ref
+            assert 0 < sum(ref) < len(ref)
+            ex = sp.span_extrema(P, 2, 0.17)
+            assert all(np.array_equal(ex[i], sp.span_extrema(p, 2, 0.17))
+                       for i, p in enumerate(P))
+
     def test_static_always_feasible(self):
         P = np.tile([3.0, 2.0, 1.0], (6, 1))
         assert sp.check_feasible(P, sp.DerivativeBounds.symmetric(0.1, 0.1), 0.17)
