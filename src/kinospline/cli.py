@@ -12,7 +12,6 @@ usage errors included). plan, replan and suite fly degree-5 splines.
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -235,14 +234,20 @@ def cmd_suite(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     records = []
-    workers = int(os.environ.get("KINOSPLINE_WORKERS", "1"))
-    run = _suite_runner(w, cs_bk, cs_elas, contract, bounds, args)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, goals))
-    else:
-        records = [run(g) for g in goals]
+    for goal_cell in goals:
+        goal_pos = w.cell_center(np.asarray(goal_cell))
+        rec, spline = plan_once(w, cs_bk, cs_elas, contract, bounds,
+                                args.start, args.start_vel, goal_pos,
+                                args.dt, args.lam, args.order, args.d,
+                                use_eo=not args.no_eo,
+                                budget_ms=args.budget_ms,
+                                max_expansions=1_000_000)
+        rec["goal"] = list(goal_cell)
+        if spline is not None:
+            rows = stats.sample_trajectory(spline, args.sample_step)
+            rec.update(stats.stats_from_samples(
+                rows, derivative_cost=rec.get("derivative_cost")))
+        records.append(rec)
     records.sort(key=lambda r: r["goal"])
     with open(out / "goals.jsonl", "w") as fh:
         for rec in records:
@@ -265,34 +270,6 @@ def cmd_suite(args) -> int:
     print(json.dumps(agg, sort_keys=True))
     return EXIT_OK if records and n_ok == len(records) else \
         (EXIT_NO_PATH if records else EXIT_OTHER)
-
-
-class _suite_runner:
-    """Picklable per-goal runner for the worker pool."""
-
-    def __init__(self, w, cs_bk, cs_elas, contract, bounds, args):
-        self.w = w
-        self.cs_bk = cs_bk
-        self.cs_elas = cs_elas
-        self.contract = contract
-        self.bounds = bounds
-        self.args = args
-
-    def __call__(self, goal_cell):
-        a = self.args
-        goal_pos = self.w.cell_center(np.asarray(goal_cell))
-        rec, spline = plan_once(self.w, self.cs_bk, self.cs_elas,
-                                self.contract, self.bounds,
-                                a.start, a.start_vel, goal_pos,
-                                a.dt, a.lam, a.order, a.d,
-                                use_eo=not a.no_eo, budget_ms=a.budget_ms,
-                                max_expansions=1_000_000)
-        rec["goal"] = list(goal_cell)
-        if spline is not None:
-            rows = stats.sample_trajectory(spline, a.sample_step)
-            rec.update(stats.stats_from_samples(
-                rows, derivative_cost=rec.get("derivative_cost")))
-        return rec
 
 
 def _add_common(p):

@@ -30,7 +30,6 @@ class ReplanSettings:
     d: int = 1
     mode: str = "passive"
     planner: str = "tuple"           # "tuple" or "astar" (ablation)
-    window_points: int = 12
     local_range: float = 5.0
     sense_radius: float = 4.0
     horizon_spans: int = 7           # replan when fewer spans remain
@@ -161,8 +160,7 @@ class PlanWindow:
         return keep_from
 
 
-def match_boundary(window: PlanWindow, grid: world.VoxelWorld, cs_bk,
-                   bounds):
+def match_boundary(window: PlanWindow, grid: world.VoxelWorld, cs_bk):
     """Snap the seam span to grid cells for the next search.
 
     Returns (seam index, snapped tuple) or (seam index, None) when no
@@ -339,7 +337,6 @@ class Replanner:
         self.goal_reached = False
         self.stopped = False
         self._failed_at_version = None
-        self._attempt_version = None
         self._archive = []
         self._kick = 0
         self._last_attempt_clock = -1e9
@@ -446,8 +443,7 @@ class Replanner:
 
     def _plan(self, cs_bk, cs_elas) -> bool:
         """One search + refine cycle; splices on success."""
-        seam, tup = match_boundary(self.window, self.world, cs_bk,
-                                   self.s.bounds)
+        seam, tup = match_boundary(self.window, self.world, cs_bk)
         if tup is None:
             self._event("snap_fail", seam=seam)
             return False
@@ -466,7 +462,9 @@ class Replanner:
                 else search.astar_cells(cs_bk, a_start, goal_cell)
             self.search_time.append(time.perf_counter() - t0)
             if path is None:
-                self._event("search_fail", planner="astar")
+                self._event("search_fail", planner="astar",
+                            reason="start-blocked" if a_start is None
+                            else "no-path")
                 return False
             free_cells = path[1:]
             free_pts = self.world.cell_center(free_cells) if len(free_cells) \
@@ -574,7 +572,6 @@ class Replanner:
                        and self._kick >= 8
                        and self.global_time - self._last_attempt_clock < 2.0)
             if not blocked:
-                self._attempt_version = self.map.version
                 self._last_attempt_clock = self.global_time
                 ok = self._plan(cs_bk, cs_elas)
                 self._failed_at_version = None if ok else self.map.version

@@ -100,7 +100,7 @@ def estimated_nodes(n_vertices: int, d: int) -> int:
 
 def tuple_cost(t: VertexTuple, lam: float, l: int, dt: float) -> float:
     """Node cost lam*dt plus the span control cost; strictly positive."""
-    return lam * dt + span_cost(t.positions, l, dt)
+    return lam * dt + float(span_cost(t.positions, l, dt))
 
 
 def heuristic(t: VertexTuple, goal: VertexTuple, lam: float, dt: float) -> float:
@@ -159,19 +159,18 @@ class _Expander:
     (every step lies in {-1, 0, 1}). The per-axis feasibility tables give
     the steps whose appended pattern is feasible (and which stay in
     the crop box); their product, filtered by occupancy, is the successor
-    set, and each node cost is lam*dt plus the three window-cached axis
-    terms (see patterns). The per-axis options are memoized by cell
-    coordinate and window pattern. Order is lexicographic over the offsets
-    in {-1, 0, 1}^3.
+    set, and each node cost is lam*dt plus the cost table entries of the
+    child's three axis patterns (see patterns). The per-axis options are
+    memoized by cell coordinate and window pattern. Order is lexicographic
+    over the offsets in {-1, 0, 1}^3.
     """
 
     def __init__(self, cs, bounds, dt, lam, l, k, region=None):
         world = cs.world
         dims = world.dims
         self.feas = patterns.feasible_tables(k, dt, world.cell_sizes, bounds)
-        self.costs = [patterns.window_costs(k, l, float(world.origin[a]),
-                                            float(world.cell_sizes[a]),
-                                            int(dims[a]))
+        self.costs = [patterns.cost_table(k, l, float(dt),
+                                          float(world.cell_sizes[a]))
                       for a in range(3)]
         self.top = 3 ** (k - 1)
         self.nz = int(dims[2])
@@ -183,7 +182,6 @@ class _Expander:
         self.lo = [int(v) for v in region[0]]
         self.hi = [int(v) for v in region[1]]
         self.step_cost = lam * dt
-        self.cost_scale = dt ** (1 - 2 * l)
         self.memo = ({}, {}, {})
 
     def __call__(self, full, pats):
@@ -202,7 +200,6 @@ class _Expander:
             zs = self._axis(2, cz, pats[2] // 3)
         occ = self.occ
         sc = self.step_cost
-        scale = self.cost_scale
         out = []
         for ox, tx, px in xs:
             for oy, ty, py in ys:
@@ -210,21 +207,19 @@ class _Expander:
                 txy = tx + ty
                 for oz, tz, pz in zs:
                     if occ[base + oz] == 0:
-                        out.append((base + oz, sc + (txy + tz) * scale,
+                        out.append((base + oz, sc + (txy + tz),
                                     (px, py, pz)))
         return out
 
     def _axis(self, a, c0, wcode):
         """(offset, cost term, child pattern) of the feasible in-box steps
         along axis a from cell coordinate c0 with window pattern wcode."""
-        wc = self.costs[a]
-        qc, ql = wc.window(c0, wcode)
         opts = []
         for step in (-1, 0, 1):
             c = c0 + step
             child = wcode + (step + 1) * self.top
             if self.lo[a] <= c <= self.hi[a] and self.feas[a][child]:
-                opts.append((step * self.strides[a], wc.term(qc, ql, c),
+                opts.append((step * self.strides[a], self.costs[a][child],
                              child))
         self.memo[a][c0 * self.top + wcode] = opts
         return opts
@@ -302,7 +297,10 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     result independent of heap insertion order and keeps heuristic-on and
     heuristic-off runs cost-identical. A node closes on first pop (the
     heuristic is consistent). Returns status success, no-path, or
-    budget-exceeded.
+    budget-exceeded. Under best_effort, a search that does not reach the
+    goal returns partial instead, with the path to the closed node whose
+    last cell is nearest the goal in Chebyshev cells (ties to the lower
+    cost), unless that node is the start.
 
     Internally tuples live as flat cell codes; an aggregated node is keyed
     by the tuple of its last d codes and stores [g, full codes, parent key,

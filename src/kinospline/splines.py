@@ -270,31 +270,15 @@ def span_cost(P, l: int, dt: float):
     """Integral over the span of the squared l-th time derivative.
 
     P may also be a stack of spans, (nspan, k+1, 3); the result is then
-    the array of their costs. A single span is summed term by term in the
-    order the step-pattern cost pieces use (see patterns.WindowCosts), so
-    a tuple's start cost agrees with its successors' costs to the bit.
+    the array of their costs.
     """
     P = np.asarray(P, dtype=float)
     k = P.shape[-2] - 1
     if not (1 <= l <= k):
         raise ValueError(f"cost order {l} outside 1..{k}")
     C = blending_tables(k).cost_mat(l)
-    scale = dt ** (1 - 2 * l)
-    if P.ndim == 2:
-        return max(_span_cost_terms(P.tolist(), C.tolist()) * scale, 0.0)
-    return np.maximum(np.einsum("jia,ib,jba->j", P, C, P) * scale, 0.0)
-
-
-def _span_cost_terms(P, C) -> float:
-    """sum_ax P_ax^T C P_ax of one span, in nested-loop order (lists)."""
-    total = 0.0
-    for ax in range(3):
-        for i, ci in enumerate(C):
-            row = 0.0
-            for j, cij in enumerate(ci):
-                row += cij * P[j][ax]
-            total += row * P[i][ax]
-    return total
+    return np.maximum(np.einsum("...ia,ib,...ba->...", P, C, P)
+                      * dt ** (1 - 2 * l), 0.0)
 
 
 def derivative_span(P, l: int, dt: float) -> np.ndarray:

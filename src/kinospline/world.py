@@ -4,8 +4,8 @@ Occupancy lives on a regular grid; a cell with index (ix, iy, iz) has its
 center at origin + (index + 0.5) * cell_sizes. Configuration spaces are
 derived by inflating obstacles: a cell is inflated-occupied when its center
 lies within delta of some obstacle cell's axis-aligned box (Minkowski sum
-with a ball, evaluated at centers). Distance fields are exact Euclidean
-transforms over cell centers of the raw occupancy.
+with a ball, evaluated at centers). Clearances come from a KD-tree over
+the inflated-occupied cell centers plus the world's boundary planes.
 """
 
 from dataclasses import dataclass, field
@@ -68,9 +68,6 @@ class VoxelWorld:
         return np.all((p >= self.origin) & (p <= self.origin + self.extent),
                       axis=1)
 
-    def occupied_cells(self) -> np.ndarray:
-        return np.argwhere(self.occ).astype(np.int64)
-
     def with_occ(self, occ) -> "VoxelWorld":
         return VoxelWorld(self.dims, self.cell_sizes, self.origin, occ)
 
@@ -110,11 +107,9 @@ class ConfigSpace:
     """A VoxelWorld with obstacles inflated by delta, plus clearance data.
 
     occ_inflated marks cells whose centers are within delta of an obstacle
-    box. dist/nearest hold the exact Euclidean distance transform of the
-    raw occupancy over cell centers, computed on first use. The KD-tree
-    indexes inflated-occupied cell centers for continuous nearest-obstacle
-    queries; the six world boundary faces always count as obstacles so
-    clearances stay finite.
+    box. The KD-tree indexes inflated-occupied cell centers for continuous
+    nearest-obstacle queries; the six world boundary faces always count as
+    obstacles so clearances stay finite.
     """
 
     world: VoxelWorld
@@ -135,22 +130,6 @@ class ConfigSpace:
             object.__setattr__(self, "_tree_cache",
                                cKDTree(centers) if centers.size else None)
         return self._tree_cache
-
-    @property
-    def dist(self) -> np.ndarray:
-        self._ensure_distance()
-        return self._dist
-
-    @property
-    def nearest(self) -> np.ndarray:
-        self._ensure_distance()
-        return self._nearest
-
-    def _ensure_distance(self) -> None:
-        if not hasattr(self, "_dist"):
-            dist, nearest = _distance_field(self.world)
-            object.__setattr__(self, "_dist", dist)
-            object.__setattr__(self, "_nearest", nearest)
 
     def is_free(self, cell) -> bool:
         cell = np.asarray(cell, dtype=np.int64)
@@ -237,17 +216,6 @@ def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
         box = tuple(slice(a, b) for a, b in zip(lo, hi))
         inflated[box] |= ndimage.binary_dilation(fresh[box], structure=stencil)
     return _finish_config_space(world, prev.delta, inflated)
-
-
-def _distance_field(world: VoxelWorld) -> tuple[np.ndarray, np.ndarray]:
-    """Exact EDT of raw occupancy over cell centers, plus nearest indices."""
-    if not world.occ.any():
-        dist = np.full(tuple(world.dims), np.inf)
-        nearest = np.full((3, *world.dims), -1, dtype=np.int64)
-        return dist, nearest
-    dist, idx = ndimage.distance_transform_edt(
-        ~world.occ, sampling=world.cell_sizes, return_indices=True)
-    return dist, idx.astype(np.int64)
 
 
 def reachable_mask(cs: ConfigSpace, start_cell) -> np.ndarray:

@@ -30,17 +30,6 @@ def sampled_extrema(P, l, dt, n=200001):
     return np.column_stack([vals.min(axis=0), vals.max(axis=0)])
 
 
-def brute_force_distance_field(world):
-    """Exact nearest-obstacle-center distances by full scan."""
-    occ_pts = world.cell_center(world.occupied_cells())
-    idx = np.indices(tuple(world.dims)).reshape(3, -1).T
-    centers = world.cell_center(idx)
-    out = np.empty(centers.shape[0])
-    for i, c in enumerate(centers):
-        out[i] = np.sqrt(((occ_pts - c) ** 2).sum(axis=1)).min()
-    return out.reshape(tuple(world.dims))
-
-
 def brute_force_nn(cs, point):
     """Nearest inflated-occupied center or boundary plane by full scan."""
     w = cs.world
@@ -95,11 +84,9 @@ def _scan(positions, last_cells, cs, bounds, dt, lam, l, tab):
     lexicographic offset order over {-1, 0, 1}^3. One survives when its
     cell is inside the grid, free, and its span's velocity and
     acceleration extrema (_extrema01 on all spans at once) respect the
-    bounds. Node costs are lam*dt plus the span's control cost, summed as
-    the documented quadratic in the appended coordinate c, qconst +
-    2 qlin c + qkk c c per axis, in the planner's floating-point order, so
-    they match it to the bit. Returns (mask, costs, cells), shaped
-    (n, 27), (n, 27) and (n, 27, 3).
+    bounds. Node costs are lam*dt plus the span's control cost, computed
+    per axis from the span positions relative to its first control point.
+    Returns (mask, costs, cells), shaped (n, 27), (n, 27) and (n, 27, 3).
     """
     world = cs.world
     dims = np.asarray(world.dims)
@@ -127,24 +114,13 @@ def _scan(positions, last_cells, cs, bounds, dt, lam, l, tab):
     ok = np.zeros((n, 27), dtype=bool)
     ok.flat[free_at[good]] = True
 
-    # the documented quadratic, each operation elementwise in the planner's
-    # order (nested-loop sums for qconst and qlin, then the axes in turn)
-    C = tab.cost_mat(l).tolist()
-    p = positions[:, 1:, :]
-    qconst = np.zeros((n, 3))
-    qlin = np.zeros((n, 3))
-    for i in range(k):
-        row = np.zeros((n, 3))
-        for j in range(k):
-            row = row + C[i][j] * p[:, j]
-        qconst = qconst + row * p[:, i]
-        qlin = qlin + C[k][i] * p[:, i]
-    terms = (qconst[:, None, :] + 2.0 * qlin[:, None, :] * cand
-             + C[k][k] * cand * cand)
-    quad = np.zeros((n, 27))
-    for ax in range(3):
-        quad = quad + terms[..., ax]
-    costs = np.where(ok, lam * dt + quad * dt ** (1 - 2 * l), 0.0)
+    # control costs ignore translations: take each span relative to its
+    # first control point, then add the three axis costs in turn
+    rel = spans - spans[:, :, :1, :]
+    axis = np.einsum("nmia,ij,nmja->nma", rel, tab.cost_mat(l), rel) \
+        * dt ** (1 - 2 * l)
+    costs = np.where(ok, lam * dt + (axis[..., 0] + axis[..., 1]
+                                     + axis[..., 2]), 0.0)
     return ok, costs, cells
 
 
@@ -160,10 +136,9 @@ def build_tuple_graph(start_cells, cs, bounds, dt, lam, l):
     """Explicit feasibility-filtered tuple graph reachable from the start.
 
     Nodes are tuples of cell-code tuples; edges carry the node cost of the
-    successor from the oracle's own direct scan (_scan), whose cost sum
-    follows the planner's documented floating-point order so costs match
-    bit for bit. The graph is built breadth first, scanning up to 1024
-    tuples per call to bound the scan's memory.
+    successor from the oracle's own direct scan (_scan). The graph is
+    built breadth first, scanning up to 1024 tuples per call to bound the
+    scan's memory.
     """
     world = cs.world
     dims = world.dims

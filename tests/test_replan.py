@@ -339,6 +339,23 @@ class TestReplannerRuns:
             assert (e["status"], e["solver_iterations"],
                     e["knot_repeat"]) == ("infeasible", 17, 4)
 
+    @pytest.mark.parametrize("blocked, reason", [
+        (slice(0, 20), "start-blocked"),   # solid around the start
+        (slice(20, 21), "no-path"),        # a wall cuts the grid in two
+    ])
+    def test_astar_search_fail_carries_its_reason(self, blocked, reason):
+        occ = np.zeros((40, 10, 10), dtype=bool)
+        occ[blocked] = True
+        w = wd.VoxelWorld(np.array([40, 10, 10]), np.full(3, 0.2),
+                          np.zeros(3), occ)
+        sim = rp.Replanner(w, (1.0, 1.0, 1.0), (7.0, 1.0, 1.0),
+                           make_settings(planner="astar", local_range=10.0),
+                           prior_known=occ)
+        sim.step(0.1)
+        fails = [e for e in sim.events if e["kind"] == "search_fail"]
+        assert fails
+        assert fails[0]["planner"] == "astar" and fails[0]["reason"] == reason
+
     def test_event_log_schema(self):
         w = self._world()
         sim = rp.Replanner(w, (0.9, 4.1, 1.1), (11.0, 4.1, 1.1),
@@ -358,7 +375,7 @@ def test_match_boundary_snaps_seam():
     cs_bk = wd.build_config_space(w, settings.contract.delta_bk)
     pts = np.array([[1.0 + 0.19 * i, 4.05, 1.12] for i in range(16)])
     win = rp.PlanWindow(5, 0.17, pts, bounds=BOUNDS)
-    seam, tup = rp.match_boundary(win, w, cs_bk, BOUNDS)
+    seam, tup = rp.match_boundary(win, w, cs_bk)
     assert tup is not None
     refs = win.cps[seam:seam + 6]
     assert np.linalg.norm(tup.positions - refs, axis=1).max() < 0.6

@@ -102,6 +102,17 @@ class TestTupleCost:
         t = se.static_tuple((0, 0, 0), 5, w)
         assert se.tuple_cost(t, 20.0, 3, 0.17) > 0
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_cost_table_matches_quadrature(self, k):
+        for l in (1, 2, 3):
+            tab = se.patterns.cost_table(k, l, 0.17, 0.25)
+            for steps in oracles.all_axis_patterns(k):
+                P = np.zeros((k + 1, 3))
+                P[1:, 0] = np.cumsum(steps) * 0.25
+                q = oracles.quadrature_span_cost(P, l, 0.17)
+                assert tab[se.patterns.encode(steps)] == \
+                    pytest.approx(q, rel=1e-12)
+
 
 class TestFeasibleSuccs:
     def test_open_space_all_27(self):
@@ -140,8 +151,8 @@ class TestFeasibleSuccs:
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_tables_match_direct_scan(self, k):
-        # successor sets and node costs from the step-pattern tables equal
-        # the direct span evaluation bit for bit on random tuples
+        # successor sets from the step-pattern tables equal the direct span
+        # evaluation exactly on random tuples, node costs to roundoff
         rng = np.random.default_rng(k)
         dims = np.array([16, 16, 16])
         w = wd.VoxelWorld(dims, np.array([0.2, 0.25, 0.4]),
@@ -164,7 +175,31 @@ class TestFeasibleSuccs:
             got = expand(full, se.patterns.axis_patterns(cells))
             ref = [(int(se.cell_code(ncells[i], w.dims)), float(costs[i]))
                    for i in range(27) if mask[i]]
-            assert [(c, v) for c, v, _ in got] == ref
+            assert [c for c, _, _ in got] == [c for c, _ in ref]
+            for (_, v, _), (_, r) in zip(got, ref):
+                assert v == pytest.approx(r, rel=1e-12)
+
+    def test_shifted_tuple_costs_bit_identical(self):
+        # a tuple and its translate by whole cells get the same successor
+        # costs to the bit, with a non-zero origin and unequal cell sizes
+        rng = np.random.default_rng(7)
+        dims = np.array([40, 40, 40])
+        w = wd.VoxelWorld(dims, np.array([0.2, 0.25, 0.4]),
+                          np.array([-1.3, 0.7, 2.1]),
+                          np.zeros(tuple(dims), dtype=bool))
+        cs = wd.build_config_space(w, 0.0)
+        expand = se._Expander(cs, WIDE, 0.17, 20.0, 2, 5)
+        for _ in range(200):
+            cells = [rng.integers(6, 14, 3)]
+            for _ in range(5):
+                cells.append(cells[-1] + rng.integers(-1, 2, 3))
+            cells = np.array(cells)
+            moved = cells + rng.integers(0, 20, 3)
+            pats = se.patterns.axis_patterns(cells)
+            a = expand(tuple(int(c) for c in se.cell_code(cells, dims)), pats)
+            b = expand(tuple(int(c) for c in se.cell_code(moved, dims)), pats)
+            assert [v for _, v, _ in a] == [v for _, v, _ in b]
+            assert len(a) == 27
 
     def test_non_unit_step_start_rejected(self):
         # the pattern tables cannot expand a hand-made start whose steps

@@ -64,26 +64,6 @@ class TestConfigSpace:
         cs = wd.build_config_space(w, 0.0)
         assert np.array_equal(cs.occ_inflated, w.occ)
 
-    def test_distance_field_matches_brute_force(self):
-        w = small_random_world()
-        cs = wd.build_config_space(w, 0.0)
-        ref = oracles.brute_force_distance_field(w)
-        assert np.abs(cs.dist - ref).max() < 1e-12
-
-    def test_distance_zero_exactly_on_obstacles(self):
-        w = small_random_world(seed=2)
-        cs = wd.build_config_space(w, 0.3)
-        assert np.all((cs.dist == 0) == w.occ)
-
-    def test_metric_consistency(self):
-        w = small_random_world(seed=3, dims=(12, 12, 12))
-        cs = wd.build_config_space(w, 0.0)
-        d = cs.dist
-        step = w.cell_sizes
-        for ax in range(3):
-            diff = np.abs(np.diff(d, axis=ax))
-            assert diff.max() <= step[ax] + 1e-9
-
     def test_inflation_monotone(self):
         w = small_random_world(seed=4)
         sets = [wd.build_config_space(w, d).occ_inflated
