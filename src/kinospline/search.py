@@ -10,6 +10,7 @@ keeps the search deterministic and the reconstructed placement admissible.
 """
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -18,12 +19,6 @@ import numpy as np
 from . import patterns
 from .splines import DerivativeBounds, span_cost
 from .world import ConfigSpace
-
-_OFFSETS27 = np.array([(dx, dy, dz)
-                       for dx in (-1, 0, 1)
-                       for dy in (-1, 0, 1)
-                       for dz in (-1, 0, 1)], dtype=np.int64)
-_OFFSETS = _OFFSETS27
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +116,7 @@ def feasible_succs(t: VertexTuple, cs: ConfigSpace, bounds: DerivativeBounds,
     expand = _Expander(cs, bounds, dt, lam, l, t.k)
     full = tuple(int(c) for c in cell_code(t.cells, cs.world.dims))
     out = []
-    for code, _, _ in expand(full, pats):
+    for code, _, _, _ in expand(full, pats):
         nxt = np.vstack([t.cells[1:], _decode(code, cs.world.dims)])
         out.append(VertexTuple.from_cells(nxt, cs.world))
     return out
@@ -153,19 +148,22 @@ def _decode(code: int, dims) -> np.ndarray:
 
 
 class _Expander:
-    """Feasible free successors of a tuple, as (code, node cost, patterns).
+    """Feasible free successors of a tuple, as (code, node cost, patterns,
+    Chebyshev cells to the goal).
 
     A tuple is given by its flat cell codes and its axis pattern codes
     (every step lies in {-1, 0, 1}). The per-axis feasibility tables give
     the steps whose appended pattern is feasible (and which stay in
     the crop box); their product, filtered by occupancy, is the successor
     set, and each node cost is lam*dt plus the cost table entries of the
-    child's three axis patterns (see patterns). The per-axis options are
-    memoized by cell coordinate and window pattern. Order is lexicographic
-    over the offsets in {-1, 0, 1}^3.
+    child's three axis patterns (see patterns). The per-axis options,
+    each with the child's cell distance to the goal along that axis (0
+    without a goal), are memoized by cell coordinate and window pattern.
+    Order is lexicographic over the offsets in {-1, 0, 1}^3. Nothing here
+    scales with the grid: occupancy is read from the space's bytes.
     """
 
-    def __init__(self, cs, bounds, dt, lam, l, k, region=None):
+    def __init__(self, cs, bounds, dt, lam, l, k, region=None, goal=None):
         world = cs.world
         dims = world.dims
         self.feas = patterns.feasible_tables(k, dt, world.cell_sizes, bounds)
@@ -176,11 +174,12 @@ class _Expander:
         self.nz = int(dims[2])
         self.nyz = int(dims[1]) * self.nz
         self.strides = (self.nyz, self.nz, 1)
-        self.occ = cs.occ_flat.tobytes()
+        self.occ = cs.occ_bytes
         if region is None:
             region = (np.zeros(3, dtype=np.int64), np.asarray(dims) - 1)
         self.lo = [int(v) for v in region[0]]
         self.hi = [int(v) for v in region[1]]
+        self.goal = None if goal is None else [int(v) for v in goal]
         self.step_cost = lam * dt
         self.memo = ({}, {}, {})
 
@@ -201,26 +200,29 @@ class _Expander:
         occ = self.occ
         sc = self.step_cost
         out = []
-        for ox, tx, px in xs:
-            for oy, ty, py in ys:
+        for ox, tx, px, hx in xs:
+            for oy, ty, py, hy in ys:
                 base = last + ox + oy
                 txy = tx + ty
-                for oz, tz, pz in zs:
+                hxy = hx if hx > hy else hy
+                for oz, tz, pz, hz in zs:
                     if occ[base + oz] == 0:
                         out.append((base + oz, sc + (txy + tz),
-                                    (px, py, pz)))
+                                    (px, py, pz), hxy if hxy > hz else hz))
         return out
 
     def _axis(self, a, c0, wcode):
-        """(offset, cost term, child pattern) of the feasible in-box steps
-        along axis a from cell coordinate c0 with window pattern wcode."""
+        """(offset, cost term, child pattern, goal distance) of the feasible
+        in-box steps along axis a from cell coordinate c0 with window
+        pattern wcode."""
+        g = None if self.goal is None else self.goal[a]
         opts = []
         for step in (-1, 0, 1):
             c = c0 + step
             child = wcode + (step + 1) * self.top
             if self.lo[a] <= c <= self.hi[a] and self.feas[a][child]:
                 opts.append((step * self.strides[a], self.costs[a][child],
-                             child))
+                             child, 0 if g is None else abs(c - g)))
         self.memo[a][c0 * self.top + wcode] = opts
         return opts
 
@@ -307,6 +309,13 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     closed, axis patterns]. Successors come from the step-pattern tables
     (see patterns), so a start or goal whose steps leave {-1, 0, 1} is
     rejected with ValueError, seed start or not.
+
+    A query does no work in proportion to the grid. The heuristic is
+    heuristic(), (lam*dt) times the Chebyshev cell distance between last
+    cells. The Chebyshev distance splits by axis: each successor carries
+    the max of the per-axis goal distances that the expander memoizes with
+    its step options, and the product is formed only for pushed nodes, the
+    same IEEE product a table over the grid would hold.
     """
     world = cs.world
     dims = world.dims
@@ -319,15 +328,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     lam, dt, l, d = q.lam, q.dt, q.order, q.d
     nyz = int(dims[1]) * int(dims[2])
     nz = int(dims[2])
-
-    h_arr = None
-    if q.use_heuristic:
-        gx, gy, gz = (int(v) for v in q.goal.last_cell)
-        ix, iy, iz = np.meshgrid(np.arange(dims[0]), np.arange(dims[1]),
-                                 np.arange(dims[2]), indexing="ij")
-        cheb = np.maximum(np.maximum(np.abs(ix - gx), np.abs(iy - gy)),
-                          np.abs(iz - gz))
-        h_arr = (lam * dt * cheb.astype(float)).reshape(-1).tolist()
+    hs = lam * dt if q.use_heuristic else 0.0
 
     t0 = time.perf_counter()
     start_cost = tuple_cost(q.start, lam, l, dt)
@@ -338,7 +339,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     if _exhaust:
         goal_key = object()  # matches nothing; drain the open set
 
-    h0 = h_arr[start_full[-1]] if h_arr is not None else 0.0
+    h0 = hs * int(np.max(np.abs(q.start.last_cell - q.goal.last_cell)))
     start_pats = patterns.axis_patterns(q.start.cells)
     # visited: key -> [g, full codes, parent key, closed, axis patterns]
     visited = {start_key: [start_cost, start_full, None, False, start_pats]}
@@ -347,7 +348,8 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     open_peak = 1
     status = "no-path"
     budget_wall = q.max_wall_ms / 1000.0
-    expand = _Expander(cs, q.bounds, dt, lam, l, k, q.region)
+    expand = _Expander(cs, q.bounds, dt, lam, l, k, q.region,
+                       q.goal.last_cell)
     vget = visited.get
     push = heapq.heappush
 
@@ -368,22 +370,20 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
         succ = expand(full, node[4])
         tail = full[1:]
         tail_d = full[len(full) - d + 1:] if d > 1 else None
-        for code, cost, cpats in succ:
+        for code, cost, cpats, cheb in succ:
             child_key = code if d == 1 else tail_d + (code,)
             ng = g + cost
             entry = vget(child_key)
             if entry is None:
                 visited[child_key] = [ng, tail + (code,), key, False, cpats]
-                h = h_arr[code] if h_arr is not None else 0.0
-                push(heap, (ng + h, ng, child_key))
+                push(heap, (ng + hs * cheb, ng, child_key))
             elif not entry[3]:
                 if ng < entry[0]:
                     entry[0] = ng
                     entry[1] = tail + (code,)
                     entry[2] = key
                     entry[4] = cpats
-                    h = h_arr[code] if h_arr is not None else 0.0
-                    push(heap, (ng + h, ng, child_key))
+                    push(heap, (ng + hs * cheb, ng, child_key))
                 elif ng == entry[0]:
                     child_full = tail + (code,)
                     if child_full < entry[1]:
@@ -465,63 +465,81 @@ def snap_tuple(ref_points, world, dt: float, cs: ConfigSpace = None,
     earlier cell is drawn from the 27 cells around its own reference,
     consecutive cells must stay within one step per axis, and the chosen
     pattern minimizes the summed squared position error plus dt times the
-    squared control-polygon velocity error (vectorized dynamic program
-    over the per-stage candidates). When a configuration space and bounds
-    are given the snapped tuple must be free and feasible, otherwise None.
+    squared control-polygon velocity error. The objective, the candidate
+    sets and the adjacency rule all split by axis, so the pattern is three
+    independent 1-D dynamic programs over at most 3 candidates per stage
+    (see _snap_axis). Ties go, per axis, to the first of the offsets
+    (-1, 0, 1): at the first cell among equal totals, and at each later
+    cell among equal continuations of the cell before it. None when the
+    last point lies outside the grid or an axis has no chain of adjacent
+    candidates. When a configuration space and bounds are given the
+    snapped tuple must be free and feasible, otherwise None.
     """
-    refs = np.asarray(ref_points, dtype=float)
-    k1 = refs.shape[0]
-    last = world.point_to_cell(refs[-1])
-    if not world.in_bounds(last):
-        return None
-    w_v = dt
-    inv_dt2 = 1.0 / (dt * dt)
-    dims = world.dims
-
-    def stage_candidates(i):
-        base = world.point_to_cell(refs[i])
-        cand = base + _OFFSETS27
-        keep = np.all(cand >= 0, axis=1) & np.all(cand < dims, axis=1)
-        return cand[keep]
-
-    # backward value iteration over per-stage candidate arrays
-    cand_next = np.asarray([last], dtype=np.int64)
-    vals = np.zeros(1)
-    picks = []
-    cands = []
-    for i in range(k1 - 2, -1, -1):
-        cand = stage_candidates(i)
-        ctr = world.cell_center(cand)
-        nctr = world.cell_center(cand_next)
-        pos_err = np.sum((ctr - refs[i]) ** 2, axis=1)
-        dref = refs[i + 1] - refs[i]
-        dv = (nctr[None, :, :] - ctr[:, None, :]) - dref
-        vel_err = np.sum(dv * dv, axis=2) * inv_dt2
-        adj = np.max(np.abs(cand[:, None, :] - cand_next[None, :, :]), axis=2) <= 1
-        total = np.where(adj, vals[None, :] + w_v * vel_err, np.inf) \
-            + pos_err[:, None]
-        pick = np.argmin(total, axis=1)
-        vals = total[np.arange(cand.shape[0]), pick]
-        ok = np.isfinite(vals)
-        if not ok.any():
+    cols = []
+    for refs, origin, cell, n in zip(
+            np.asarray(ref_points, dtype=float).T.tolist(),
+            world.origin.tolist(), world.cell_sizes.tolist(),
+            world.dims.tolist()):
+        col = _snap_axis(refs, origin, cell, n, dt)
+        if col is None:
             return None
-        cand, pick, vals = cand[ok], pick[ok], vals[ok]
-        picks.append(pick)
-        cands.append(cand_next)
-        cand_next = cand
-    i0 = int(np.argmin(vals))
-    cells = [cand_next[i0]]
-    idx = i0
-    for pick, cand in zip(reversed(picks), reversed(cands)):
-        idx = int(pick[idx])
-        cells.append(cand[idx])
-    tup = VertexTuple.from_cells(np.array(cells, dtype=np.int64), world)
+        cols.append(col)
+    # adjacent by construction, so the checks of from_cells are moot
+    cells = np.array(list(zip(*cols)), dtype=np.int64)
+    tup = VertexTuple(cells, world.cell_center(cells))
     if cs is not None and not np.all(cs.cells_free(tup.cells)):
         return None
     if bounds is not None and not _tuple_feasible(
-            patterns.axis_patterns(tup.cells), k1 - 1, dt, world, bounds):
+            patterns.axis_patterns(tup.cells), tup.k, dt, world, bounds):
         return None
     return tup
+
+
+def _snap_axis(refs, origin: float, cell: float, n: int, dt: float):
+    """One axis of snap_tuple: the cell coordinates c_0..c_k, c_k the cell
+    holding r_k, minimizing sum_{i<k} (x(c_i) - r_i)^2 + dt * sum_i
+    ((x(c_{i+1}) - x(c_i)) - (r_{i+1} - r_i))^2 / dt^2 over
+    |c_{i+1} - c_i| <= 1, where x(c) is the cell center and each c_i lies in
+    the grid (n cells) within one cell of the cell holding r_i. Backward
+    dynamic program; None when c_k is off the grid or no chain of adjacent
+    candidates exists."""
+    last = math.floor((refs[-1] - origin) / cell)
+    if not 0 <= last < n:
+        return None
+    inv_dt2 = 1.0 / (dt * dt)
+    nxt = [last]
+    vals = [0.0]
+    picks = []  # per stage, from the last free cell back: (cands, pick)
+    for i in range(len(refs) - 2, -1, -1):
+        r = refs[i]
+        dref = refs[i + 1] - r
+        base = math.floor((r - origin) / cell)
+        cands, pick, new_vals = [], [], []
+        for c in range(max(base - 1, 0), min(base + 2, n)):
+            x = origin + (c + 0.5) * cell
+            pos_err = (x - r) ** 2
+            best = math.inf
+            arg = -1
+            for j, cn in enumerate(nxt):
+                if abs(cn - c) <= 1:
+                    dv = ((origin + (cn + 0.5) * cell) - x) - dref
+                    tot = (vals[j] + dt * (dv * dv * inv_dt2)) + pos_err
+                    if tot < best:
+                        best, arg = tot, j
+            if arg >= 0:
+                cands.append(c)
+                pick.append(arg)
+                new_vals.append(best)
+        if not cands:
+            return None
+        picks.append((nxt, pick))
+        nxt, vals = cands, new_vals
+    idx = vals.index(min(vals))
+    col = [nxt[idx]]
+    for cands, pick in reversed(picks):
+        idx = pick[idx]
+        col.append(cands[idx])
+    return col
 
 
 def state_reference_points(position, velocity, k: int, dt: float) -> np.ndarray:

@@ -222,16 +222,25 @@ class SplineDef:
 
         Each sample is eval(t, l), evaluated for all times at once.
         """
-        if not (0 <= l <= self.k):
-            raise ValueError(f"derivative order {l} outside 0..{self.k}")
+        ts, (out,) = self.sample_orders(step, (l,))
+        return ts, out
+
+    def sample_orders(self, step: float, orders) -> tuple[np.ndarray, list]:
+        """(times, [values per order]) on sample()'s grid.
+
+        The time grid, the span of each sample and its coefficients are
+        built once for all orders; each order's values equal sample()'s.
+        """
+        for l in orders:
+            if not (0 <= l <= self.k):
+                raise ValueError(f"derivative order {l} outside 0..{self.k}")
         n = max(int(np.ceil(self.duration / step)), 1)
         ts = np.linspace(0.0, self.duration, n + 1)
         j = np.clip((ts / self.dt).astype(np.int64), 0, self.n_spans - 1)
         u = np.clip(ts / self.dt - j, 0.0, 1.0)
-        coef = blending_tables(self.k).M @ self._spans()  # (spans, k+1, 3)
-        basis = _derivative_basis(u, self.k, l)
-        out = np.einsum("ti,tia->ta", basis, coef[j]) / self.dt ** l
-        return ts, out
+        coef = (blending_tables(self.k).M @ self._spans())[j]  # (t, k+1, 3)
+        return ts, [np.einsum("ti,tia->ta", _derivative_basis(u, self.k, l),
+                              coef) / self.dt ** l for l in orders]
 
     def cost(self, l: int) -> float:
         """Total order-l control cost: span_cost summed over every span."""

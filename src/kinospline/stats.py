@@ -15,9 +15,7 @@ CSV_FIELDS = ["t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az"]
 
 def sample_trajectory(spline, step: float = 0.02) -> np.ndarray:
     """(n, 10) array of time, position, velocity, acceleration rows."""
-    ts, pos = spline.sample(step, 0)
-    _, vel = spline.sample(step, 1)
-    _, acc = spline.sample(step, 2)
+    ts, (pos, vel, acc) = spline.sample_orders(step, (0, 1, 2))
     return np.column_stack([ts, pos, vel, acc])
 
 

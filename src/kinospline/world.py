@@ -118,8 +118,14 @@ class ConfigSpace:
 
     @property
     def occ_flat(self) -> np.ndarray:
-        """C-order uint8 view of the inflated occupancy for the kernels."""
+        """C-order read-only uint8 view of the inflated occupancy."""
         return self._occ_flat
+
+    @property
+    def occ_bytes(self) -> bytes:
+        """The bytes behind occ_flat, built once with the space: a search
+        indexes them per successor and copies nothing per query."""
+        return self._occ_bytes
 
     @property
     def tree(self):
@@ -190,8 +196,9 @@ def build_config_space(world: VoxelWorld, delta: float) -> ConfigSpace:
 
 def _finish_config_space(world, delta, inflated) -> ConfigSpace:
     cs = ConfigSpace(world=world, delta=float(delta), occ_inflated=inflated)
-    flat = np.ascontiguousarray(inflated.reshape(-1).astype(np.uint8))
-    object.__setattr__(cs, "_occ_flat", flat)
+    occ = inflated.tobytes()  # C order; a numpy bool is the byte 0 or 1
+    object.__setattr__(cs, "_occ_bytes", occ)
+    object.__setattr__(cs, "_occ_flat", np.frombuffer(occ, dtype=np.uint8))
     return cs
 
 

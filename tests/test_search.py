@@ -175,8 +175,8 @@ class TestFeasibleSuccs:
             got = expand(full, se.patterns.axis_patterns(cells))
             ref = [(int(se.cell_code(ncells[i], w.dims)), float(costs[i]))
                    for i in range(27) if mask[i]]
-            assert [c for c, _, _ in got] == [c for c, _ in ref]
-            for (_, v, _), (_, r) in zip(got, ref):
+            assert [c for c, _, _, _ in got] == [c for c, _ in ref]
+            for (_, v, _, _), (_, r) in zip(got, ref):
                 assert v == pytest.approx(r, rel=1e-12)
 
     def test_shifted_tuple_costs_bit_identical(self):
@@ -198,7 +198,7 @@ class TestFeasibleSuccs:
             pats = se.patterns.axis_patterns(cells)
             a = expand(tuple(int(c) for c in se.cell_code(cells, dims)), pats)
             b = expand(tuple(int(c) for c in se.cell_code(moved, dims)), pats)
-            assert [v for _, v, _ in a] == [v for _, v, _ in b]
+            assert [v for _, v, _, _ in a] == [v for _, v, _, _ in b]
             assert len(a) == 27
 
     def test_non_unit_step_start_rejected(self):
@@ -350,6 +350,31 @@ class TestSearch:
             assert np.all(c >= (8, 8, 0)) and np.all(c <= (16, 16, 0))
 
 
+    def test_query_work_does_not_scale_with_grid(self):
+        # a 10-cell search on a 2.7M-cell grid allocates what its nodes
+        # need, nothing per grid cell (the pattern tables are cached by a
+        # search on a small grid with the same configuration)
+        import tracemalloc
+
+        def query(dims):
+            w = empty_world(dims)
+            c = np.array(dims) // 2
+            return se.SearchQuery(
+                start=se.static_tuple(c, 5, w),
+                goal=se.static_tuple(c + (10, 0, 0), 5, w), dt=0.17,
+                lam=20.0, order=2, bounds=BOUNDS), wd.build_config_space(w, 0.0)
+
+        small = se.search(*query((30, 30, 30)))
+        q, cs = query((300, 300, 30))
+        tracemalloc.start()
+        try:
+            res = se.search(q, cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok and res.expanded == small.expanded
+        assert peak < 1_000_000
+
 class TestDijkstraOracle:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_on_random_worlds(self, d):
@@ -400,37 +425,83 @@ class TestSnapTuple:
         assert t.is_static()
 
     def test_matches_exhaustive_enumeration_k3(self):
-        # the dynamic program must reproduce brute force over all patterns
-        # drawn from the 27 cells around each reference point
+        # the per-axis dynamic programs must reproduce brute force over all
+        # patterns drawn from the in-grid cells among the 27 around each
+        # reference point: refs inside cells, on cell faces, at the grid
+        # edge where candidates clip, and with the last point off the grid
         from itertools import product as iproduct
         rng = np.random.default_rng(7)
-        w = empty_world((20, 20, 10))
         dt = 0.17
-        offs = se._OFFSETS27
+        w = empty_world((20, 20, 10))
+        w_face = empty_world((20, 20, 20), cell=0.25)
+        knots = np.arange(4)[:, None]
+        cases = []
         for _ in range(5):
             base = np.array([rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0),
                              rng.uniform(0.5, 1.4)])
-            vel = rng.uniform(-0.8, 0.8, size=3)
-            refs = base + np.arange(4)[:, None] * vel * dt
-            t = se.snap_tuple(refs, w, dt)
+            cases.append((w, base + knots * rng.uniform(-0.8, 0.8, 3) * dt))
+        for _ in range(3):
+            # whole multiples of the binary cell size: every ref on a face
+            base = rng.integers(4, 12, 3) * 0.25
+            cases.append((w_face, base + knots * rng.integers(-1, 2, 3) * 0.25))
+        # entering through the low x face and leaving through the high z
+        # face: early stages keep only the in-grid candidates
+        cases.append((w, np.array([-0.1, 0.05, 1.9]) + knots * [0.1, 0.0, 0.03]))
+        cases.append((w, np.array([3.95, -0.05, 0.1]) + knots * [0.0, 0.05, -0.02]))
+        # an early ref too far off the grid for any adjacent chain
+        cases.append((w, np.array([[-0.7, 1.0, 1.0], [0.1, 1.0, 1.0],
+                                   [0.1, 1.0, 1.0], [0.1, 1.0, 1.0]])))
+        # the last point off the grid
+        cases.append((w, np.array([0.3, 1.0, 1.0]) + knots * [-0.1, 0.0, 0.0]))
+        nones = 0
+        for wc, refs in cases:
+            t = se.snap_tuple(refs, wc, dt)
 
             def objective(cells):
-                ctr = w.cell_center(np.asarray(cells))
-                pe = float(np.sum((ctr - refs) ** 2))
+                ctr = wc.cell_center(np.asarray(cells))
+                pe = float(np.sum((ctr[:-1] - refs[:-1]) ** 2))
                 dv = np.diff(ctr, axis=0) - np.diff(refs, axis=0)
                 ve = float(np.sum(dv * dv)) / dt**2
                 return pe + dt * ve
 
-            last = w.point_to_cell(refs[-1])
+            last = wc.point_to_cell(refs[-1])
             best = np.inf
-            stages = [w.point_to_cell(refs[i]) + offs for i in range(3)]
-            for combo in iproduct(*stages):
-                cells = list(combo) + [last]
-                ok = all(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= 1
-                         for a, b in zip(cells, cells[1:]))
-                if ok:
-                    best = min(best, objective(cells))
+            if wc.in_bounds(last):
+                stages = [[c for c in wc.point_to_cell(refs[i]) + oracles._OFFSETS27
+                           if wc.in_bounds(c)] for i in range(3)]
+                for combo in iproduct(*stages):
+                    cells = np.array(list(combo) + [last])
+                    if np.abs(np.diff(cells, axis=0)).max() <= 1:
+                        best = min(best, objective(cells))
+            if best == np.inf:
+                assert t is None
+                nones += 1
+                continue
+            assert np.array_equal(t.cells[-1], last)
             assert objective(t.cells) == pytest.approx(best, abs=1e-12)
+        assert nones == 2
+
+    def test_exact_tie_takes_first_offset(self):
+        # the first ref sits on the face between cells 1 and 2, and the
+        # second knot's step is half a cell: both cells give exactly the
+        # same objective (binary cell size and dt), and the documented rule
+        # picks offset -1 from the ref's own cell 2
+        w = empty_world((9, 9, 9), cell=0.5)
+        dt = 0.5
+        refs = np.full((4, 3), 2.25)
+        refs[0, 0] = 1.0
+        refs[1:, 0] = 1.25
+        t = se.snap_tuple(refs, w, dt)
+        assert t.cells[:, 0].tolist() == [1, 2, 2, 2]
+        assert t.cells[:, 1:].tolist() == [[4, 4]] * 4
+
+        def objective(xs):
+            ctr = w.cell_center(np.array([[x, 4, 4] for x in xs]))
+            pe = float(np.sum((ctr[:-1] - refs[:-1]) ** 2))
+            dv = np.diff(ctr, axis=0) - np.diff(refs, axis=0)
+            return pe + dt * float(np.sum(dv * dv)) / dt**2
+
+        assert objective([1, 2, 2, 2]) == objective([2, 2, 2, 2])
 
     def test_error_bound_random(self):
         rng = np.random.default_rng(7)

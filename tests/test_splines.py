@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kinospline import splines as sp
+from kinospline import stats
 
 import oracles
 
@@ -264,6 +265,17 @@ class TestSplineDef:
         s = sp.SplineDef(k=3, dt=0.2, points=np.zeros((6, 3)))
         with pytest.raises(IndexError):
             sp.insert_control_point(s, 9, [0, 0, 0])
+
+    def test_sample_trajectory_matches_single_order_samples(self):
+        # one time grid and coefficient gather for orders 0-2 gives the
+        # bits of three single-order samples
+        rng = np.random.default_rng(5)
+        for k, n, step in ((3, 7, 0.02), (5, 12, 0.013), (5, 6, 1.0)):
+            s = sp.SplineDef(k=k, dt=0.17, points=rng.normal(size=(n, 3)))
+            ts, pos = s.sample(step, 0)
+            vel, acc = s.sample(step, 1)[1], s.sample(step, 2)[1]
+            assert np.array_equal(stats.sample_trajectory(s, step),
+                                  np.column_stack([ts, pos, vel, acc]))
 
     def test_continuity_across_spans(self):
         rng = np.random.default_rng(9)
