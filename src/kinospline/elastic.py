@@ -225,9 +225,8 @@ def assemble_qcqp(balls_per_point, init_points, start_pins, goal_pins,
         lo, hi = lo[keep], hi[keep]
     else:
         lo = hi = None
-    meta = {"order": l, "dt": dt, "free_points": nf}
     return qcqp.QcqpProblem(H=H, g=g, balls=tuple(balls), A=A, lo=lo, hi=hi,
-                            const=const, meta=meta)
+                            const=const)
 
 
 def _span_samples(spans, dt: float, step: float) -> list:
@@ -354,16 +353,14 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
     inserted = 0
     iterations = 0
     solve_time = 0.0
-    warm = None
     while True:
         iterations += 1
         balls_per_point = [[(centers[b], radii[b]) for b in bl] for bl in point_balls]
         problem = assemble_qcqp(balls_per_point, np.asarray(init_pts), start_pins,
                                 goal_pins, l, dt, bounds)
-        if warm is None:
-            warm = np.asarray(init_pts, dtype=float).reshape(-1)
         t0 = _time.perf_counter()
-        sol = qcqp.solve(problem, tol=solver_tol, x0=warm,
+        sol = qcqp.solve(problem, tol=solver_tol,
+                         x0=np.asarray(init_pts, dtype=float).reshape(-1),
                          max_iter=solver_max_iter)
         solve_time += _time.perf_counter() - t0
         if sol.status != "optimal":
@@ -417,7 +414,6 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
         gap_of_point.insert(pos + 1, gap)
         gap_inserts[gap] = gap_inserts.get(gap, 0) + 1
         inserted += 1
-        warm = None
 
 
 def refine_adaptive(free_points, start_pins, goal_pins, cs_elas, raw_world,

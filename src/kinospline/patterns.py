@@ -24,21 +24,10 @@ import numpy as np
 from .splines import _motion_extrema, blending_tables, span_cost
 
 
-def encode(steps) -> int:
-    """Pattern code of k steps, or -1 when a step leaves {-1, 0, 1}."""
-    code = 0
-    for i, s in enumerate(steps):
-        s = int(s)
-        if s < -1 or s > 1:
-            return -1
-        code += (s + 1) * 3 ** i
-    return code
-
-
-def axis_patterns(cells) -> tuple:
-    """Pattern code per axis of a (k+1, 3) cell array (-1 if not unit steps)."""
-    steps = np.diff(np.asarray(cells, dtype=np.int64), axis=0)
-    return tuple(encode(steps[:, a]) for a in range(3))
+def axis_patterns(steps: np.ndarray) -> tuple:
+    """Pattern code per axis of a (k, 3) integer array of cell steps, each
+    in {-1, 0, 1}."""
+    return tuple(((3 ** np.arange(steps.shape[0])) @ (steps + 1)).tolist())
 
 
 def all_steps(k: int) -> np.ndarray:

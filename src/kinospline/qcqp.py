@@ -31,7 +31,7 @@ whole problem, and a sub-problem's infeasibility certificate holds for
 the whole problem, of which it is a relaxation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, optimize, sparse
@@ -65,7 +65,6 @@ class QcqpProblem:
     lo: np.ndarray = None
     hi: np.ndarray = None
     const: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:

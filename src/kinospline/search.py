@@ -3,10 +3,15 @@
 A search state is a vertex tuple: the k+1 consecutive grid cells housing
 one control point span. Expanding a tuple drops its first cell and appends
 one of the 27 neighbors (self-step included) of its last cell, so a path
-of tuples is exactly a B-spline control point placement. States are
-aggregated by the packed key of their last d cells; each aggregated node
-keeps the representative tuple that reached it at the lowest cost, which
-keeps the search deterministic and the reconstructed placement admissible.
+of tuples is exactly a B-spline control point placement. A tuple is
+unit-step by construction: every cell step lies in {-1, 0, 1}, and the
+tuple stores the pattern code of its steps along each axis, which alone
+decides its feasibility and its cost (see patterns). States are aggregated
+by a key, the Python tuple of the flat codes of their last d cells (the
+last code itself at d = 1), so no grid size or aggregation level can
+overflow it; each aggregated node keeps the representative tuple that
+reached it at the lowest cost, which keeps the search deterministic and
+the reconstructed placement admissible.
 """
 
 import heapq
@@ -23,21 +28,30 @@ from .world import ConfigSpace
 
 @dataclass(frozen=True, eq=False)
 class VertexTuple:
-    """Ordered window of k+1 grid cells plus its stacked position matrix."""
+    """Ordered window of k+1 grid cells, its stacked position matrix, and
+    the pattern code of its cell steps along each axis.
+
+    The constructor rejects a cell step outside {-1, 0, 1}, so every tuple
+    can be expanded from the pattern tables.
+    """
 
     cells: np.ndarray
     positions: np.ndarray
+    patterns: tuple = field(init=False)
+
+    def __post_init__(self):
+        cells = self.cells
+        if cells.ndim != 2 or cells.shape[1] != 3 or cells.shape[0] < 2:
+            raise ValueError("a vertex tuple needs k+1 cell rows")
+        steps = np.diff(cells, axis=0)
+        if np.abs(steps).max() > 1:
+            raise ValueError("a tuple's cell steps must lie in {-1, 0, 1}")
+        object.__setattr__(self, "patterns", patterns.axis_patterns(steps))
 
     @staticmethod
     def from_cells(cells, world) -> "VertexTuple":
         cells = np.ascontiguousarray(np.asarray(cells, dtype=np.int64))
-        if cells.ndim != 2 or cells.shape[1] != 3 or cells.shape[0] < 2:
-            raise ValueError("a vertex tuple needs k+1 cell rows")
-        steps = np.abs(np.diff(cells, axis=0))
-        if steps.size and steps.max() > 1:
-            raise ValueError("consecutive tuple cells must be 26-adjacent or equal")
-        pos = np.ascontiguousarray(world.cell_center(cells))
-        return VertexTuple(cells, pos)
+        return VertexTuple(cells, np.ascontiguousarray(world.cell_center(cells)))
 
     @property
     def k(self) -> int:
@@ -60,32 +74,6 @@ def static_tuple(cell, k: int, world) -> VertexTuple:
 def cell_code(cells, dims) -> np.ndarray:
     cells = np.asarray(cells, dtype=np.int64)
     return (cells[..., 0] * dims[1] + cells[..., 1]) * dims[2] + cells[..., 2]
-
-
-def index_partial(cells, d: int, dims) -> int:
-    """Packed key of the last d cells; injective over in-grid tuples."""
-    cells = np.asarray(cells, dtype=np.int64)
-    k1 = cells.shape[0]
-    if not (1 <= d <= k1):
-        raise ValueError(f"aggregation level {d} outside 1..{k1}")
-    base = int(dims[0]) * int(dims[1]) * int(dims[2])
-    codes = cell_code(cells[k1 - d:], dims)
-    key = 0
-    for c in codes:
-        key = key * base + int(c)
-    return key
-
-
-def index_full(cells, dims) -> int:
-    """Packed key over all k+1 cells (index_partial at d = k+1)."""
-    cells = np.asarray(cells, dtype=np.int64)
-    return index_partial(cells, cells.shape[0], dims)
-
-
-def key_space_fits(dims, d: int) -> bool:
-    """True when the packed key of d cells fits a signed 64-bit integer."""
-    base = int(dims[0]) * int(dims[1]) * int(dims[2])
-    return base ** d <= 2**63 - 1
 
 
 def estimated_nodes(n_vertices: int, d: int) -> int:
@@ -112,33 +100,20 @@ def heuristic(t: VertexTuple, goal: VertexTuple, lam: float, dt: float) -> float
 def feasible_succs(t: VertexTuple, cs: ConfigSpace, bounds: DerivativeBounds,
                    dt: float, lam: float = 0.0, l: int = 2):
     """Successor tuples in deterministic lexicographic offset order."""
-    pats = _unit_patterns(t, "tuple")
     expand = _Expander(cs, bounds, dt, lam, l, t.k)
     full = tuple(int(c) for c in cell_code(t.cells, cs.world.dims))
     out = []
-    for code, _, _, _ in expand(full, pats):
+    for code, _, _, _ in expand(full, t.patterns):
         nxt = np.vstack([t.cells[1:], _decode(code, cs.world.dims)])
         out.append(VertexTuple.from_cells(nxt, cs.world))
     return out
 
 
-def _unit_patterns(t: VertexTuple, name: str) -> tuple:
-    """The tuple's axis pattern codes; ValueError unless all steps are unit.
-
-    Only the raw VertexTuple constructor can build such a tuple
-    (from_cells refuses one), and the pattern tables cannot expand it.
-    """
-    pats = patterns.axis_patterns(t.cells)
-    if min(pats) < 0:
-        raise ValueError(f"{name} tuple has a cell step outside {{-1, 0, 1}}")
-    return pats
-
-
-def _tuple_feasible(pats, k: int, dt: float, world, bounds) -> bool:
+def _tuple_feasible(t: VertexTuple, tables) -> bool:
     """Velocity and acceleration bounds of a cell-center tuple, read from
-    the per-axis pattern tables that decide every search successor."""
-    tables = patterns.feasible_tables(k, dt, world.cell_sizes, bounds)
-    return all(tab[p] for tab, p in zip(tables, pats))
+    the per-axis feasibility tables (patterns.feasible_tables) at the
+    tuple's stored patterns."""
+    return all(tab[p] for tab, p in zip(tables, t.patterns))
 
 
 def _decode(code: int, dims) -> np.ndarray:
@@ -242,9 +217,9 @@ class SearchQuery:
     region: tuple = None            # optional (lo_cell, hi_cell) crop box
     allow_occupied_start: bool = False  # treat the start as a seed: it may
                                         # sit inside the inflated set or
-                                        # exceed the derivative bounds, but
-                                        # needs unit steps; successors must
-                                        # be free and feasible as always
+                                        # exceed the derivative bounds;
+                                        # successors must be free and
+                                        # feasible as always
 
     def __post_init__(self):
         if self.start.k != self.goal.k:
@@ -277,16 +252,12 @@ class SearchResult:
         return self.cells[k + 1:n - (k + 1)]
 
 
-def _validate_endpoint(t: VertexTuple, cs: ConfigSpace, bounds, dt, name,
-                       seed: bool = False):
-    """ValueError unless the tuple has unit steps and, unless it is a seed
-    (allow_occupied_start), is free and within the derivative bounds."""
-    pats = _unit_patterns(t, name)
-    if seed:
-        return
+def _validate_endpoint(t: VertexTuple, cs: ConfigSpace, tables, name):
+    """ValueError unless the tuple is free and within the derivative bounds
+    (tables: the search's per-axis feasibility tables)."""
     if not np.all(cs.cells_free(t.cells)):
         raise ValueError(f"{name} tuple intersects inflated obstacles")
-    if not _tuple_feasible(pats, t.k, dt, cs.world, bounds):
+    if not _tuple_feasible(t, tables):
         raise ValueError(f"{name} tuple violates derivative bounds")
 
 
@@ -305,10 +276,12 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     cost), unless that node is the start.
 
     Internally tuples live as flat cell codes; an aggregated node is keyed
-    by the tuple of its last d codes and stores [g, full codes, parent key,
-    closed, axis patterns]. Successors come from the step-pattern tables
-    (see patterns), so a start or goal whose steps leave {-1, 0, 1} is
-    rejected with ValueError, seed start or not.
+    by the Python tuple of its last d codes (the last code at d = 1) and
+    stores [g, full codes, parent key, closed, axis patterns]. Successors
+    come from the step-pattern tables (see patterns) of the query's one
+    _Expander, and the endpoints are checked against its feasibility
+    tables at their stored patterns; a seed start (allow_occupied_start)
+    skips those checks.
 
     A query does no work in proportion to the grid. The heuristic is
     heuristic(), (lam*dt) times the Chebyshev cell distance between last
@@ -319,18 +292,17 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     """
     world = cs.world
     dims = world.dims
-    k = q.start.k
-    if not key_space_fits(dims, q.d):
-        raise ValueError("grid too large for the packed key at this aggregation level")
-    _validate_endpoint(q.start, cs, q.bounds, q.dt, "start",
-                       seed=q.allow_occupied_start)
-    _validate_endpoint(q.goal, cs, q.bounds, q.dt, "goal")
     lam, dt, l, d = q.lam, q.dt, q.order, q.d
+    t0 = time.perf_counter()
+    expand = _Expander(cs, q.bounds, dt, lam, l, q.start.k, q.region,
+                       q.goal.last_cell)
+    if not q.allow_occupied_start:
+        _validate_endpoint(q.start, cs, expand.feas, "start")
+    _validate_endpoint(q.goal, cs, expand.feas, "goal")
     nyz = int(dims[1]) * int(dims[2])
     nz = int(dims[2])
     hs = lam * dt if q.use_heuristic else 0.0
 
-    t0 = time.perf_counter()
     start_cost = tuple_cost(q.start, lam, l, dt)
     start_full = tuple(int(c) for c in cell_code(q.start.cells, dims))
     goal_full = tuple(int(c) for c in cell_code(q.goal.cells, dims))
@@ -340,16 +312,14 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
         goal_key = object()  # matches nothing; drain the open set
 
     h0 = hs * int(np.max(np.abs(q.start.last_cell - q.goal.last_cell)))
-    start_pats = patterns.axis_patterns(q.start.cells)
     # visited: key -> [g, full codes, parent key, closed, axis patterns]
-    visited = {start_key: [start_cost, start_full, None, False, start_pats]}
+    visited = {start_key: [start_cost, start_full, None, False,
+                           q.start.patterns]}
     heap = [(start_cost + h0, start_cost, start_key)]
     expanded = 0
     open_peak = 1
     status = "no-path"
     budget_wall = q.max_wall_ms / 1000.0
-    expand = _Expander(cs, q.bounds, dt, lam, l, k, q.region,
-                       q.goal.last_cell)
     vget = visited.get
     push = heapq.heappush
 
@@ -484,13 +454,12 @@ def snap_tuple(ref_points, world, dt: float, cs: ConfigSpace = None,
         if col is None:
             return None
         cols.append(col)
-    # adjacent by construction, so the checks of from_cells are moot
     cells = np.array(list(zip(*cols)), dtype=np.int64)
     tup = VertexTuple(cells, world.cell_center(cells))
     if cs is not None and not np.all(cs.cells_free(tup.cells)):
         return None
     if bounds is not None and not _tuple_feasible(
-            patterns.axis_patterns(tup.cells), tup.k, dt, world, bounds):
+            tup, patterns.feasible_tables(tup.k, dt, world.cell_sizes, bounds)):
         return None
     return tup
 
@@ -571,7 +540,7 @@ def astar_cells(cs: ConfigSpace, start_cell, goal_cell,
     if not cs.is_free(start) or not cs.is_free(goal):
         return None
     csz = world.cell_sizes
-    free = (~cs.occ_inflated).reshape(-1).tolist()
+    occ = cs.occ_bytes
     steps = []
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
@@ -617,7 +586,7 @@ def astar_cells(cs: ConfigSpace, start_cell, goal_cell,
             if xx < 0 or xx >= nx or yy < 0 or yy >= ny or zz < 0 or zz >= nz:
                 continue
             ncode = (xx * ny + yy) * nz + zz
-            if ncode in closed or not free[ncode]:
+            if ncode in closed or occ[ncode]:
                 continue
             ng = g + sc
             if ng < g_best.get(ncode, np.inf):

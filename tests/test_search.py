@@ -22,49 +22,22 @@ def plane_world(rng, dims=(6, 6, 1), frac=0.2, cell=0.5):
 
 
 class TestIndexing:
-    def test_full_injective_exhaustive(self):
-        # every k+1 window of adjacent cells on a 4x4x1 grid, k=2
-        w = empty_world((4, 4, 1))
-        dims = w.dims
-        seen = {}
-        cells0 = [(x, y, 0) for x in range(4) for y in range(4)]
-        count = 0
-        for a in cells0:
-            for b in cells0:
-                if max(abs(a[0] - b[0]), abs(a[1] - b[1])) > 1:
-                    continue
-                for c in cells0:
-                    if max(abs(b[0] - c[0]), abs(b[1] - c[1])) > 1:
-                        continue
-                    cells = np.array([a, b, c], dtype=np.int64)
-                    key = se.index_full(cells, dims)
-                    assert key not in seen or seen[key] == (a, b, c)
-                    seen[key] = (a, b, c)
-                    count += 1
-        assert len(seen) == count
+    def test_full_key_search_on_criterion4_grid(self):
+        # a d = k+1 key is the tuple of all six cell codes: on the 51x51x5
+        # grid it would not fit a 64-bit packed integer, and the search
+        # must still run, the same as on a grid small enough for one
+        def run(dims):
+            w = empty_world(dims)
+            q = se.SearchQuery(start=se.static_tuple((2, 2, 2), 5, w),
+                               goal=se.static_tuple((5, 2, 2), 5, w),
+                               dt=0.17, lam=20.0, order=2, bounds=BOUNDS,
+                               d=6, region=((1, 2, 2), (6, 2, 2)))
+            return se.search(q, wd.build_config_space(w, 0.0))
 
-    def test_partial_aggregates_last_cells(self):
-        dims = np.array([10, 10, 4])
-        t1 = np.array([[1, 1, 0], [2, 2, 0], [3, 3, 1]])
-        t2 = np.array([[5, 5, 2], [4, 4, 1], [3, 3, 1]])
-        assert se.index_partial(t1, 1, dims) == se.index_partial(t2, 1, dims)
-        assert se.index_partial(t1, 2, dims) != se.index_partial(t2, 2, dims)
-
-    def test_partial_full_degree_matches_index_full(self):
-        dims = np.array([10, 10, 4])
-        cells = np.array([[1, 1, 0], [2, 2, 1], [3, 3, 2], [3, 4, 3]])
-        assert se.index_partial(cells, 4, dims) == se.index_full(cells, dims)
-
-    def test_key_space_overflow_detection(self):
-        assert se.key_space_fits(np.array([51, 51, 5]), 4)
-        assert not se.key_space_fits(np.array([51, 51, 5]), 6)
-        w = empty_world((51, 51, 5), cell=0.2)
-        cs = wd.build_config_space(w, 0.0)
-        t = se.static_tuple((2, 2, 2), 5, w)
-        q = se.SearchQuery(start=t, goal=t, dt=0.2, lam=1.0, order=1,
-                           bounds=WIDE, d=6)
-        with pytest.raises(ValueError, match="packed key"):
-            se.search(q, cs)
+        big, small = run((51, 51, 5)), run((8, 5, 5))
+        assert big.status == "success"
+        assert (big.cost, big.expanded) == (small.cost, small.expanded)
+        assert np.array_equal(big.cells, small.cells)
 
     def test_estimated_nodes_growth(self):
         assert se.estimated_nodes(100, 1) == 100
@@ -110,8 +83,10 @@ class TestTupleCost:
                 P = np.zeros((k + 1, 3))
                 P[1:, 0] = np.cumsum(steps) * 0.25
                 q = oracles.quadrature_span_cost(P, l, 0.17)
-                assert tab[se.patterns.encode(steps)] == \
-                    pytest.approx(q, rel=1e-12)
+                cells = np.zeros((k + 1, 3), dtype=np.int64)
+                cells[1:, 0] = np.cumsum(steps)
+                code = se.VertexTuple(cells, P).patterns[0]
+                assert tab[code] == pytest.approx(q, rel=1e-12)
 
 
 class TestFeasibleSuccs:
@@ -172,7 +147,7 @@ class TestFeasibleSuccs:
                 w.cell_center(cells), cells[-1], cs, BOUNDS, dt, lam, l, tab)
             expand = se._Expander(cs, BOUNDS, dt, lam, l, k)
             full = tuple(int(c) for c in se.cell_code(cells, w.dims))
-            got = expand(full, se.patterns.axis_patterns(cells))
+            got = expand(full, se.VertexTuple.from_cells(cells, w).patterns)
             ref = [(int(se.cell_code(ncells[i], w.dims)), float(costs[i]))
                    for i in range(27) if mask[i]]
             assert [c for c, _, _, _ in got] == [c for c, _ in ref]
@@ -195,26 +170,47 @@ class TestFeasibleSuccs:
                 cells.append(cells[-1] + rng.integers(-1, 2, 3))
             cells = np.array(cells)
             moved = cells + rng.integers(0, 20, 3)
-            pats = se.patterns.axis_patterns(cells)
+            pats = se.VertexTuple.from_cells(cells, w).patterns
             a = expand(tuple(int(c) for c in se.cell_code(cells, dims)), pats)
             b = expand(tuple(int(c) for c in se.cell_code(moved, dims)), pats)
             assert [v for _, v, _, _ in a] == [v for _, v, _, _ in b]
             assert len(a) == 27
 
     def test_non_unit_step_start_rejected(self):
-        # the pattern tables cannot expand a hand-made start whose steps
-        # leave {-1, 0, 1}; it is refused even as a seed start
+        # the pattern tables cannot expand a tuple whose steps leave
+        # {-1, 0, 1}, so no constructor builds one
         w = empty_world((14, 9, 1), cell=0.2)
-        cs = wd.build_config_space(w, 0.0)
         cells = np.array([[2, 4, 0], [2, 4, 0], [4, 4, 0], [4, 4, 0]])
-        start = se.VertexTuple(cells, w.cell_center(cells))
-        goal = se.static_tuple((10, 4, 0), 3, w)
-        for seed in (False, True):
-            q = se.SearchQuery(start=start, goal=goal, dt=0.4, lam=5.0,
-                               order=2, bounds=WIDE,
-                               allow_occupied_start=seed)
-            with pytest.raises(ValueError, match="step"):
-                se.search(q, cs)
+        with pytest.raises(ValueError, match="step"):
+            se.VertexTuple(cells, w.cell_center(cells))
+        with pytest.raises(ValueError, match="step"):
+            se.VertexTuple.from_cells(cells, w)
+
+    def test_stored_patterns_equal_axis_encoding(self):
+        # the patterns a tuple stores are sum_i (step_i + 1) * 3^i of its
+        # steps along each axis, whichever way the tuple was built
+        rng = np.random.default_rng(11)
+        w = empty_world((20, 20, 20))
+
+        def encoding(cells):
+            steps = np.diff(cells, axis=0)
+            return tuple(sum((int(s) + 1) * 3 ** i
+                             for i, s in enumerate(steps[:, a]))
+                         for a in range(3))
+
+        for k in (2, 3, 5):
+            for _ in range(40):
+                cells = [rng.integers(k + 1, 19 - k, 3)]
+                for _ in range(k):
+                    cells.append(cells[-1] + rng.integers(-1, 2, 3))
+                t = se.VertexTuple.from_cells(np.array(cells), w)
+                assert t.patterns == encoding(t.cells)
+                refs = w.cell_center(t.cells) + rng.uniform(-0.09, 0.09,
+                                                            (k + 1, 3))
+                snapped = se.snap_tuple(refs, w, 0.17)
+                assert snapped.patterns == encoding(snapped.cells)
+            st = se.static_tuple(cells[0], k, w)
+            assert st.patterns == encoding(st.cells) == (3 ** k // 2,) * 3
 
     def test_deterministic_order(self):
         w = empty_world((9, 9, 9))
@@ -374,6 +370,25 @@ class TestSearch:
             tracemalloc.stop()
         assert res.ok and res.expanded == small.expanded
         assert peak < 1_000_000
+
+    def test_query_builds_feasibility_tables_once(self, monkeypatch):
+        # one search validates its endpoints and expands its nodes from the
+        # same per-axis feasibility tables
+        w = empty_world((30, 30, 1))
+        cs = wd.build_config_space(w, 0.0)
+        calls = []
+        real = se.patterns.feasible_tables
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(se.patterns, "feasible_tables", spy)
+        q = se.SearchQuery(start=se.static_tuple((10, 10, 0), 5, w),
+                           goal=se.static_tuple((14, 13, 0), 5, w), dt=0.17,
+                           lam=20.0, order=2, bounds=BOUNDS)
+        assert se.search(q, cs).ok
+        assert len(calls) == 1
 
 class TestDijkstraOracle:
     @pytest.mark.parametrize("d", [1, 2])
@@ -552,3 +567,19 @@ class TestAstar:
         w = wd.VoxelWorld(np.array([9, 9, 1]), np.full(3, 0.2), np.zeros(3), occ)
         cs = wd.build_config_space(w, 0.0)
         assert se.astar_cells(cs, (1, 1, 0), (7, 1, 0)) is None
+
+    def test_query_work_does_not_scale_with_grid(self):
+        # a 10-cell path on a 2.7M-cell grid allocates what its nodes
+        # need, nothing per grid cell
+        import tracemalloc
+
+        w = empty_world((300, 300, 30))
+        cs = wd.build_config_space(w, 0.0)
+        tracemalloc.start()
+        try:
+            path = se.astar_cells(cs, (150, 150, 15), (160, 150, 15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path is not None and len(path) == 11
+        assert peak < 1_000_000
