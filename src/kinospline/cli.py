@@ -55,15 +55,24 @@ def _vec(text) -> np.ndarray:
     return v
 
 
+_POSITIVE = ("dt", "sample_step", "max_time", "goal_sep", "vmax", "amax")
+_NONNEGATIVE = ("lam", "body_radius")
+
+
 def _check_args(args) -> None:
-    """Parse the vector settings in place and reject a knot spacing that is
-    not positive and finite, once flags and config file are merged."""
+    """Parse the vector settings in place and reject numeric settings out
+    of range (not finite, or not positive, or negative), once flags and
+    config file are merged."""
     for name in ("start", "start_vel", "goal"):
         if getattr(args, name, None) is not None:
             setattr(args, name, _vec(getattr(args, name)))
-    dt = getattr(args, "dt", None)
-    if dt is not None and not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"--dt must be positive and finite, got {dt}")
+    for names, ok, what in ((_POSITIVE, lambda v: v > 0, "positive"),
+                            (_NONNEGATIVE, lambda v: v >= 0, "nonnegative")):
+        for name in names:
+            v = getattr(args, name, None)
+            if v is not None and not (math.isfinite(v) and ok(v)):
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} must be {what} and finite, got {v}")
 
 
 def _setup(args):

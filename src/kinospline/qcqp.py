@@ -15,10 +15,12 @@ k+1 interleaved xyz points, so the matrix is banded with half-bandwidth
 3k and a banded Cholesky solves it in O(n k^2). The iteration count does
 not depend on the conditioning of H.
 
-The main iteration starts infeasible. When its steps stall short of
-feasibility, a phase-I problem (minimize the common violation t of every
-constraint) either finds a strictly feasible point to restart from or
-certifies through its dual that the feasible set is empty.
+Every main iteration starts strictly feasible and centered: s = h - Gx
+inside the cones and z = mu s^-1. A start point outside the cones, or on
+their boundary to within the primal tolerance, first runs a phase-I
+problem (minimize the common violation t of every constraint), which
+either finds a strictly feasible point to start from or certifies
+through its dual that the feasible set is empty.
 
 On tube problems nearly every derivative row sits far from its bounds at
 the optimum, yet the rows make up almost all of the cone degree. So the
@@ -31,6 +33,7 @@ whole problem, and a sub-problem's infeasibility certificate holds for
 the whole problem, of which it is a relaxation.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,6 @@ _pbtrf, _pbtrs = linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
                                          (np.zeros((1, 1)),))
 
 _STEP = 0.99          # fraction of the way to the cone boundary
-_STALL_STEP = 0.05    # shorter steps from a primal infeasible point stall
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,6 +220,9 @@ class _Cones:
         self.hl = np.concatenate([hi[up], -lo[dn]])
         self.ml = lp_row.size
         self.degree = nb + self.ml
+        # the scale of h, against which primal residuals are measured
+        self.h_norm = max(1.0, float(np.abs(self.hb).max(initial=0.0)),
+                          float(np.abs(self.hl).max(initial=0.0)))
 
         # G's x rows: ball selectors, then the signed row sides
         side_len = rnnz[lp_row]
@@ -267,6 +272,14 @@ class _Cones:
             shape=(self.band_size, mrows + 6 * nb))
         self.lp_row = lp_row
         self.mrows = mrows
+
+    def relaxed(self, tau):
+        """These cones with every constraint loosened by tau (h + tau e)."""
+        c = copy.copy(self)
+        c.hb = self.hb.copy()
+        c.hb[:, 0] += tau
+        c.hl = self.hl + tau
+        return c
 
     # G and G' applied to cone-shaped data
     def g_x(self, x):
@@ -325,8 +338,11 @@ def _cone_step(ub, ul, db, dl) -> float:
 
     Per second-order cone, u + a d leaves the cone at the smallest
     positive root of f(a) = det(u + a d) = A a^2 + 2 B a + C (C > 0): the
-    cancellation-free C / (sqrt(B^2 - A C) - B), which exists when A < 0,
-    or when B < 0 and the discriminant is nonnegative.
+    cancellation-free C / (sqrt(B^2 - A C) - B), which exists when A < 0
+    or B < 0. (With A >= 0 and B < 0, d points into the past cone and the
+    discriminant is nonnegative; roundoff can make it negative when u
+    and d are nearly parallel, so it is clipped at 0, never read as "no
+    root": that would let u + a d cross the apex into -K, where det > 0.)
     """
     inv = 0.0     # 1 / step, maximized over the cones
     if ub.shape[0]:
@@ -335,7 +351,7 @@ def _cone_step(ub, ul, db, dl) -> float:
         qb = np.einsum("ij,ij->i", ub, jd)
         qc = np.einsum("ij,ij->i", ub, ub * _J)
         disc = qb * qb - qa * qc
-        hit = (qa < 0.0) | ((qb < 0.0) & (disc >= 0.0))
+        hit = (qa < 0.0) | (qb < 0.0)
         if hit.any():
             inv = float(np.max((np.sqrt(np.maximum(disc[hit], 0.0))
                                 - qb[hit]) / qc[hit]))
@@ -382,29 +398,26 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
     banded block.
 
     Returns (reason, x, t, sb, sl, zb, zl, iterations). reason is
-    "optimal"; "stall" when a step from a point that breaks the
-    constraints falls under _STALL_STEP of the way, or the normal matrix
-    stops factoring (a point that meets the tolerances within a factor
-    100, as happens at the roundoff floor, counts as optimal instead);
-    "max-iter"; and for phase I "interior" (t < 0) or "converged" (the
-    phase-I optimum, t >= 0).
+    "optimal"; "stall" on numerical breakdown, when the normal matrix
+    stops factoring or a cone determinant falls to 0 or below (a point
+    that meets the tolerances within a factor 100, as happens at the
+    roundoff floor, counts as optimal instead); "max-iter"; and for phase
+    I "interior" (t below minus the primal tolerance, so every constraint
+    holds with that margin) or "converged" (the phase-I optimum, any
+    other t).
 
-    A short step is a stall only while the primal residual is open: there
-    it says feasibility may be out of reach, which phase I decides. From a
-    primal feasible point (phase I, the restart after it) every step keeps
-    feasibility and makes progress, so short steps continue.
+    Both runs start primal feasible, so every step keeps feasibility and
+    makes progress, however short.
     """
     nb = cones.nb
     m = cones.degree
     hb, hl = cones.hb, cones.hl
     t = border
     q_norm = max(1.0, float(np.abs(q).max(initial=0.0)))
-    h_norm = max(1.0, float(np.abs(hb).max(initial=0.0)),
-                 float(np.abs(hl).max(initial=0.0)))
+    h_norm = cones.h_norm
     e_b = np.zeros((nb, 4))
     e_b[:, 0] = 1.0
     it = 0
-    stalled = False
     while True:
         gb, gl = cones.g_x(x)
         if t is not None:
@@ -433,17 +446,17 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
 
         out = (x, t, sb, sl, zb, zl, it)
         if phase1:
-            if t < 0.0:
+            if t < -tol_feas * h_norm:
                 return ("interior",) + out
             if mu <= tol_gap and dres <= tol_feas:
                 return ("converged",) + out
         elif within(1.0):
             return ("optimal",) + out
-        stalled = stalled or min(float(np.min(_soc_det(sb), initial=1.0)),
-                                 float(np.min(_soc_det(zb), initial=1.0))) <= 0
-        if stalled:
-            return ("optimal" if not phase1 and within(100.0)
-                    else "stall",) + out
+        stall = ("optimal" if not phase1 and within(100.0)
+                 else "stall",) + out
+        if min(float(np.min(_soc_det(sb), initial=1.0)),
+               float(np.min(_soc_det(zb), initial=1.0))) <= 0:
+            return stall
         if it >= max_iter:
             return ("max-iter",) + out
 
@@ -451,8 +464,7 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
         ab = cones.normal_band(P_band, sc.phib, 1.0 / sc.wl ** 2)
         chol, info = _pbtrf(ab, lower=1)
         if info != 0 or not np.all(np.isfinite(chol)):
-            stalled = True
-            continue
+            return stall
         it += 1
         if t is not None:
             # t's column of G is -e: Phi (-e) per cone
@@ -505,18 +517,6 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
         zl = zl + alpha * dzl
         if t is not None:
             t = t + alpha * dt
-        stalled = alpha < _STALL_STEP and pres > tol_feas
-
-
-def _into_cone(ub, ul):
-    """Shift (ub, ul) by (1 + a) e when a = -min eigenvalue >= 0."""
-    a = max(float(np.max(-_soc_min_eig(ub), initial=-np.inf)),
-            float(np.max(-ul, initial=-np.inf)))
-    if a >= -1e-8:
-        ub = ub.copy()
-        ub[:, 0] += 1.0 + a
-        ul = ul + 1.0 + a
-    return ub, ul
 
 
 def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
@@ -535,19 +535,27 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
     the problem infeasible. max_iter bounds the Newton iterations summed
     over every sub-solve, phase I included, and iterations reports that
     sum. max-iter means the solve did not converge: with iterations ==
-    max_iter the budget ran out; with fewer, a step stalled and phase I
-    gave neither a strictly feasible restart nor a certificate, or the
-    restart broke down numerically. x0 seeds phase I when a main
-    iteration stalls; the main iteration starts from its own
-    least-squares point, which is well centered whatever x0 is.
+    max_iter the budget ran out; with fewer, phase I found neither a
+    strictly feasible point nor a certificate, or an iteration broke down
+    numerically.
+
+    x0 (zeros when None) is where the first sub-problem starts, each later
+    one starting from the previous optimum; a start outside the cones, or
+    within the primal tolerance of their boundary, runs phase I first. x0
+    must be a finite vector of length n.
     """
     p.validate()
     n = p.n
+    if x0 is None:
+        x = np.zeros(n)
+    else:
+        x = np.array(x0, dtype=float)
+        if x.shape != (n,) or not np.all(np.isfinite(x)):
+            raise ValueError("x0 must be a finite vector of length n")
     if n == 0:
-        return QcqpSolution(np.zeros(0), p.const, 0.0, 0, "optimal")
+        return QcqpSolution(x, p.const, 0.0, 0, "optimal")
     rows = _Rows(p)
     if rows.violated:
-        x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
         return QcqpSolution(x, p.objective(x), p.violation(x), 0,
                             "infeasible-detected")
     H = np.asarray(p.H, dtype=float)
@@ -560,7 +568,7 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
     total = 0
     while True:
         cones = _Cones(p, rows, work, bw_h)
-        status, x, it = _solve_cones(cones, H, g, x0, tol_gap, tol_feas,
+        status, x, it = _solve_cones(cones, H, g, x, tol_gap, tol_feas,
                                      feas_tol, max_iter - total)
         total += it
         if status != "optimal":
@@ -575,9 +583,17 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
     return QcqpSolution(x, p.objective(x), p.violation(x), total, status)
 
 
-def _solve_cones(cones: _Cones, H, g, x0, tol_gap, tol_feas, feas_tol,
+def _solve_cones(cones: _Cones, H, g, x, tol_gap, tol_feas, feas_tol,
                  max_iter):
-    """One interior point solve over the given cones.
+    """One interior point solve over the given cones, starting from x.
+
+    A start inside every cone by more than the primal tolerance is run
+    from directly. Any other start runs phase I first (minimize the
+    common violation t of every constraint from x): its strictly feasible
+    point starts the main run, and its optimum, when the dual certifies
+    it, proves the cones empty. A phase-I optimum at t <= feas_tol that
+    is not certified means a feasible set without interior: the main run
+    then starts from it over cones loosened just past t.
 
     Returns (status, x, iterations) with status optimal,
     infeasible-detected or max-iter.
@@ -587,69 +603,54 @@ def _solve_cones(cones: _Cones, H, g, x0, tol_gap, tol_feas, feas_tol,
         x = linalg.lstsq(H, -g, lapack_driver="gelsd")[0]
         return "optimal", x, 1
     H_band = _lower_band(H, cones.bw)
-
-    # least-squares start: (H + G'G) x = -g + G'h, then both slacks and
-    # duals shifted into the cone interior
     nb, ml = cones.nb, cones.ml
-    ones_b = np.broadcast_to(np.eye(4), (nb, 4, 4))
-    ab = cones.normal_band(H_band, ones_b, np.ones(ml))
-    chol, info = _pbtrf(ab, lower=1)
-    if info != 0:
-        # a direction no constraint and no curvature sees: any start will
-        # do, so ridge the start system only
-        ab[0] += 1e-8 * max(float(ab[0].max()), 1.0)
-        chol, _ = _pbtrf(ab, lower=1)
-    x, _ = _pbtrs(chol, -g + cones.gt_z(cones.hb, cones.hl), lower=1)
     gb, gl = cones.g_x(x)
-    sb, sl = _into_cone(cones.hb - gb, cones.hl - gl)
-    zb, zl = _into_cone(gb - cones.hb, gl - cones.hl)
-
-    reason, x, _, sb, sl, zb, zl, it = _ipm(
-        cones, H.dot, H_band, g, x, sb, sl, zb, zl, None, tol_gap,
-        tol_feas, max_iter)
-    total = it
-    if reason == "stall" and total < max_iter:
-        # phase I: min t s.t. every constraint holds with margin -t
-        xs = x if x0 is None else np.asarray(x0, dtype=float).copy()
+    sb, sl = cones.hb - gb, cones.hl - gl
+    total = 0
+    # a start within the primal tolerance of a cone's boundary counts as
+    # outside: z = mu s^-1 would be huge there, and the run breaks down
+    if min(float(np.min(_soc_min_eig(sb), initial=1.0)),
+           float(np.min(sl, initial=1.0))) <= tol_feas * cones.h_norm:
+        # phase I: min t s.t. every constraint holds with margin -t, plus
+        # a small proximal term that keeps x bounded
         delta = 1e-9
-        gb, gl = cones.g_x(xs)
-        ub, ul = cones.hb - gb, cones.hl - gl
-        t0 = 1.0 + max(float(np.max(-_soc_min_eig(ub), initial=0.0)),
-                       float(np.max(-ul, initial=0.0)), 0.0)
-        sb1 = ub.copy()
+        t0 = 1.0 + max(float(np.max(-_soc_min_eig(sb), initial=0.0)),
+                       float(np.max(-sl, initial=0.0)), 0.0)
+        sb1 = sb.copy()
         sb1[:, 0] += t0
-        sl1 = ul + t0
         zb1 = np.zeros((nb, 4))
         zb1[:, 0] = 1.0
-        zl1 = np.ones(ml)
         band1 = np.zeros_like(H_band)
         band1[0] = delta
+        xs = x
 
         def prox(v):
             return delta * (v - xs)
 
-        reason1, x1, t1, sb1, sl1, zb1, zl1, it1 = _ipm(
-            cones, prox, band1, np.zeros(n), xs.copy(), sb1, sl1, zb1, zl1,
-            t0, tol_gap, tol_feas, max_iter - total, phase1=True)
-        total += it1
-        if reason1 == "interior":
-            # strictly feasible restart: the primal residual starts at 0,
-            # and z = mu s^-1 centers every cone (s o z = mu e)
-            gb, gl = cones.g_x(x1)
-            sb, sl = cones.hb - gb, cones.hl - gl
-            mu = float(sb[:, 0].sum() + sl.sum()) / cones.degree
-            zb = mu * sb * _J / _soc_det(sb)[:, None]
-            zl = mu / sl
-            reason, x, _, sb, sl, zb, zl, it = _ipm(
-                cones, H.dot, H_band, g, x1, sb, sl, zb, zl, None,
-                tol_gap, tol_feas, max_iter - total)
-            total += it
-        elif reason1 == "converged" and _certified(cones, x1, t1, zb1, zl1,
-                                                   feas_tol):
-            return "infeasible-detected", x1, total
-        else:
-            reason, x = "max-iter", x1
-    return ("optimal" if reason == "optimal" else "max-iter"), x, total
+        reason, x, t, _, _, zb1, zl1, total = _ipm(
+            cones, prox, band1, np.zeros(n), x, sb1, sl + t0, zb1,
+            np.ones(ml), t0, tol_gap, tol_feas, max_iter, phase1=True)
+        if reason == "converged" and _certified(cones, x, t, zb1, zl1,
+                                                feas_tol):
+            return "infeasible-detected", x, total
+        if reason == "converged" and t <= feas_tol:
+            # feasible to within feas_tol, but no interior wider than the
+            # primal tolerance: loosen every cone until x is well inside
+            cones = cones.relaxed(max(t, 0.0) + 2.0 * tol_feas * cones.h_norm)
+        elif reason != "interior":
+            return "max-iter", x, total
+        gb, gl = cones.g_x(x)
+        sb, sl = cones.hb - gb, cones.hl - gl
+
+    # strictly feasible start: the primal residual is 0, and z = mu s^-1
+    # centers every cone (s o z = mu e)
+    mu = float(sb[:, 0].sum() + sl.sum()) / cones.degree
+    zb = mu * sb * _J / _soc_det(sb)[:, None]
+    zl = mu / sl
+    reason, x, _, _, _, _, _, it = _ipm(
+        cones, H.dot, H_band, g, x, sb, sl, zb, zl, None, tol_gap,
+        tol_feas, max_iter - total)
+    return ("optimal" if reason == "optimal" else "max-iter"), x, total + it
 
 
 def _certified(cones: _Cones, x, t, zb, zl, feas_tol) -> bool:

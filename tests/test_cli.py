@@ -172,9 +172,37 @@ def test_cli_error_paths(tmp_path):
     ["--start-vel", "1.2 0"],
     ["--degree", "3"],          # removed: the planner flies degree 5
     ["--bogus"],
+    ["--sample-step", "0"],
+    ["--sample-step", "-1"],
+    ["--sample-step", "inf"],
+    ["--vmax", "nan"],
+    ["--vmax", "0"],
+    ["--amax", "0"],
+    ["--amax", "inf"],
+    ["--lam", "-5"],
+    ["--lam", "nan"],
+    ["--body-radius", "-0.1"],
+    ["--body-radius", "inf"],
 ])
 def test_malformed_plan_input_exits_1(small_map, tmp_path, capsys, extra):
     argv = ["plan", "--map", str(small_map), "--start", "0.9 3.0 1.0",
             "--goal", "8.9 3.0 1.0", "--no-eo", "-o", str(tmp_path / "p")]
     assert cli.main(argv + extra) == cli.EXIT_OTHER
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("replan", ["--max-time", "0"]),
+    ("replan", ["--max-time", "nan"]),
+    ("suite", ["--goal-sep", "-1"]),
+])
+def test_malformed_numbers_exit_1_before_any_work(small_map, tmp_path, capsys,
+                                                  cmd, extra):
+    argv = [cmd, "--map", str(small_map), "--start", "0.9 3.0 1.0",
+            "-o", str(tmp_path / "p")]
+    if cmd == "replan":
+        argv += ["--goal", "8.9 3.0 1.0"]
+    assert cli.main(argv + extra) == cli.EXIT_OTHER
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()

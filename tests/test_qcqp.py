@@ -18,8 +18,7 @@ def short_step_instance():
 
     Thirty free points (n = 90) of a bench_course refinement at knot
     repeat 2: banded H (smallest eigenvalue 0.59), one ball per point, and
-    the placement x0 that seeds phase I. The ball centers are feasible, so
-    the problem is strictly feasible.
+    the placement x0, which lies 0.1 inside every ball, as the start.
     """
     z = np.load(Path(__file__).parent / "data" / "qcqp_short_steps_n90.npz")
     band = z["H_band"]
@@ -142,7 +141,9 @@ class TestSolve:
         rng = np.random.default_rng(6)
         p = random_instance(rng, n_points=6)
         cold = qcqp.solve(p, tol=1e-9)
+        # the optimum lies within the tolerance of active balls' boundaries
         warm = qcqp.solve(p, tol=1e-9, x0=cold.x)
+        assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
 
     def test_rows_only_infeasible_detected(self):
@@ -170,7 +171,9 @@ class TestSolve:
         p = qcqp.QcqpProblem(H=np.eye(3) * 2, g=np.zeros(3),
                              balls=(ball(0, [2, 0, 0], 0.5),
                                     ball(0, [-2, 0, 0], 0.5)))
-        for budget in (1, 3, 6):
+        full = qcqp.solve(p)
+        assert full.status == "infeasible-detected"
+        for budget in (1, full.iterations // 2, full.iterations - 1):
             s = qcqp.solve(p, max_iter=budget)
             assert s.iterations <= budget
             assert s.status == "max-iter"
@@ -187,10 +190,93 @@ class TestSolve:
         assert s.objective == pytest.approx(5.0)
 
 
+def count_phase1(monkeypatch):
+    """Record, per _ipm run, whether it is a phase-I run."""
+    runs = []
+    inner = qcqp._ipm
+
+    def spy(*args, phase1=False, **kwargs):
+        runs.append(phase1)
+        return inner(*args, phase1=phase1, **kwargs)
+
+    monkeypatch.setattr(qcqp, "_ipm", spy)
+    return runs
+
+
+class TestStart:
+    def test_strictly_feasible_x0_runs_no_phase1(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        p = random_instance(rng, n_points=6)
+        cold = qcqp.solve(p, tol=1e-9)
+        centers = np.concatenate([b.center for b in p.balls])
+        runs = count_phase1(monkeypatch)
+        warm = qcqp.solve(p, tol=1e-9, x0=centers)
+        assert warm.status == "optimal"
+        assert runs == [False]
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
+
+    def test_x0_outside_a_ball_runs_phase1(self, monkeypatch):
+        p = qcqp.QcqpProblem(H=np.diag([2.0, 2.0, 2.0]),
+                             g=np.array([-4.0, 0.0, 0.0]),
+                             balls=(ball(0, [0, 0, 0], 1.0),))
+        runs = count_phase1(monkeypatch)
+        s = qcqp.solve(p, tol=1e-9, x0=np.array([5.0, 0.0, 0.0]))
+        assert runs == [True, False]
+        assert s.status == "optimal"
+        assert s.x[0] == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("x0", [np.zeros(2), np.zeros(4),
+                                    np.array([0.0, np.nan, 0.0]),
+                                    np.array([np.inf, 0.0, 0.0])])
+    def test_malformed_x0_raises(self, x0):
+        p = qcqp.QcqpProblem(H=np.eye(3), g=-np.ones(3),
+                             balls=(ball(0, [0, 0, 0], 1.0),))
+        with pytest.raises(ValueError):
+            qcqp.solve(p, x0=x0)
+
+    @pytest.mark.parametrize("case", ["touching balls", "equality row"])
+    def test_feasible_set_without_interior(self, case):
+        # phase I ends at t = 0 with nothing to certify; the main run goes
+        # on over cones loosened by about the primal tolerance
+        if case == "touching balls":
+            p = qcqp.QcqpProblem(H=np.eye(3) * 2, g=np.array([0.0, -2.0, 0.0]),
+                                 balls=(ball(0, [-1, 0, 0], 1.0),
+                                        ball(0, [1, 0, 0], 1.0)))
+            x_ref = np.zeros(3)
+        else:
+            p = qcqp.QcqpProblem(H=np.eye(3) * 2, g=np.array([-4.0, -4.0, 0.0]),
+                                 balls=(ball(0, [0, 0, 0], 1.0),),
+                                 A=np.array([[1.0, 0.0, 0.0]]),
+                                 lo=np.array([0.5]), hi=np.array([0.5]))
+            x_ref = np.array([0.5, np.sqrt(0.75), 0.0])
+        s = qcqp.solve(p)
+        assert s.status == "optimal"
+        assert s.max_violation <= 1e-6
+        assert np.abs(s.x - x_ref).max() <= 1e-3
+
+    def test_later_round_starts_from_previous_optimum(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        p, _ = with_cut_rows(rng, random_instance(rng, n_points=6))
+        starts, optima = [], []
+        inner = qcqp._solve_cones
+
+        def spy(cones, H, g, x, *args):
+            starts.append(x.copy())
+            status, x_opt, it = inner(cones, H, g, x, *args)
+            optima.append(x_opt.copy())
+            return status, x_opt, it
+
+        monkeypatch.setattr(qcqp, "_solve_cones", spy)
+        s = qcqp.solve(p, tol=1e-9)
+        assert s.status == "optimal"
+        assert len(starts) == 2
+        assert np.array_equal(starts[0], np.zeros(p.n))
+        assert np.array_equal(starts[1], optima[0])
+
+
 class TestWorkingSet:
     def test_short_steps_continue_to_optimum(self):
-        # with short steps counted as stalls, the restart after phase I
-        # stalled too and the solve ended max-iter after 6 iterations
+        # from a feasible point a short step is progress, not a stall
         p, x0 = short_step_instance()
         s = qcqp.solve(p, tol=1e-6, x0=x0)
         assert s.status == "optimal"
@@ -247,6 +333,17 @@ class TestWorkingSet:
         s = qcqp.solve(p)
         assert (s.status, s.iterations, rounds) == ("infeasible-detected",
                                                     0, [])
+
+
+def test_cone_step_stops_at_apex_when_discriminant_rounds_negative():
+    # d points back through the apex of u's cone, nearly parallel to it:
+    # B^2 - AC is 0 in exact arithmetic and rounds to -1e-20 here
+    u = np.array([[0.0036853267721421, -1.341268385071488e-10,
+                   1.6127660115293128e-10, 1.433745988699351e-10]])
+    d = np.array([[-1.3414466650974277, 4.8821722309074086e-08,
+                   -5.870414540816996e-08, -5.218787623369917e-08]])
+    step = qcqp._cone_step(u, np.zeros(0), d, np.zeros(0))
+    assert step == pytest.approx(u[0, 0] / -d[0, 0], rel=1e-6)
 
 
 class TestKktResidual:
