@@ -55,7 +55,8 @@ def _vec(text) -> np.ndarray:
     return v
 
 
-_POSITIVE = ("dt", "sample_step", "max_time", "goal_sep", "vmax", "amax")
+_POSITIVE = ("dt", "sample_step", "max_time", "goal_sep", "vmax", "amax",
+             "budget_ms", "sense", "local_range")
 _NONNEGATIVE = ("lam", "body_radius")
 
 

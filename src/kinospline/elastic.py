@@ -18,7 +18,7 @@ from . import qcqp
 from .splines import (SplineDef, blending_tables, check_feasible,
                       eval_span_many, span_stack)
 from .world import ConfigSpace, VoxelWorld
-from .kernels import collision_scan
+from .kernels import occupied
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,9 @@ def verify_safety(points, k: int, dt: float, ball_map, tube_balls,
 
     A span whose control points all sit inside one tube ball (among the
     balls of its points) is safe by the convex hull property. Anything
-    else is densely sampled (arc step of a quarter cell) against the raw
-    occupancy; spans that hit return in the report.
+    else is densely sampled (arc step of a quarter cell), and every sample
+    of every such span is looked up in the raw occupancy at once; spans
+    with an occupied sample return in the report.
     """
     points = np.asarray(points, dtype=float)
     nspan = points.shape[0] - k
@@ -267,8 +268,9 @@ def verify_safety(points, k: int, dt: float, ball_map, tube_balls,
     inside = np.linalg.norm(points[:, None, :] - centers[None, :, :],
                             axis=2) <= radii[None, :]
     listed = np.zeros_like(inside)
-    for i, bl in ball_map.items():
-        listed[i, list(bl)] = True
+    owner = [i for i, bl in ball_map.items() for _ in bl]
+    ball = [b for bl in ball_map.values() for b in bl]
+    listed[owner, ball] = True
 
     def window(mask, want_all):
         # per span and ball: all (or any) of its k+1 points satisfy mask
@@ -282,14 +284,13 @@ def verify_safety(points, k: int, dt: float, ball_map, tube_balls,
     if not unsafe.size:
         return []
     step = float(min(raw_world.cell_sizes)) / 4.0
-    occ_flat = np.ascontiguousarray(raw_world.occ.reshape(-1).astype(np.uint8))
-    spans = np.stack([points[j:j + k + 1] for j in unsafe])
-    bad = []
-    for j, pts in zip(unsafe, _span_samples(spans, dt, step)):
-        if collision_scan(pts, occ_flat, raw_world.dims, raw_world.origin,
-                          raw_world.cell_sizes) >= 0:
-            bad.append(int(j))
-    return bad
+    samples = _span_samples(np.stack([points[j:j + k + 1] for j in unsafe]),
+                            dt, step)
+    hit = occupied(np.concatenate(samples),
+                   raw_world.occ.reshape(-1).view(np.uint8), raw_world.dims,
+                   raw_world.origin, raw_world.cell_sizes)
+    first = np.cumsum([0] + [s.shape[0] for s in samples[:-1]])
+    return [int(j) for j in unsafe[np.logical_or.reduceat(hit, first)]]
 
 
 @dataclass(frozen=True, eq=False)

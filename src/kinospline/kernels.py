@@ -15,10 +15,10 @@ def numba_active() -> bool:
     return False
 
 
-def collision_scan(points, occ, dims, origin, cells):
-    """Index of the first sample whose cell is occupied, or -1.
+def occupied(points, occ, dims, origin, cells) -> np.ndarray:
+    """Per sample, whether its cell is occupied in the flat grid occ.
 
-    Samples outside the grid count as collisions (conservative).
+    Samples outside the grid count as occupied (conservative).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     c = np.floor((pts - origin) / cells).astype(np.int64)
@@ -27,5 +27,13 @@ def collision_scan(points, occ, dims, origin, cells):
     inside = c[~hit]
     hit[~hit] = occ[(inside[:, 0] * dims[1] + inside[:, 1]) * dims[2]
                     + inside[:, 2]] != 0
-    first = np.flatnonzero(hit)
+    return hit
+
+
+def collision_scan(points, occ, dims, origin, cells):
+    """Index of the first sample whose cell is occupied, or -1.
+
+    Samples outside the grid count as collisions (conservative).
+    """
+    first = np.flatnonzero(occupied(points, occ, dims, origin, cells))
     return int(first[0]) if first.size else -1

@@ -9,11 +9,24 @@ and ECOS (Domahidi, Chu & Boyd, ECC 2013). Each ball is a 4-dimensional
 second-order cone over (radius, center - point) and each finite row side
 a nonnegative slack.
 
+G is never stored as a matrix; it is applied from the cones' structure.
+A ball selects one point, so G x gathers x.reshape(-1, 3) at the ball
+points and G'z scatters the balls' duals back with one bincount over the
+flat indices 3p + axis. A row of A touches at most w coefficients (k+1
+consecutive points' coordinates on tube problems), so the rows are kept
+once per solve as padded (m, w) arrays of columns and coefficients, with
+a scale per row; the working rows' products are gathered row products
+over them, and every step runs as a few whole-array operations per cone
+family (a family without cones is skipped).
+
 Every Newton system reduces to H + G'W^-2 G: H plus a 3x3 block per ball
 point plus the rows' coupling. For the tube problems H and the rows span
 k+1 interleaved xyz points, so the matrix is banded with half-bandwidth
-3k and a banded Cholesky solves it in O(n k^2). The iteration count does
-not depend on the conditioning of H.
+3k and a banded Cholesky solves it in O(n k^2). H's band is extracted
+once per solve (the PSD check factors it), and each iteration adds the
+cones' entries to it with one bincount per family over band positions
+computed once per sub-problem. The iteration count does not depend on
+the conditioning of H.
 
 Every main iteration starts strictly feasible and centered: s = h - Gx
 inside the cones and z = mu s^-1. A start point outside the cones, or on
@@ -35,12 +48,14 @@ the whole problem, of which it is a relaxation.
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg, optimize, sparse
 
 _pbtrf, _pbtrs = linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
                                          (np.zeros((1, 1)),))
+_TRIL3 = np.tril_indices(3)     # lower entries (a, b) of a 3x3 block
 
 _STEP = 0.99          # fraction of the way to the cone boundary
 
@@ -76,37 +91,54 @@ class QcqpProblem:
     def n_rows(self) -> int:
         return 0 if self.A is None else self.A.shape[0]
 
-    def validate(self, tol: float = 1e-8) -> None:
+    @cached_property
+    def _ball_arrays(self):
+        """(points, hb): each ball's point index and its row (r, q) of h."""
+        pts = np.array([b.point for b in self.balls], dtype=np.int64)
+        hb = np.empty((pts.size, 4))
+        if pts.size:
+            hb[:, 0] = [b.radius for b in self.balls]
+            hb[:, 1:] = [b.center for b in self.balls]
+        return pts, hb
+
+    def validate(self, tol: float = 1e-8) -> np.ndarray:
+        """Raise ValueError unless the problem is well posed.
+
+        Returns H's lower band in LAPACK storage (ab[d, j] = H[j + d, j]),
+        on which the PSD check ran.
+        """
         H = self.H
         if H.shape != (self.n, self.n):
             raise ValueError("H shape does not match the decision vector")
         if self.n == 0:
-            return
-        scale = max(float(np.abs(H).max()), 1.0)
+            return np.zeros((1, 0))
+        # every entry of H's lower triangle lies in its band
+        ab = _lower_band(H)
+        scale = max(float(np.abs(ab).max()), 1.0)
         if np.abs(H - H.T).max() > 1e-10 * scale:
             raise ValueError("H must be symmetric")
         # H + tol*scale*I factors exactly when H's smallest eigenvalue
         # exceeds -tol*scale (up to roundoff)
-        ab = _lower_band(H, _bandwidth(H))
-        ab[0] += tol * scale
-        _, info = _pbtrf(ab, lower=1)
+        shifted = ab.copy()
+        shifted[0] += tol * scale
+        _, info = _pbtrf(shifted, lower=1, overwrite_ab=1)
         if info != 0:
             raise ValueError("H is not PSD")
-        for b in self.balls:
-            if b.radius <= 0:
-                raise ValueError("ball radii must be positive")
-            if not (0 <= 3 * b.point + 2 < self.n):
-                raise ValueError("ball point index out of range")
+        pts, hb = self._ball_arrays
+        if np.any(hb[:, 0] <= 0):
+            raise ValueError("ball radii must be positive")
+        if np.any((3 * pts + 2 < 0) | (3 * pts + 2 >= self.n)):
+            raise ValueError("ball point index out of range")
+        return ab
 
     def violation(self, x) -> float:
         """Largest constraint violation at x (0 when feasible)."""
         v = 0.0
-        if self.balls:
-            pts = np.array([b.point for b in self.balls])
-            ctr = np.array([b.center for b in self.balls], dtype=float)
-            rad = np.array([b.radius for b in self.balls], dtype=float)
-            d = np.linalg.norm(np.asarray(x).reshape(-1, 3)[pts] - ctr, axis=1)
-            v = float(np.max(d - rad))
+        pts, hb = self._ball_arrays
+        if pts.size:
+            d = np.linalg.norm(np.asarray(x).reshape(-1, 3)[pts] - hb[:, 1:],
+                               axis=1)
+            v = float(np.max(d - hb[:, 0]))
         if self.n_rows:
             ax = self.A @ x
             v = max(v, float(np.max(ax - self.hi)), float(np.max(self.lo - ax)))
@@ -125,17 +157,13 @@ class QcqpSolution:
     status: str
 
 
-def _bandwidth(H) -> int:
-    """Lower bandwidth of a symmetric matrix."""
+def _lower_band(H) -> np.ndarray:
+    """H's lower band in LAPACK storage, ab[d, j] = H[j + d, j], for d up
+    to its lower bandwidth."""
+    n = H.shape[0]
     nz = H != 0
     first = np.argmax(nz, axis=1)
-    rows = np.flatnonzero(nz.any(axis=1))
-    return int(np.max(rows - first[rows], initial=0))
-
-
-def _lower_band(H, bw: int) -> np.ndarray:
-    """LAPACK lower band storage: ab[d, j] = H[j + d, j]."""
-    n = H.shape[0]
+    bw = int(np.max(np.arange(n) - first, where=nz.any(axis=1), initial=0))
     ab = np.zeros((bw + 1, n))
     for d in range(bw + 1):
         ab[d, :n - d] = np.diagonal(H, -d)
@@ -143,40 +171,44 @@ def _lower_band(H, bw: int) -> np.ndarray:
 
 
 class _Rows:
-    """The linear rows of a problem, cleaned and normalized once per solve.
+    """The linear rows of a problem as padded arrays, built once per solve.
 
-    A holds the problem's coefficients (explicit zeros dropped) for the
-    exact row test; A_s, lo_s and hi_s are the rows scaled to unit largest
-    coefficient. A row without coefficients is the fixed number 0:
-    `violated` says that such a row breaks its bounds, which makes the
-    problem infeasible before any step is taken.
+    Row i holds its stored coefficients coef[i] (duplicates summed) on
+    the ascending columns cols[i], both of shape (m, w) with w the longest
+    row; on tube problems w = k+1. A shorter row is padded with
+    coefficient 0 on its last column, so its padding adds nothing to a
+    product and stays inside the row's band. rs scales each row to unit
+    largest coefficient, as the working rows enter the cones. A row whose
+    coefficients are all zero is the fixed number 0: `violated` says that
+    such a row breaks its bounds, which makes the problem infeasible
+    before any step is taken.
     """
 
     def __init__(self, p: QcqpProblem):
         m = p.n_rows
         A = sparse.csr_matrix(p.A if m else (0, p.n), dtype=float)
-        A.eliminate_zeros()
-        A.sort_indices()
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
         rnnz = np.diff(A.indptr)
-        empty = rnnz == 0
-        amax = np.ones(m)
-        starts = A.indptr[:-1][~empty]
-        if starts.size:
-            amax[~empty] = np.maximum.reduceat(np.abs(A.data), starts)
-        rs = 1.0 / amax
-        self.A = A
-        self.A_s = sparse.csr_matrix((A.data * np.repeat(rs, rnnz),
-                                      A.indices, A.indptr), shape=A.shape)
+        # gathered as (w, m) and kept transposed, so that per-row work
+        # runs along m; padding repeats the row's last stored entry
+        pos = np.arange(int(rnnz.max(initial=0)))[:, None]
+        src = A.indptr[:-1] + np.minimum(pos, rnnz - 1)
+        self.cols = A.indices[src].T
+        self.coef = np.where(pos < rnnz, A.data[src], 0.0).T
+        amax = np.abs(self.coef).max(axis=1, initial=0.0)
+        empty = amax == 0.0
+        amax[empty] = 1.0
+        self.rs = 1.0 / amax
         self.lo = np.asarray(p.lo, dtype=float) if m else np.zeros(0)
         self.hi = np.asarray(p.hi, dtype=float) if m else np.zeros(0)
-        self.lo_s = self.lo * rs
-        self.hi_s = self.hi * rs
-        self.violated = bool(np.any(empty & ((self.lo_s > 0.0)
-                                             | (self.hi_s < 0.0))))
+        self.violated = bool(np.any(empty & ((self.lo > 0.0)
+                                             | (self.hi < 0.0))))
 
     def broken(self, x) -> np.ndarray:
         """Rows with a.x outside [lo, hi], tested exactly."""
-        ax = self.A @ x
+        ax = np.einsum("ij,ij->i", self.coef, x[self.cols])
         return np.flatnonzero((ax < self.lo) | (ax > self.hi))
 
 
@@ -184,94 +216,68 @@ class _Cones:
     """The balls and the working rows as G x + s = h, s in a product cone.
 
     Ball j on point p is the second-order cone s = (r_j, q_j - x_p) of
-    size 4; a finite side of a working row is the slack s = hi - a'x or
-    a'x - lo of the row normalized to unit largest coefficient. The
-    x-dependent rows of G (three per ball, then one per row side) form
-    one sparse matrix.
+    size 4, so its rows of G select x_p: G x gathers x.reshape(-1, 3) at
+    the ball points, and G'z scatters the balls' z back with one bincount
+    over the flat indices 3p + axis. A finite side of a working row is
+    the slack s = hi - a'x or a'x - lo of the row normalized to unit
+    largest coefficient; the sides keep the padded (ml, w) columns and
+    signed coefficients of their rows, so G x is one gathered row product
+    and G'z joins the balls' bincount.
 
-    The normal matrix H + G' Phi G is assembled in lower band storage by
-    one sparse product Q [d; Phi_b] over a precomputed scatter Q: a
-    column per working row holding its coefficient pairs, and a column
-    per lower entry of a ball's 3x3 block.
+    The normal matrix H + G' Phi G is assembled in lower band storage:
+    H's band plus one bincount per cone family over flat band indices
+    d * n + j computed here, a ball adding the lower entries of its 3x3
+    block and a working row its coefficient pairs v_i v_j at (c_i - c_j,
+    c_j) times its summed side weights.
     """
 
-    def __init__(self, p: QcqpProblem, rows: _Rows, work, bw_h: int):
+    def __init__(self, p: QcqpProblem, rows: _Rows, work, h_band):
         n = p.n
         self.n = n
-        nb = len(p.balls)
+        pts, hb = p._ball_arrays
+        nb = pts.size
         self.nb = nb
-        pts = np.array([b.point for b in p.balls], dtype=np.int64)
         self.ball_pts = pts
-        self.hb = np.empty((nb, 4))
-        if nb:
-            self.hb[:, 0] = [b.radius for b in p.balls]
-            self.hb[:, 1:] = [b.center for b in p.balls]
+        self.hb = hb
+        # G'z's index per ball entry: 3p + axis, and n (dropped) for the
+        # radius entry, which no x enters
+        ball_idx = np.where(np.arange(4) == 0, n,
+                            3 * pts[:, None] + np.arange(-1, 3)).reshape(-1)
 
         # the working rows; none of them is empty (an empty row that holds
         # is never broken, one that does not ends the solve up front)
-        A = rows.A_s[work]
-        hi, lo = rows.hi_s[work], rows.lo_s[work]
-        mrows = A.shape[0]
-        rnnz = np.diff(A.indptr)
+        rs = rows.rs[work]
+        cols, coef = rows.cols[work], rows.coef[work] * rs[:, None]
+        hi, lo = rows.hi[work] * rs, rows.lo[work] * rs
+        self.mrows = work.size
         up = np.flatnonzero(np.isfinite(hi))
         dn = np.flatnonzero(np.isfinite(lo))
-        lp_row = np.concatenate([up, dn])
-        lp_sign = np.concatenate([np.ones(up.size), -np.ones(dn.size)])
+        self.lp_row = np.concatenate([up, dn])
+        self.side_cols = cols[self.lp_row]
+        self.side_coef = np.concatenate([coef[up], -coef[dn]])
         self.hl = np.concatenate([hi[up], -lo[dn]])
-        self.ml = lp_row.size
+        self.ml = self.lp_row.size
         self.degree = nb + self.ml
+        self.gt_idx = np.concatenate([ball_idx, self.side_cols.reshape(-1)])
         # the scale of h, against which primal residuals are measured
-        self.h_norm = max(1.0, float(np.abs(self.hb).max(initial=0.0)),
+        self.h_norm = max(1.0, float(np.abs(hb).max(initial=0.0)),
                           float(np.abs(self.hl).max(initial=0.0)))
 
-        # G's x rows: ball selectors, then the signed row sides
-        side_len = rnnz[lp_row]
-        src = (np.repeat(A.indptr[lp_row] - np.cumsum(side_len) + side_len,
-                         side_len) + np.arange(side_len.sum()))
-        self.G = sparse.csr_matrix(
-            (np.concatenate([np.ones(3 * nb),
-                             A.data[src] * np.repeat(lp_sign, side_len)]),
-             np.concatenate([(3 * pts[:, None] + np.arange(3)).reshape(-1),
-                             A.indices[src]]),
-             np.concatenate([np.arange(3 * nb),
-                             3 * nb + np.cumsum(np.concatenate([[0], side_len]))])),
-            shape=(3 * nb + self.ml, n))
-        self.Gt = self.G.T
-        self.nb3 = 3 * nb
-
-        # the normal matrix in band storage: one column of Q per row
-        # (entry v_i v_j at band position (c_i - c_j, c_j) for each pair
-        # i >= j of its coefficients) and one per lower ball-block entry
-        rmax = int(rnnz.max(initial=0))
-        bw_rows = 0
-        if mrows:
-            bw_rows = int(np.max(A.indices[A.indptr[1:] - 1]
-                                 - A.indices[A.indptr[:-1]]))
-        self.bw = max(bw_h, 2 if nb else 0, bw_rows)
-        pos = np.arange(A.nnz) - np.repeat(A.indptr[:-1], rnnz)
-        row_of = np.repeat(np.arange(mrows), rnnz)
-        pc = np.zeros((mrows, rmax), dtype=np.int64)
-        pv = np.zeros((mrows, rmax))
-        pc[row_of, pos] = A.indices
-        pv[row_of, pos] = A.data
-        ii, jj = np.tril_indices(rmax)
-        a, b = np.tril_indices(3)
-        self.ball_ab = (a + 1, b + 1)
-        ball_flat = ((a - b)[None, :] * n
-                     + 3 * pts[:, None] + b[None, :]).reshape(-1)
-        row_flat = np.where(ii < rnnz[:, None],
-                            (pc[:, ii] - pc[:, jj]) * n + pc[:, jj], 0)
-        npair = ii.size
+        # the normal matrix's band: H's, widened to the balls' 3x3 blocks
+        # and the working rows' column spans
+        bw_h = h_band.shape[0] - 1
+        self.bw = max(bw_h, 2 if nb else 0,
+                      int(np.max(cols - cols[:, :1], initial=0)))
+        self.h_band = np.zeros((self.bw + 1, n))
+        self.h_band[:bw_h + 1] = h_band
         self.band_size = (self.bw + 1) * n
-        self.Q = sparse.csc_matrix(
-            (np.concatenate([(pv[:, ii] * pv[:, jj]).reshape(-1),
-                             np.ones(6 * nb)]),
-             np.concatenate([row_flat.reshape(-1), ball_flat]),
-             np.concatenate([npair * np.arange(mrows),
-                             npair * mrows + np.arange(6 * nb + 1)])),
-            shape=(self.band_size, mrows + 6 * nb))
-        self.lp_row = lp_row
-        self.mrows = mrows
+        a, b = _TRIL3
+        self.ball_flat = ((a - b) * n + 3 * pts[:, None] + b).reshape(-1)
+        if self.mrows:
+            ii, jj = np.tril_indices(cols.shape[1])
+            self.row_flat = ((cols[:, ii] - cols[:, jj]) * n
+                             + cols[:, jj]).reshape(-1)
+            self.row_pair = coef[:, ii] * coef[:, jj]
 
     def relaxed(self, tau):
         """These cones with every constraint loosened by tau (h + tau e)."""
@@ -283,25 +289,38 @@ class _Cones:
 
     # G and G' applied to cone-shaped data
     def g_x(self, x):
-        y = self.G @ x
         gb = np.zeros((self.nb, 4))
-        gb[:, 1:] = y[:self.nb3].reshape(-1, 3)
-        return gb, y[self.nb3:]
+        gb[:, 1:] = x.reshape(-1, 3)[self.ball_pts]
+        if not self.ml:
+            return gb, np.zeros(0)
+        return gb, np.einsum("ij,ij->i", self.side_coef, x[self.side_cols])
 
     def gt_z(self, zb, zl):
-        return self.Gt @ np.concatenate([zb[:, 1:].reshape(-1), zl])
+        w = zb.reshape(-1)
+        if self.ml:
+            w = np.concatenate([w, (self.side_coef * zl[:, None]).reshape(-1)])
+        return np.bincount(self.gt_idx, weights=w, minlength=self.n + 1)[:-1]
 
     def normal_band(self, base, phib, dl):
         """Lower band of base + G' Phi G for ball blocks phib, LP diag dl."""
-        d_row = np.bincount(self.lp_row, weights=dl, minlength=self.mrows)
-        add = self.Q @ np.concatenate(
-            [d_row, phib[:, self.ball_ab[0], self.ball_ab[1]].reshape(-1)])
-        return base + add.reshape(self.bw + 1, self.n)
+        a, b = _TRIL3
+        band = base.reshape(-1) + np.bincount(
+            self.ball_flat, weights=phib[:, 1:, 1:][:, a, b].reshape(-1),
+            minlength=self.band_size)
+        if self.mrows:
+            d_row = np.bincount(self.lp_row, weights=dl, minlength=self.mrows)
+            band += np.bincount(self.row_flat,
+                                weights=(self.row_pair
+                                         * d_row[:, None]).reshape(-1),
+                                minlength=self.band_size)
+        return band.reshape(self.bw + 1, self.n)
 
 
 # second-order cone algebra, vectorized over rows of (m, 4) arrays
 
 _J = np.array([1.0, -1.0, -1.0, -1.0])
+_E = np.array([1.0, 0.0, 0.0, 0.0])     # the cone's identity element
+_EYE_J = np.diag(_J)
 
 def _soc_det(u):
     return np.einsum("ij,ij->i", u, u * _J)
@@ -327,20 +346,17 @@ def _soc_min_eig(u):
     return u[:, 0] - np.linalg.norm(u[:, 1:], axis=1)
 
 
-def _max_step(sb, sl, zb, zl, dsb, dsl, dzb, dzl) -> float:
-    """Largest a keeping both s + a ds and z + a dz in the cone."""
-    return _cone_step(np.concatenate([sb, zb]), np.concatenate([sl, zl]),
-                      np.concatenate([dsb, dzb]), np.concatenate([dsl, dzl]))
-
-
-def _cone_step(ub, ul, db, dl) -> float:
+def _cone_step(ub, det_u, ul, db, dl) -> float:
     """Largest a with u + a d in the cone (inf when unbounded).
 
-    Per second-order cone, u + a d leaves the cone at the smallest
-    positive root of f(a) = det(u + a d) = A a^2 + 2 B a + C (C > 0): the
+    det_u holds the determinants of u's second-order cones. Per cone,
+    u + a d leaves the cone at the smallest positive root of f(a) =
+    det(u + a d) = A a^2 + 2 B a + C (C = det u > 0): the
     cancellation-free C / (sqrt(B^2 - A C) - B), which exists when A < 0
-    or B < 0. (With A >= 0 and B < 0, d points into the past cone and the
-    discriminant is nonnegative; roundoff can make it negative when u
+    or B < 0. Its reciprocal (sqrt(B^2 - A C) - B) / C is taken over
+    every cone, since it is at most 0 for a cone without a root (A >= 0
+    and B >= 0). (With A >= 0 and B < 0, d points into the past cone and
+    the discriminant is nonnegative; roundoff can make it negative when u
     and d are nearly parallel, so it is clipped at 0, never read as "no
     root": that would let u + a d cross the apex into -K, where det > 0.)
     """
@@ -349,42 +365,45 @@ def _cone_step(ub, ul, db, dl) -> float:
         jd = db * _J
         qa = np.einsum("ij,ij->i", db, jd)
         qb = np.einsum("ij,ij->i", ub, jd)
-        qc = np.einsum("ij,ij->i", ub, ub * _J)
-        disc = qb * qb - qa * qc
-        hit = (qa < 0.0) | (qb < 0.0)
-        if hit.any():
-            inv = float(np.max((np.sqrt(np.maximum(disc[hit], 0.0))
-                                - qb[hit]) / qc[hit]))
+        inv = float(np.max((np.sqrt(np.maximum(qb * qb - qa * det_u, 0.0))
+                            - qb) / det_u))
     if ul.size:
         inv = max(inv, float(np.max(-dl / ul)))
     return np.inf if inv <= 0.0 else 1.0 / inv
 
 
 class _Scaling:
-    """Nesterov-Todd scaling W at (s, z) with lam = W z = W^-1 s."""
+    """Nesterov-Todd scaling W at (s, z) with lam = W z = W^-1 s.
 
-    def __init__(self, sb, zb, sl, zl):
+    ub stacks the balls' s over their z, (2 nb, 4), with the cone
+    determinants det_u; ul stacks the row sides' s over their z.
+    """
+
+    def __init__(self, ub, det_u, ul):
         J = _J
-        sn = np.sqrt(_soc_det(sb))
-        zn = np.sqrt(_soc_det(zb))
-        s_ = sb / sn[:, None]
-        z_ = zb / zn[:, None]
+        nb, ml = ub.shape[0] // 2, ul.size // 2
+        nrm = np.sqrt(det_u)
+        sn, zn = nrm[:nb], nrm[nb:]
+        u_ = ub / nrm[:, None]
+        s_, z_ = u_[:nb], u_[nb:]
         gam = np.sqrt(0.5 * (1.0 + np.einsum("ij,ij->i", s_, z_)))
         wb = (s_ + J * z_) / (2.0 * gam)[:, None]
-        v = wb.copy()
-        v[:, 0] += 1.0
-        v /= np.sqrt(2.0 * (wb[:, 0] + 1.0))[:, None]
+        v = wb + _E
+        v /= np.sqrt(2.0 * v[:, :1])
         beta = np.sqrt(sn / zn)
         jv = J * v
-        eye_j = np.diag(J)
         self.W = beta[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :]
-                                        - eye_j)
+                                        - _EYE_J)
         self.Winv = (2.0 * jv[:, :, None] * jv[:, None, :]
-                     - eye_j) / beta[:, None, None]
+                     - _EYE_J) / beta[:, None, None]
         self.phib = self.Winv @ self.Winv
-        self.lamb = np.einsum("ijk,ik->ij", self.W, zb)
-        self.wl = np.sqrt(sl / zl)
-        self.laml = np.sqrt(sl * zl)
+        self.lamb = np.einsum("ijk,ik->ij", self.W, ub[nb:])
+        self.wl = self.dl = self.laml = ul[:0]
+        if ml:
+            sl, zl = ul[:ml], ul[ml:]
+            self.wl = np.sqrt(sl / zl)
+            self.dl = 1.0 / self.wl ** 2    # the rows' diagonal of W^-2
+            self.laml = np.sqrt(sl * zl)
 
 
 def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
@@ -407,38 +426,48 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
     other t).
 
     Both runs start primal feasible, so every step keeps feasibility and
-    makes progress, however short.
+    makes progress, however short. Each family keeps its s stacked over
+    its z (balls (2 nb, 4), row sides (2 ml,)), so a step moves both in
+    one operation; the row sides' work is skipped when there are none.
     """
-    nb = cones.nb
+    nb, ml = cones.nb, cones.ml
     m = cones.degree
     hb, hl = cones.hb, cones.hl
     t = border
     q_norm = max(1.0, float(np.abs(q).max(initial=0.0)))
     h_norm = cones.h_norm
-    e_b = np.zeros((nb, 4))
-    e_b[:, 0] = 1.0
+    ub = np.concatenate([sb, zb])
+    ul = np.concatenate([sl, zl])
     it = 0
     while True:
+        sb, zb, sl, zl = ub[:nb], ub[nb:], ul[:ml], ul[ml:]
         gb, gl = cones.g_x(x)
         if t is not None:
             gb[:, 0] -= t
-            gl = gl - t
         rzb = gb + sb - hb
-        rzl = gl + sl - hl
         grad = P_apply(x) + q
         rx = grad + cones.gt_z(zb, zl)
-        rt = (1.0 - zb[:, 0].sum() - zl.sum()) if t is not None else 0.0
-        mu = float(np.sum(sb * zb) + sl @ zl) / m
-        pres = max(float(np.abs(rzb).max(initial=0.0)),
-                   float(np.abs(rzl).max(initial=0.0))) / h_norm
-        dres = max(float(np.abs(rx).max(initial=0.0)), abs(rt)) / q_norm
-        gap_ref = tol_gap * (1.0 + float(np.abs(grad).max()))
-
         # every complementarity product, not just their mean, must be
         # small: a constraint left between active and inactive skews the
         # recovered multipliers
-        comp = max(float(np.max(np.einsum("ij,ij->i", sb, zb), initial=0.0)),
-                   float(np.max(sl * zl, initial=0.0)))
+        szb = np.einsum("ij,ij->i", sb, zb)
+        gap = float(szb.sum())
+        comp = float(szb.max(initial=0.0))
+        pres = float(np.abs(rzb).max(initial=0.0))
+        z_mass = float(zb[:, 0].sum())
+        rzl = gl
+        if ml:
+            rzl = (gl if t is None else gl - t) + sl - hl
+            szl = sl * zl
+            gap += float(szl.sum())
+            comp = max(comp, float(szl.max()))
+            pres = max(pres, float(np.abs(rzl).max()))
+            z_mass += float(zl.sum())
+        mu = gap / m
+        pres /= h_norm
+        rt = 1.0 - z_mass if t is not None else 0.0
+        dres = max(float(np.abs(rx).max(initial=0.0)), abs(rt)) / q_norm
+        gap_ref = tol_gap * (1.0 + float(np.abs(grad).max()))
 
         def within(f):
             return comp <= f * gap_ref and pres <= f * tol_feas \
@@ -454,34 +483,37 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
             return ("optimal",) + out
         stall = ("optimal" if not phase1 and within(100.0)
                  else "stall",) + out
-        if min(float(np.min(_soc_det(sb), initial=1.0)),
-               float(np.min(_soc_det(zb), initial=1.0))) <= 0:
+        det_u = _soc_det(ub)
+        if float(np.min(det_u, initial=1.0)) <= 0:
             return stall
         if it >= max_iter:
             return ("max-iter",) + out
 
-        sc = _Scaling(sb, zb, sl, zl)
-        ab = cones.normal_band(P_band, sc.phib, 1.0 / sc.wl ** 2)
+        sc = _Scaling(ub, det_u, ul)
+        ab = cones.normal_band(P_band, sc.phib, sc.dl)
         chol, info = _pbtrf(ab, lower=1)
         if info != 0 or not np.all(np.isfinite(chol)):
             return stall
         it += 1
         if t is not None:
             # t's column of G is -e: Phi (-e) per cone
-            k_xt = cones.gt_z(-sc.phib[:, :, 0], -1.0 / sc.wl ** 2)
-            k_tt = float(sc.phib[:, 0, 0].sum() + (1.0 / sc.wl ** 2).sum())
+            k_xt = cones.gt_z(-sc.phib[:, :, 0], -sc.dl)
+            k_tt = float(sc.phib[:, 0, 0].sum() + sc.dl.sum())
             y2, _ = _pbtrs(chol, k_xt, lower=1)
             schur = k_tt - k_xt @ y2
+        # Phi rz, shared by both Newton solves
+        prz_b = np.einsum("ijk,ik->ij", sc.phib, rzb)
+        prz_l = rzl * sc.dl
 
-        def newton(u_b, u_l):
-            """(dx, dt, ds, dz) solving the linearized KKT system.
+        def newton(v_b, v_l):
+            """(dx, dt, d_b, d_l) solving the linearized KKT system.
 
             G dx + ds = -rz, P dx + G'dz = -rx and, in scaled space,
-            W^-1 ds + W dz = u, so lam o (W^-1 ds + W dz) = lam o u.
+            W^-1 ds + W dz = u, so lam o (W^-1 ds + W dz) = lam o u;
+            v = W^-1 u is given. d_b and d_l stack ds over dz.
             """
-            tb = np.einsum("ijk,ik->ij", sc.Winv, u_b) \
-                + np.einsum("ijk,ik->ij", sc.phib, rzb)
-            tl = u_l / sc.wl + rzl / sc.wl ** 2
+            tb = v_b + prz_b
+            tl = v_l + prz_l
             dx, _ = _pbtrs(chol, -rx - cones.gt_z(tb, tl), lower=1)
             dt = 0.0
             if t is not None:
@@ -491,30 +523,34 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
             gdb, gdl = cones.g_x(dx)
             if t is not None:
                 gdb[:, 0] -= dt
-                gdl = gdl - dt
-            dzb = np.einsum("ijk,ik->ij", sc.phib, gdb) + tb
-            dzl = gdl / sc.wl ** 2 + tl
-            return dx, dt, -rzb - gdb, -rzl - gdl, dzb, dzl
+            d_b = np.concatenate([-rzb - gdb,
+                                  np.einsum("ijk,ik->ij", sc.phib, gdb) + tb])
+            d_l = gdl
+            if ml:
+                gdl = gdl if t is None else gdl - dt
+                d_l = np.concatenate([-rzl - gdl, gdl * sc.dl + tl])
+            return dx, dt, d_b, d_l
 
-        # predictor: drive lam o lam to zero
-        dx, dt, dsb, dsl, dzb, dzl = newton(-sc.lamb, -sc.laml)
-        a_aff = min(1.0, _max_step(sb, sl, zb, zl, dsb, dsl, dzb, dzl))
+        # predictor: drive lam o lam to zero (u = -lam, W^-1 u = -z)
+        dx, dt, d_b, d_l = newton(-zb, -zl)
+        a_aff = min(1.0, _cone_step(ub, det_u, ul, d_b, d_l))
         sigma = (1.0 - a_aff) ** 3
         # corrector: centering plus the second-order term, scaled space
-        dsb_t = np.einsum("ijk,ik->ij", sc.Winv, dsb)
-        dzb_t = np.einsum("ijk,ik->ij", sc.W, dzb)
-        u_b = -sc.lamb + _soc_div(sc.lamb, sigma * mu * e_b
-                                  - _soc_prod(dsb_t, dzb_t))
-        u_l = -sc.laml + (sigma * mu - (dsl / sc.wl) * (dzl * sc.wl)) \
-            / sc.laml
-        dx, dt, dsb, dsl, dzb, dzl = newton(u_b, u_l)
-        alpha = min(1.0, _STEP * _max_step(sb, sl, zb, zl,
-                                           dsb, dsl, dzb, dzl))
+        dsb_t = np.einsum("ijk,ik->ij", sc.Winv, d_b[:nb])
+        dzb_t = np.einsum("ijk,ik->ij", sc.W, d_b[nb:])
+        v_b = np.einsum("ijk,ik->ij", sc.Winv,
+                        _soc_div(sc.lamb, sigma * mu * _E
+                                 - _soc_prod(dsb_t, dzb_t))) - zb
+        v_l = zl
+        if ml:
+            v_l = (sigma * mu - (d_l[:ml] / sc.wl) * (d_l[ml:] * sc.wl)) \
+                / (sc.laml * sc.wl) - zl
+        dx, dt, d_b, d_l = newton(v_b, v_l)
+        alpha = min(1.0, _STEP * _cone_step(ub, det_u, ul, d_b, d_l))
         x = x + alpha * dx
-        sb = sb + alpha * dsb
-        sl = sl + alpha * dsl
-        zb = zb + alpha * dzb
-        zl = zl + alpha * dzl
+        ub = ub + alpha * d_b
+        if ml:
+            ul = ul + alpha * d_l
         if t is not None:
             t = t + alpha * dt
 
@@ -544,7 +580,7 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
     within the primal tolerance of their boundary, runs phase I first. x0
     must be a finite vector of length n.
     """
-    p.validate()
+    h_band = p.validate()
     n = p.n
     if x0 is None:
         x = np.zeros(n)
@@ -560,14 +596,13 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
                             "infeasible-detected")
     H = np.asarray(p.H, dtype=float)
     g = np.asarray(p.g, dtype=float)
-    bw_h = _bandwidth(H)
     tol_gap = 1e-4 * max(tol, 1e-7)
     tol_feas = min(tol, feas_tol) * 1e-2
 
     work = np.zeros(0, dtype=np.int64)
     total = 0
     while True:
-        cones = _Cones(p, rows, work, bw_h)
+        cones = _Cones(p, rows, work, h_band)
         status, x, it = _solve_cones(cones, H, g, x, tol_gap, tol_feas,
                                      feas_tol, max_iter - total)
         total += it
@@ -602,7 +637,7 @@ def _solve_cones(cones: _Cones, H, g, x, tol_gap, tol_feas, feas_tol,
     if cones.degree == 0:
         x = linalg.lstsq(H, -g, lapack_driver="gelsd")[0]
         return "optimal", x, 1
-    H_band = _lower_band(H, cones.bw)
+    H_band = cones.h_band
     nb, ml = cones.nb, cones.ml
     gb, gl = cones.g_x(x)
     sb, sl = cones.hb - gb, cones.hl - gl

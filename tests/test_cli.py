@@ -183,6 +183,9 @@ def test_cli_error_paths(tmp_path):
     ["--lam", "nan"],
     ["--body-radius", "-0.1"],
     ["--body-radius", "inf"],
+    ["--budget-ms", "nan"],
+    ["--budget-ms", "0"],
+    ["--budget-ms", "-1"],
 ])
 def test_malformed_plan_input_exits_1(small_map, tmp_path, capsys, extra):
     argv = ["plan", "--map", str(small_map), "--start", "0.9 3.0 1.0",
@@ -195,6 +198,12 @@ def test_malformed_plan_input_exits_1(small_map, tmp_path, capsys, extra):
 @pytest.mark.parametrize("cmd, extra", [
     ("replan", ["--max-time", "0"]),
     ("replan", ["--max-time", "nan"]),
+    ("replan", ["--sense", "nan"]),
+    ("replan", ["--sense", "0"]),
+    ("replan", ["--sense", "-1"]),
+    ("replan", ["--local-range", "nan"]),
+    ("replan", ["--local-range", "0"]),
+    ("replan", ["--local-range", "-1"]),
     ("suite", ["--goal-sep", "-1"]),
 ])
 def test_malformed_numbers_exit_1_before_any_work(small_map, tmp_path, capsys,

@@ -195,6 +195,25 @@ class TestAssemble:
             assert np.abs(ex_a).max() <= 4.7 + 1e-6
 
 
+def verify_span_by_span(points, k, dt, ball_map, tube_balls, w):
+    """verify_safety's report from a loop: a span is certified by a ball of
+    its points that holds all of them, else its samples are scanned alone."""
+    centers, radii = tube_balls
+    occ = w.occ.reshape(-1).astype(np.uint8)
+    step = float(min(w.cell_sizes)) / 4.0
+    bad = []
+    for j in range(points.shape[0] - k):
+        span = points[j:j + k + 1]
+        listed = {b for i in range(j, j + k + 1) for b in ball_map.get(i, ())}
+        if any(np.all(np.linalg.norm(span - centers[b], axis=1) <= radii[b])
+               for b in listed):
+            continue
+        samples = el._span_samples(span[None], dt, step)[0]
+        if collision_scan(samples, occ, w.dims, w.origin, w.cell_sizes) >= 0:
+            bad.append(j)
+    return bad
+
+
 class TestVerifySafety:
     def test_span_inside_single_ball_safe(self):
         w = open_world()
@@ -342,3 +361,74 @@ class TestRefine:
             assert collision_scan(np.ascontiguousarray(pos), occf, w.dims,
                                   w.origin, w.cell_sizes) == -1
             assert res.inserted <= 9 * len(cells)
+
+
+class TestBatchedScan:
+    """verify_safety scans every uncertified span's samples at once; its
+    report must match the span-by-span loop."""
+
+    K, DT, CELL = 5, 0.25, 0.25
+    # 12 collinear control points 0.8 m apart: 7 spans, each sweeping
+    # 0.8 m of x, along the cell centres y = z = 0.625
+    POINTS = np.column_stack([1.0 + 0.8 * np.arange(12), np.full(12, 0.625),
+                              np.full(12, 0.625)])
+    NO_BALLS = (np.zeros((0, 3)), np.zeros(0))
+
+    def samples(self, j):
+        step = self.CELL / 4.0
+        return el._span_samples(self.POINTS[j:j + self.K + 1][None], self.DT,
+                                step)[0]
+
+    def world(self, origin_x, occupied_x=None, nx=48):
+        """A 1-cell-thick row of cells along x from origin_x; the cell
+        holding x = occupied_x (if any) is occupied."""
+        occ = np.zeros((nx, 4, 4), dtype=bool)
+        if occupied_x is not None:
+            occ[int(np.floor((occupied_x - origin_x) / self.CELL)), 2, 2] = True
+        return wd.VoxelWorld(np.array([nx, 4, 4]), np.full(3, self.CELL),
+                             np.array([origin_x, 0.0, 0.0]), occ)
+
+    def check(self, w, ball_map=None, tube_balls=None):
+        ball_map = {} if ball_map is None else ball_map
+        tube_balls = self.NO_BALLS if tube_balls is None else tube_balls
+        bad = el.verify_safety(self.POINTS, self.K, self.DT, ball_map,
+                               tube_balls, w)
+        assert bad == verify_span_by_span(self.POINTS, self.K, self.DT,
+                                          ball_map, tube_balls, w)
+        return bad
+
+    def test_free_row_reports_nothing(self):
+        assert self.check(self.world(0.0)) == []
+
+    def test_hit_at_first_sample_only(self):
+        x0 = self.samples(0)[0, 0]
+        # the cell ends 1e-6 past the first sample, so no later sample
+        # of the curve lies in it
+        w = self.world(x0 + 1e-6 - 4 * self.CELL, occupied_x=x0)
+        assert self.samples(0)[1, 0] > x0 + 1e-6
+        assert self.check(w) == [0]
+
+    def test_hit_at_last_sample_only(self):
+        x1 = self.samples(6)[-1, 0]
+        # the cell starts 1e-6 before the last sample
+        w = self.world(x1 - 1e-6 - 30 * self.CELL, occupied_x=x1)
+        assert self.samples(6)[-2, 0] < x1 - 1e-6
+        assert self.check(w) == [6]
+
+    def test_samples_outside_the_grid(self):
+        # the grid ends inside span 4's sweep: spans 4, 5 and 6 leave it
+        end = self.samples(4)[8, 0]
+        w = self.world(end - 30 * self.CELL, nx=30)
+        assert self.check(w) == [4, 5, 6]
+
+    def test_only_last_uncertified_span_hits(self):
+        # one ball holds the last 7 points, so spans 5 and 6 are
+        # certified; the obstacle sits in the middle of span 4's sweep
+        last = self.POINTS[-7:]
+        tube = (last.mean(axis=0)[None], np.array([2.5]))
+        ball_map = {i: (0,) for i in range(5, 12)}
+        mid = self.samples(4)
+        w = self.world(0.0, occupied_x=mid[mid.shape[0] // 2, 0])
+        assert self.check(w, ball_map, tube) == [4]
+        # without the ball the obstacle is still span 4's alone
+        assert self.check(w) == [4]

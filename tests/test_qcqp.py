@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from kinospline import qcqp
 
@@ -342,7 +343,7 @@ def test_cone_step_stops_at_apex_when_discriminant_rounds_negative():
                    1.6127660115293128e-10, 1.433745988699351e-10]])
     d = np.array([[-1.3414466650974277, 4.8821722309074086e-08,
                    -5.870414540816996e-08, -5.218787623369917e-08]])
-    step = qcqp._cone_step(u, np.zeros(0), d, np.zeros(0))
+    step = qcqp._cone_step(u, qcqp._soc_det(u), np.zeros(0), d, np.zeros(0))
     assert step == pytest.approx(u[0, 0] / -d[0, 0], rel=1e-6)
 
 
@@ -398,3 +399,101 @@ class TestKktResidual:
         p = qcqp.QcqpProblem(H=np.eye(3), g=np.zeros(3), balls=())
         with pytest.raises(ValueError):
             qcqp.kkt_residual(p, np.zeros(4))
+
+
+def structured_instance(rng, a_kind):
+    """A problem with a banded H, two balls on point 0, and rows of every
+    kind: two-sided, one-sided, free on both sides, and (sparse) of
+    differing lengths with one row stored unsorted with a duplicate."""
+    n_points = 8
+    n = 3 * n_points
+    H = np.zeros((n, n))
+    for d in range(4):
+        v = rng.normal(size=n - d) * (0.1 if d else 1.0)
+        H += np.diag(v, -d) + (np.diag(v, d) if d else 0.0)
+    H += (np.abs(H).sum(axis=1).max() + 0.1) * np.eye(n)
+    balls = (ball(0, rng.normal(size=3), 0.5), ball(0, rng.normal(size=3), 0.7)) \
+        + tuple(ball(i, rng.normal(size=3), 0.4 + rng.random())
+                for i in range(1, n_points, 2))
+    m = 7
+    if a_kind == "dense":
+        A = rng.normal(size=(m, n))
+    else:
+        # rows of 1 to 6 entries within a window of 9 columns; the last
+        # row is stored as [5, 2, 5] and sums to {2: 2.0, 5: 4.0}
+        indptr, indices, data = [0], [], []
+        for i in range(m - 1):
+            width = 1 + i % 6
+            start = rng.integers(0, n - 9)
+            indices += sorted(rng.choice(np.arange(start, start + 9), width,
+                                         replace=False).tolist())
+            data += (rng.normal(size=width) * 3.0).tolist()
+            indptr.append(len(indices))
+        indices += [5, 2, 5]
+        data += [1.0, 2.0, 3.0]
+        indptr.append(len(indices))
+        A = sparse.csr_matrix((data, indices, indptr), shape=(m, n))
+    lo = np.array([-1.0, -np.inf, -2.0, -np.inf, 0.5, -3.0, -1.0])
+    hi = np.array([1.0, 2.0, np.inf, np.inf, 4.0, np.inf, 1.0])
+    return qcqp.QcqpProblem(H=H, g=rng.normal(size=n), balls=balls, A=A,
+                            lo=lo, hi=hi)
+
+
+def dense_cones(p, work):
+    """G (ball rows (0, x_p) per ball, then the signed working row sides
+    scaled to unit largest coefficient) and h, built densely."""
+    A = p.A.toarray() if sparse.issparse(p.A) else np.asarray(p.A)
+    G_b, h_b = [], []
+    for b in p.balls:
+        rows = np.zeros((4, p.n))
+        rows[1:, 3 * b.point:3 * b.point + 3] = np.eye(3)
+        G_b.append(rows)
+        h_b.append(np.concatenate([[b.radius], b.center]))
+    G_l, h_l = [], []
+    for sign, bound in ((1.0, p.hi), (-1.0, p.lo)):
+        for i in work:
+            if np.isfinite(bound[i]):
+                scale = np.abs(A[i]).max()
+                G_l.append(sign * A[i] / scale)
+                h_l.append(sign * bound[i] / scale)
+    return (np.vstack(G_b), np.array(h_b), np.array(G_l).reshape(-1, p.n),
+            np.array(h_l))
+
+
+@pytest.mark.parametrize("a_kind", ["dense", "sparse"])
+@pytest.mark.parametrize("work", [[], [0, 2, 3, 4], [0, 1, 2, 3, 4, 5, 6]])
+def test_cones_match_dense_products(a_kind, work):
+    rng = np.random.default_rng(len(work) + (a_kind == "sparse"))
+    p = structured_instance(rng, a_kind)
+    work = np.array(work, dtype=np.int64)
+    cones = qcqp._Cones(p, qcqp._Rows(p), work, p.validate())
+    G_b, h_b, G_l, h_l = dense_cones(p, work)
+    nb, ml = len(p.balls), G_l.shape[0]
+    assert (cones.nb, cones.ml, cones.mrows) == (nb, ml, work.size)
+    assert np.allclose(cones.hb, h_b, rtol=1e-14, atol=0)
+    assert np.allclose(cones.hl, h_l, rtol=1e-14, atol=0)
+
+    x = rng.normal(size=p.n)
+    gb, gl = cones.g_x(x)
+    assert np.allclose(gb, (G_b @ x).reshape(nb, 4), rtol=1e-13, atol=1e-13)
+    assert np.allclose(gl, G_l @ x, rtol=1e-13, atol=1e-13)
+
+    zb, zl = rng.normal(size=(nb, 4)), rng.normal(size=ml)
+    gtz = G_b.T @ zb.reshape(-1) + G_l.T @ zl
+    assert np.allclose(cones.gt_z(zb, zl), gtz, rtol=1e-13, atol=1e-13)
+
+    B = rng.normal(size=(nb, 4, 4))
+    phib = B @ B.transpose(0, 2, 1)
+    dl = rng.random(ml) + 0.1
+    phi = np.zeros((4 * nb, 4 * nb))
+    for j in range(nb):
+        phi[4 * j:4 * j + 4, 4 * j:4 * j + 4] = phib[j]
+    N = p.H + G_b.T @ phi @ G_b + G_l.T @ (dl[:, None] * G_l)
+    band = cones.normal_band(cones.h_band, phib, dl)
+    i, j = np.tril_indices(p.n)
+    inside = i - j <= cones.bw
+    assert np.all(N[i[~inside], j[~inside]] == 0.0)
+    assert np.allclose(band[i[inside] - j[inside], j[inside]],
+                       N[i[inside], j[inside]], rtol=1e-12, atol=1e-12)
+    # entries past the end of a band row are padding
+    assert all(np.all(band[d, p.n - d:] == 0.0) for d in range(cones.bw + 1))
