@@ -541,10 +541,10 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
         v_b = np.einsum("ijk,ik->ij", sc.Winv,
                         _soc_div(sc.lamb, sigma * mu * _E
                                  - _soc_prod(dsb_t, dzb_t))) - zb
-        v_l = zl
+        v_l = -zl
         if ml:
-            v_l = (sigma * mu - (d_l[:ml] / sc.wl) * (d_l[ml:] * sc.wl)) \
-                / (sc.laml * sc.wl) - zl
+            v_l += (sigma * mu - (d_l[:ml] / sc.wl) * (d_l[ml:] * sc.wl)) \
+                / (sc.laml * sc.wl)
         dx, dt, d_b, d_l = newton(v_b, v_l)
         alpha = min(1.0, _STEP * _cone_step(ub, det_u, ul, d_b, d_l))
         x = x + alpha * dx

@@ -198,13 +198,13 @@ def test_malformed_plan_input_exits_1(small_map, tmp_path, capsys, extra):
 @pytest.mark.parametrize("cmd, extra", [
     ("replan", ["--max-time", "0"]),
     ("replan", ["--max-time", "nan"]),
+    ("suite", ["--goal-sep", "-1"]),
     ("replan", ["--sense", "nan"]),
     ("replan", ["--sense", "0"]),
     ("replan", ["--sense", "-1"]),
     ("replan", ["--local-range", "nan"]),
     ("replan", ["--local-range", "0"]),
     ("replan", ["--local-range", "-1"]),
-    ("suite", ["--goal-sep", "-1"]),
 ])
 def test_malformed_numbers_exit_1_before_any_work(small_map, tmp_path, capsys,
                                                   cmd, extra):
