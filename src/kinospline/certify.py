@@ -17,6 +17,7 @@ cross-check oracle for small degrees.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -96,11 +97,13 @@ def pattern_deviation(steps3, cell_sizes, k: int) -> float:
                for ax in range(3))
 
 
+@lru_cache(maxsize=None)
 def _axis_scan(k: int, cell: float) -> tuple[float, tuple]:
     """(largest deviation, worst step sequence) over the 3^k axis patterns.
 
     Ties go to the lexicographically smallest step sequence; with no
-    excursion at all the worst sequence is the static one.
+    excursion at all the worst sequence is the static one. Memoized per
+    (k, cell): the scan is pure and its result immutable.
     """
     steps = all_steps(k)
     dev = _deviations(steps, cell, k)
@@ -115,7 +118,8 @@ def certify(k: int, cell_sizes, mode: str = "per-axis") -> InflationCertificate:
     """Minimum obstacle inflation covering every admissible span pattern.
 
     Per-axis mode scans the 3^k step sequences once per distinct cell size,
-    in order of first appearance, and takes the largest deviation. Full
+    in order of first appearance, and takes the largest deviation; a scan
+    already made for the same (k, cell) is reused. Full
     mode recombines all 27^k 3-D patterns from the per-axis deviations and
     exists only to cross-validate separability (k <= 3); its worst pattern
     is the first maximum in lexicographic (pattern, axis) order.

@@ -418,13 +418,28 @@ def check_feasible(P, bounds: DerivativeBounds, dt: float):
 
     P may also be a stack of spans, (nspan, k+1, 3); the result is then a
     boolean array with one entry per span, equal to the single-span
-    answers.
+    answers. A span whose velocity and acceleration control points
+    (bound_transform(l, dt) @ P) all lie inside the bounds is feasible by
+    the convex hull property; only the other spans' extrema are computed.
     """
-    lo, hi = _span_motion_extrema(P, dt)
+    P = np.asarray(P, dtype=float)
+    k = P.shape[-2] - 1
+    if k not in EXTREMA_DEGREES:
+        raise ValueError(f"extrema unsupported for degree {k}")
+    spans = P[None] if P.ndim == 2 else P
     lower = np.column_stack([bounds.v_min, bounds.a_min])
     upper = np.column_stack([bounds.v_max, bounds.a_max])
-    ok = np.all((lower <= lo) & (hi <= upper), axis=(-2, -1))
-    return bool(ok) if ok.ndim == 0 else ok
+    tables = blending_tables(k)
+    ok = np.ones(spans.shape[0], dtype=bool)
+    for l in (1, 2):
+        D = tables.bound_transform(l, dt) @ spans
+        ok &= np.all((lower[:, l - 1] <= D) & (D <= upper[:, l - 1]),
+                     axis=(-2, -1))
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        lo, hi = _span_motion_extrema(spans[rest], dt)
+        ok[rest] = np.all((lower <= lo) & (hi <= upper), axis=(-2, -1))
+    return bool(ok[0]) if P.ndim == 2 else ok
 
 
 def insert_control_point(spline: SplineDef, index: int, point) -> SplineDef:

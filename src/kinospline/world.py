@@ -102,6 +102,18 @@ def _stencil(cell_sizes: tuple, delta: float) -> np.ndarray:
     return stencil
 
 
+@lru_cache(maxsize=64)
+def _stencil_offsets(cell_sizes: tuple, delta: float) -> np.ndarray:
+    """(3, s) cell offsets of the stencil's cells from its center.
+
+    Memoized next to _stencil; the shared array is read-only.
+    """
+    stencil = _stencil(cell_sizes, delta)
+    offsets = np.argwhere(stencil).T - (np.array(stencil.shape) // 2)[:, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
 @dataclass(frozen=True, eq=False)
 class ConfigSpace:
     """A VoxelWorld with obstacles inflated by delta, plus clearance data.
@@ -131,7 +143,9 @@ class ConfigSpace:
     def tree(self):
         """KD-tree over inflated-occupied cell centers, built on first use."""
         if not hasattr(self, "_tree_cache"):
-            centers = ((np.argwhere(self.occ_inflated) + 0.5)
+            cells = np.unravel_index(np.flatnonzero(self.occ_inflated),
+                                     self.occ_inflated.shape)
+            centers = ((np.column_stack(cells) + 0.5)
                        * self.world.cell_sizes + self.world.origin)
             object.__setattr__(self, "_tree_cache",
                                cKDTree(centers) if centers.size else None)
@@ -206,22 +220,23 @@ def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
                          fresh: np.ndarray) -> ConfigSpace:
     """Fresh ConfigSpace after new obstacle cells appeared (copy-on-update).
 
-    Dilation distributes over union, so only the fresh cells are dilated
-    and merged into the previous inflated set; the previous space stays
-    untouched for concurrent readers.
+    Dilation distributes over union and the stencil is symmetric, so the
+    new inflated cells are the stencil placed at each fresh cell, with
+    targets outside the grid dropped: the same grid as a full rebuild, in
+    O(fresh x stencil) work. The previous space stays untouched for
+    concurrent readers.
     """
     inflated = prev.occ_inflated | fresh
     flat = np.flatnonzero(fresh)
     if prev.delta > 0 and flat.size:
-        # the dilation of the fresh cells stays within the stencil reach
-        # of their bounding box, so only that box is dilated
-        cells = np.unravel_index(flat, fresh.shape)
-        stencil = _inflation_stencil(world.cell_sizes, prev.delta)
-        reach = np.array(stencil.shape) // 2
-        lo = np.maximum([c.min() for c in cells] - reach, 0)
-        hi = np.minimum([c.max() for c in cells] + reach + 1, world.dims)
-        box = tuple(slice(a, b) for a, b in zip(lo, hi))
-        inflated[box] |= ndimage.binary_dilation(fresh[box], structure=stencil)
+        offsets = _stencil_offsets(tuple(float(c) for c in world.cell_sizes),
+                                   float(prev.delta))
+        # (axis, fresh cell, stencil cell) target indices
+        cells = np.array(np.unravel_index(flat, fresh.shape))
+        targets = cells[:, :, None] + offsets[:, None, :]
+        keep = np.all((targets >= 0)
+                      & (targets < np.array(fresh.shape)[:, None, None]), axis=0)
+        inflated[tuple(targets[:, keep])] = True
     return _finish_config_space(world, prev.delta, inflated)
 
 

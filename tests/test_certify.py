@@ -122,6 +122,24 @@ def test_certify_scans_each_cell_size_once(monkeypatch, cells, scans):
     assert cert.delta_bk == best and cert.worst_pattern == worst
 
 
+def test_certify_reuses_axis_scans(monkeypatch):
+    ct._axis_scan.cache_clear()
+    deviations = ct._deviations
+    calls = []
+
+    def counted(steps, cell, k):
+        calls.append(cell)
+        return deviations(steps, cell, k)
+
+    monkeypatch.setattr(ct, "_deviations", counted)
+    first = ct.certify(5, (0.2, 0.2, 0.4))
+    assert len(calls) == 2
+    calls.clear()
+    again = ct.certify(5, (0.2, 0.2, 0.4))
+    assert calls == []
+    assert again == first
+
+
 def test_certificate_roundtrip(tmp_path):
     cert = ct.certify(5, (0.16, 0.2, 0.4))
     path = tmp_path / "c.txt"

@@ -140,6 +140,32 @@ class TestKnownMap:
         assert np.array_equal(cs_bk2.occ_inflated, ref.occ_inflated)
         assert cs_bk2 is not cs_bk  # copy on update
 
+    @pytest.mark.parametrize("body_radius", [0.0, 0.25])
+    def test_spaces_match_full_rebuild_after_each_reveal(self, body_radius):
+        # a wall plus scattered cells, revealed in steps along a path: the
+        # incremental spaces equal a full rebuild after every reveal
+        rng = np.random.default_rng(4)
+        occ = self.world.occ | (rng.random(self.world.occ.shape) < 0.03)
+        true_world = self.world.with_occ(occ)
+        contract = make_settings(body_radius=body_radius).contract
+        m = rp.KnownMap(true_world, contract)
+        grew = 0
+        for x in np.linspace(0.5, 5.5, 8):
+            added = m.reveal(np.array([x, 2.0 + 0.3 * np.sin(3 * x), 1.0]),
+                             1.2)
+            grew += added > 0
+            cs_bk, cs_el = m.spaces()
+            w_known = true_world.with_occ(m.known.copy())
+            for cs, delta in ((cs_bk, contract.delta_bk),
+                              (cs_el, contract.delta_elas)):
+                ref = wd.build_config_space(w_known, delta)
+                assert np.array_equal(cs.occ_inflated, ref.occ_inflated)
+                assert np.array_equal(cs.occ_flat, ref.occ_flat)
+            body = (wd.build_config_space(w_known, body_radius).occ_inflated
+                    if body_radius > 0 else m.known)
+            assert np.array_equal(m.body_occupancy(), body)
+        assert grew >= 5
+
 
 def _brute_force_reveal(true_occ, known, centers, position, radius):
     """Reference: distance test on every cell center of the grid."""

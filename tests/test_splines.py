@@ -210,6 +210,35 @@ class TestCheckFeasible:
             assert all(np.array_equal(ex[i], sp.span_extrema(p, 2, 0.17))
                        for i, p in enumerate(P))
 
+    def test_extrema_only_for_spans_outside_the_hull(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        bounds = sp.DerivativeBounds.symmetric(2.0, 4.7)
+        extrema = sp._span_motion_extrema
+        seen = []
+
+        def spy(P, dt):
+            seen.append(np.array(P))
+            return extrema(P, dt)
+
+        monkeypatch.setattr(sp, "_span_motion_extrema", spy)
+        for k in (3, 5):
+            P = rng.normal(scale=0.05, size=(60, k + 1, 3))
+            P[::7] = P[::7, :1]  # static spans
+            tables = sp.blending_tables(k)
+            hull = np.ones(len(P), dtype=bool)
+            for l, bound in ((1, 2.0), (2, 4.7)):
+                D = tables.bound_transform(l, 0.17) @ P
+                hull &= np.all(np.abs(D) <= bound, axis=(1, 2))
+            lo, hi = extrema(P, 0.17)
+            lim = np.array([2.0, 4.7])
+            exact = np.all((-lim <= lo) & (hi <= lim), axis=(1, 2))
+            assert np.any(~hull & exact)  # outside the hull, yet feasible
+            assert 0 < hull.sum() and exact.sum() < len(P)
+            seen.clear()
+            got = sp.check_feasible(P, bounds, 0.17)
+            assert got.tolist() == exact.tolist()
+            assert len(seen) == 1 and np.array_equal(seen[0], P[~hull])
+
     def test_static_always_feasible(self):
         P = np.tile([3.0, 2.0, 1.0], (6, 1))
         assert sp.check_feasible(P, sp.DerivativeBounds.symmetric(0.1, 0.1), 0.17)

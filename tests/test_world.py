@@ -206,6 +206,32 @@ def test_inflation_stencil_is_shared_and_read_only():
     assert a[2, 2, 2] and not a[0, 0, 0]
 
 
+def test_stencil_offsets_are_shared_and_read_only():
+    off = wd._stencil_offsets((0.2, 0.2, 0.4), 0.3)
+    assert off is wd._stencil_offsets((0.2, 0.2, 0.4), 0.3)
+    with pytest.raises(ValueError):
+        off[0, 0] = 0
+    # the offsets place the stencil's cells around its center
+    stencil = wd._inflation_stencil((0.2, 0.2, 0.4), 0.3)
+    rebuilt = np.zeros_like(stencil)
+    rebuilt[tuple(off + (np.array(stencil.shape) // 2)[:, None])] = True
+    assert np.array_equal(rebuilt, stencil)
+
+
+def test_updated_config_space_runs_no_dilation(monkeypatch):
+    w = small_random_world(seed=10, dims=(12, 9, 7))
+    base = w.with_occ(w.occ & (np.arange(12) < 6)[:, None, None])
+    cs0 = wd.build_config_space(base, 0.3)
+    ref = wd.build_config_space(w, 0.3)
+    calls = []
+    dilate = wd.ndimage.binary_dilation
+    monkeypatch.setattr(wd.ndimage, "binary_dilation",
+                        lambda *a, **kw: calls.append(1) or dilate(*a, **kw))
+    cs1 = wd.updated_config_space(cs0, w, w.occ & ~base.occ)
+    assert calls == []
+    assert np.array_equal(cs1.occ_inflated, ref.occ_inflated)
+
+
 def test_reachable_mask_blocks_walls():
     occ = np.zeros((9, 9, 1), dtype=bool)
     occ[4, :, 0] = True
