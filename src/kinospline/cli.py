@@ -137,7 +137,7 @@ def plan_once(w, cs_bk, cs_elas, contract, bounds, start_pos, start_vel,
     res = search.search(q, cs_bk)
     rec = {"status": res.status, "search_wall": res.wall_time,
            "expanded": res.expanded, "open_peak": res.open_peak,
-           "d": d, "dt": dt, "lam": lam, "order": order}
+           "budget": res.budget, "d": d, "dt": dt, "lam": lam, "order": order}
     if not res.ok:
         return rec, None
     rec["search_cost"] = res.cost

@@ -18,6 +18,10 @@ from . import elastic, search, world
 from .kernels import collision_scan
 from .splines import SplineDef, check_feasible, eval_span_many, span_stack
 
+# the collision check samples each span at these u values
+CHECK_US = np.linspace(0.0, 1.0, 9)
+CHECK_US.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class ReplanSettings:
@@ -46,6 +50,10 @@ class PlanWindow:
     Points with index <= exec_span + k support the executing (or already
     executed) trajectory and are immutable; a splice may replace points
     from seam + k + 1 onward only, where seam > exec_span.
+
+    `cps` is never written in place, only replaced, so the collision
+    check's samples are evaluated once per committed array and tied to it
+    by identity.
     """
 
     def __init__(self, k: int, dt: float, points, bounds=None):
@@ -57,6 +65,8 @@ class PlanWindow:
         self.bounds = bounds
         self.cps = points.copy()
         self.clock = 0.0
+        self._samples = None
+        self._samples_for = None
 
     @property
     def n_spans(self) -> int:
@@ -74,6 +84,18 @@ class PlanWindow:
         j = self.exec_span
         u = min(max(self.clock / self.dt - j, 0.0), 1.0)
         return eval_span_many(self.cps[j:j + self.k + 1], (u,), l, self.dt)[0]
+
+    def check_samples(self) -> np.ndarray:
+        """Positions at CHECK_US on every span, span-major: (n_spans * 9, 3).
+
+        Evaluated once for each committed `cps` array, at the first call
+        after splice or extend_brake replaced it; trim slices them.
+        """
+        if self._samples_for is not self.cps:
+            self._samples = eval_span_many(span_stack(self.cps, self.k),
+                                           CHECK_US, 0, self.dt).reshape(-1, 3)
+            self._samples_for = self.cps
+        return self._samples
 
     def advance(self, dt_sim: float) -> int:
         """Move the clock forward; returns how many spans finished."""
@@ -155,7 +177,11 @@ class PlanWindow:
         keep_from = self.exec_span - 2 * (self.k + 1)
         if keep_from <= 0:
             return 0
+        cached = self._samples_for is self.cps
         self.cps = self.cps[keep_from:]
+        if cached:
+            self._samples = self._samples[keep_from * CHECK_US.size:]
+            self._samples_for = self.cps
         self.clock -= keep_from * self.dt
         return keep_from
 
@@ -216,8 +242,9 @@ class KnownMap:
     """Occupancy revealed so far, with copy-on-update config spaces.
 
     The true occupied cells not yet revealed are kept as flat indices with
-    their centers, so a reveal costs time in the hidden obstacle cells,
-    not in the grid.
+    their centers, and the cells revealed since the last config-space
+    update as a list of flat index arrays, so a reveal and an update cost
+    time in the hidden and the fresh obstacle cells, not in the grid.
     """
 
     def __init__(self, true_world: world.VoxelWorld,
@@ -230,7 +257,7 @@ class KnownMap:
             np.column_stack(np.unravel_index(self._hidden, self.known.shape))
             + 0.5) * true_world.cell_sizes + true_world.origin
         self.version = 0
-        self._fresh = np.zeros_like(self.known)
+        self._fresh = []
         self._cs_bk = None
         self._cs_elas = None
         self._cs_body = None
@@ -242,9 +269,9 @@ class KnownMap:
         """
         if radius <= 0:
             return 0
-        d2 = np.sum((self._hidden_centers - np.asarray(position)) ** 2,
-                    axis=1)
-        near = d2 <= radius * radius
+        d = (self._hidden_centers - np.asarray(position)) ** 2
+        # summed left to right, as np.sum over three terms
+        near = d[:, 0] + d[:, 1] + d[:, 2] <= radius * radius
         if not near.any():
             return 0
         idx = self._hidden[near]
@@ -254,17 +281,17 @@ class KnownMap:
         idx = idx[~known[idx]]
         if idx.size:
             known[idx] = True
-            self._fresh.reshape(-1)[idx] = True
+            self._fresh.append(idx)
             self.version += 1
         return int(idx.size)
 
     def reveal_all(self) -> None:
         self._hidden = self._hidden[:0]
         self._hidden_centers = self._hidden_centers[:0]
-        fresh = self.true_world.occ & ~self.known
-        if fresh.any():
-            self.known |= fresh
-            self._fresh |= fresh
+        fresh = np.flatnonzero(self.true_world.occ & ~self.known)
+        if fresh.size:
+            self.known.reshape(-1)[fresh] = True
+            self._fresh.append(fresh)
             self.version += 1
 
     def _update(self) -> None:
@@ -277,16 +304,16 @@ class KnownMap:
             if body:
                 self._cs_body = world.build_config_space(
                     w, self.contract.body_radius)
-            self._fresh[:] = False
-        elif self._fresh.any():
+            self._fresh.clear()
+        elif self._fresh:
+            fresh = np.concatenate(self._fresh)
             w = self.true_world.with_occ(self.known.copy())
-            self._cs_bk = world.updated_config_space(self._cs_bk, w, self._fresh)
-            self._cs_elas = world.updated_config_space(self._cs_elas, w,
-                                                       self._fresh)
+            self._cs_bk = world.updated_config_space(self._cs_bk, w, fresh)
+            self._cs_elas = world.updated_config_space(self._cs_elas, w, fresh)
             if body:
                 self._cs_body = world.updated_config_space(self._cs_body, w,
-                                                           self._fresh)
-            self._fresh[:] = False
+                                                           fresh)
+            self._fresh.clear()
 
     def spaces(self):
         """Current (C_bk, C_elas) pair, updated incrementally on new cells."""
@@ -365,16 +392,13 @@ class Replanner:
         first = self.window.exec_span + 1
         if first >= self.window.n_spans:
             return None
-        us = np.linspace(0.0, 1.0, 9)
-        spans = np.lib.stride_tricks.sliding_window_view(
-            self.window.cps[first:], (self.s.k + 1, 3))[:, 0]
-        pts = eval_span_many(spans, us, 0, self.s.dt).reshape(-1, 3)
+        pts = self.window.check_samples()[first * CHECK_US.size:]
         occ = np.ascontiguousarray(self.map.body_occupancy())
         hit = collision_scan(pts, occ.reshape(-1).view(np.uint8), w.dims,
                              w.origin, w.cell_sizes)
         if hit < 0:
             return None
-        return first + hit // len(us)
+        return first + hit // CHECK_US.size
 
     def _nearest_free(self, cs_bk, cell):
         for r in range(1, 6):
@@ -454,6 +478,7 @@ class Replanner:
         goal_tup = search.static_tuple(goal_cell, self.s.k, self.world)
         t0 = time.perf_counter()
         partial = False
+        budget = None
         if self.s.planner == "astar":
             a_start = tup.cells[-1]
             if not cs_bk.is_free(a_start):
@@ -499,12 +524,15 @@ class Replanner:
                     res = search.search(q_full, cs_bk, best_effort=True)
             except ValueError:
                 self.search_time.append(time.perf_counter() - t0)
-                self._event("search_fail", planner="tuple", reason="endpoint")
+                self._event("search_fail", planner="tuple", reason="endpoint",
+                            budget=None)
                 return False
             self.search_time.append(time.perf_counter() - t0)
+            budget = res.budget
             if res.status not in ("success", "partial") \
                     or self._poor_progress(res, tup):
-                self._event("search_fail", planner="tuple", reason=res.status)
+                self._event("search_fail", planner="tuple", reason=res.status,
+                            budget=budget)
                 return False
             if res.status == "partial":
                 # progress toward the goal; pin the tail at rest on the
@@ -534,7 +562,7 @@ class Replanner:
         self.window.splice(seam, ref.points)
         self._event("replan", seam=seam, cost=ref.cost,
                     inserted=ref.inserted, planner=self.s.planner,
-                    partial=partial)
+                    partial=partial, budget=budget)
         self.replans += 1
         return True
 

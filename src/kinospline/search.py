@@ -239,6 +239,8 @@ class SearchResult:
     open_peak: int = 0
     wall_time: float = 0.0
     closed_codes: frozenset = None
+    budget: str = None              # "expansions" or "wall" when that
+                                    # budget ended the loop, else None
 
     @property
     def ok(self) -> bool:
@@ -273,7 +275,9 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     budget-exceeded. Under best_effort, a search that does not reach the
     goal returns partial instead, with the path to the closed node whose
     last cell is nearest the goal in Chebyshev cells (ties to the lower
-    cost), unless that node is the start.
+    cost), unless that node is the start. `budget` names the budget that
+    ended the loop ("expansions" or "wall"), in a partial result too, and
+    is None when the goal was reached or the open set ran dry.
 
     Internally tuples live as flat cell codes; an aggregated node is keyed
     by the Python tuple of its last d codes (the last code at d = 1) and
@@ -319,6 +323,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     expanded = 0
     open_peak = 1
     status = "no-path"
+    budget = None
     budget_wall = q.max_wall_ms / 1000.0
     vget = visited.get
     push = heapq.heappush
@@ -333,8 +338,11 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
             status = "success"
             break
         expanded += 1
-        if expanded >= q.max_expansions or time.perf_counter() - t0 > budget_wall:
-            status = "budget-exceeded"
+        if expanded >= q.max_expansions:
+            status, budget = "budget-exceeded", "expansions"
+            break
+        if time.perf_counter() - t0 > budget_wall:
+            status, budget = "budget-exceeded", "wall"
             break
         full = node[1]
         succ = expand(full, node[4])
@@ -389,7 +397,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
         if status in ("no-path", "budget-exceeded"):
             return SearchResult(status=status, expanded=expanded,
                                 open_peak=open_peak, wall_time=wall,
-                                closed_codes=closed)
+                                closed_codes=closed, budget=budget)
 
     append_codes = []
     key = end_key
@@ -408,7 +416,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     return SearchResult(status=status, cells=cells, positions=positions,
                         cost=float(total), effort=float(effort),
                         expanded=expanded, open_peak=open_peak, wall_time=wall,
-                        closed_codes=closed)
+                        closed_codes=closed, budget=budget)
 
 
 def explore_reachable(start: VertexTuple, cs: ConfigSpace,

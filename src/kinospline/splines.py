@@ -254,10 +254,20 @@ def eval_span(P, u: float, l: int, dt: float) -> np.ndarray:
     return eval_span_many(P, [u], l, dt)[0]
 
 
-def _derivative_basis(us, k: int, l: int) -> np.ndarray:
-    """Rows d^l/du^l [1, u, ..., u^k] at each u, shape (len(us), k+1)."""
+@lru_cache(maxsize=None)
+def _derivative_rows(k: int, l: int):
+    """Read-only (factor, exponent) rows of d^l/du^l [1, u, ..., u^k]:
+    perm(i, l) and max(i - l, 0) for i = 0..k."""
     ff = np.array([perm(i, l) for i in range(k + 1)], dtype=float)
     ex = np.maximum(np.arange(k + 1) - l, 0)
+    ff.setflags(write=False)
+    ex.setflags(write=False)
+    return ff, ex
+
+
+def _derivative_basis(us, k: int, l: int) -> np.ndarray:
+    """Rows d^l/du^l [1, u, ..., u^k] at each u, shape (len(us), k+1)."""
+    ff, ex = _derivative_rows(k, l)
     return ff * np.asarray(us, dtype=float)[:, None] ** ex
 
 

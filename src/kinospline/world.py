@@ -217,25 +217,28 @@ def _finish_config_space(world, delta, inflated) -> ConfigSpace:
 
 
 def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
-                         fresh: np.ndarray) -> ConfigSpace:
+                         fresh) -> ConfigSpace:
     """Fresh ConfigSpace after new obstacle cells appeared (copy-on-update).
 
-    Dilation distributes over union and the stencil is symmetric, so the
-    new inflated cells are the stencil placed at each fresh cell, with
-    targets outside the grid dropped: the same grid as a full rebuild, in
-    O(fresh x stencil) work. The previous space stays untouched for
-    concurrent readers.
+    fresh holds the flat (C-order) grid indices of the newly occupied
+    cells. Dilation distributes over union and the stencil is symmetric,
+    so the new inflated cells are the stencil placed at each fresh cell,
+    with targets outside the grid dropped: the same grid as a full
+    rebuild, in O(fresh x stencil) work after one copy of the previous
+    grid. The previous space stays untouched for concurrent readers.
     """
-    inflated = prev.occ_inflated | fresh
-    flat = np.flatnonzero(fresh)
+    inflated = prev.occ_inflated.copy()
+    flat = np.asarray(fresh, dtype=np.int64)
+    inflated.reshape(-1)[flat] = True
     if prev.delta > 0 and flat.size:
         offsets = _stencil_offsets(tuple(float(c) for c in world.cell_sizes),
                                    float(prev.delta))
         # (axis, fresh cell, stencil cell) target indices
-        cells = np.array(np.unravel_index(flat, fresh.shape))
+        cells = np.array(np.unravel_index(flat, inflated.shape))
         targets = cells[:, :, None] + offsets[:, None, :]
         keep = np.all((targets >= 0)
-                      & (targets < np.array(fresh.shape)[:, None, None]), axis=0)
+                      & (targets < np.array(inflated.shape)[:, None, None]),
+                      axis=0)
         inflated[tuple(targets[:, keep])] = True
     return _finish_config_space(world, prev.delta, inflated)
 

@@ -111,6 +111,24 @@ def test_plan_budget_exit_code(small_map, tmp_path):
                    "--budget-ms", "0.0001", "--no-eo",
                    "-o", str(tmp_path / "plan3")])
     assert rc == cli.EXIT_BUDGET
+    rec = json.loads((tmp_path / "plan3" / "stats.json").read_text())
+    assert rec["budget"] == "wall"
+
+
+def test_plan_record_names_the_budget(small_map):
+    w = wd.load_map(small_map)
+    cert = certify.certify(5, (0.2,) * 3)
+    contract = elastic.InflationContract.default((0.2,) * 3, cert.delta_bk)
+    args = (w, wd.build_config_space(w, contract.delta_bk),
+            wd.build_config_space(w, contract.delta_elas), contract,
+            DerivativeBounds.symmetric(2.0, 4.7), np.array([0.9, 3.0, 1.0]),
+            np.zeros(3), np.array([8.9, 3.0, 1.0]), 0.17, 20.0, 2, 1)
+    rec, spline = cli.plan_once(*args, use_eo=False, budget_ms=1e5,
+                                max_expansions=1)
+    assert (rec["status"], rec["budget"], spline) == (
+        "budget-exceeded", "expansions", None)
+    rec, spline = cli.plan_once(*args, use_eo=False, budget_ms=1e5)
+    assert (rec["status"], rec["budget"]) == ("success", None)
 
 
 def test_config_file_with_flag_override(small_map, tmp_path):

@@ -101,6 +101,102 @@ class TestPlanWindow:
         assert np.allclose(win.state(0), state_before, atol=1e-12)
 
 
+class TestCheckSamples:
+    """The collision check's samples, evaluated once per committed plan."""
+
+    @staticmethod
+    def _fresh(win):
+        return sp.eval_span_many(sp.span_stack(win.cps, win.k), rp.CHECK_US,
+                                 0, win.dt).reshape(-1, 3)
+
+    def test_cache_follows_every_mutation(self, monkeypatch):
+        calls = []
+        evaluate = rp.eval_span_many
+        monkeypatch.setattr(rp, "eval_span_many",
+                            lambda *a, **kw: calls.append(1)
+                            or evaluate(*a, **kw))
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(40):
+            win = random_window(rng, n=int(rng.integers(14, 40)))
+            win.check_samples()
+            for _ in range(12):
+                op = rng.choice(["splice", "trim", "extend_brake",
+                                 "brake_at", "advance"])
+                before = win.cps
+                seam = win.seam_index()
+                if op == "splice" and seam + 6 <= win.cps.shape[0]:
+                    win.splice(seam, np.vstack([
+                        win.cps[seam:seam + 6],
+                        win.cps[seam + 5] + np.cumsum(rng.uniform(
+                            -0.1, 0.1, size=(int(rng.integers(0, 9)), 3)),
+                            axis=0)]))
+                elif op == "trim":
+                    win.trim()
+                elif op == "extend_brake":
+                    win.extend_brake()
+                elif op == "brake_at":
+                    win.brake_at(seam)
+                elif op == "advance":
+                    win.advance(float(rng.uniform(0.0, 0.5)))
+                del calls[:]
+                got = win.check_samples()
+                assert win.check_samples() is got
+                rebuilt = win.cps is not before and op != "trim"
+                assert len(calls) == rebuilt
+                assert got.shape == (win.n_spans * rp.CHECK_US.size, 3)
+                assert np.array_equal(got, self._fresh(win))
+                if win.cps is not before:
+                    seen.add(str(op))
+        assert seen == {"splice", "trim", "extend_brake", "brake_at"}
+
+    def test_collision_ahead_matches_sliding_window_scan(self):
+        # the scan the check ran before the samples were cached: every
+        # not-yet-frozen span evaluated afresh on every step
+        def reference(sim):
+            w, win = sim.world, sim.window
+            first = win.exec_span + 1
+            if first >= win.n_spans:
+                return None, None
+            us = np.linspace(0.0, 1.0, 9)
+            spans = np.lib.stride_tricks.sliding_window_view(
+                win.cps[first:], (win.k + 1, 3))[:, 0]
+            pts = sp.eval_span_many(spans, us, 0, win.dt).reshape(-1, 3)
+            occ = np.ascontiguousarray(sim.map.body_occupancy())
+            hit = collision_scan(pts, occ.reshape(-1).view(np.uint8), w.dims,
+                                 w.origin, w.cell_sizes)
+            return (None if hit < 0 else first + hit // len(us)), pts
+
+        w = wd.bench_course(cell=0.2, seed=9)
+        sim = rp.Replanner(w, (1.0, 5.0, 1.2), (19.0, 5.0, 1.2),
+                           make_settings(planner="astar", search_wall_ms=1e12,
+                                         search_expansions=2600,
+                                         solver_max_iter=6000))
+        check = sim._collision_ahead
+        flags = []
+
+        def checked():
+            want, pts = reference(sim)
+            got = check()
+            assert got == want
+            if pts is not None:
+                first = sim.window.exec_span + 1
+                assert np.array_equal(
+                    sim.window.check_samples()[first * rp.CHECK_US.size:],
+                    pts)
+            flags.append(got)
+            return got
+
+        sim._collision_ahead = checked
+        dropped = 0
+        for _ in range(80):
+            sim.step(0.1)
+            dropped += sim.window.trim()
+        assert len(flags) == 80 and dropped > 0
+        assert any(f is not None for f in flags)
+        assert sum(e["kind"] == "replan" for e in sim.events) >= 3
+
+
 class TestKnownMap:
     def setup_method(self):
         occ = np.zeros((30, 20, 10), dtype=bool)
@@ -220,6 +316,37 @@ def test_reveal_matches_full_grid_reference(seed, body_radius):
     cs_bk, _ = m.spaces()
     ref = wd.build_config_space(w.with_occ(known | true_occ), contract.delta_bk)
     assert np.array_equal(cs_bk.occ_inflated, ref.occ_inflated)
+
+
+def test_reveal_counts_centres_on_the_sphere():
+    # 0.25 m cells, the position at a cell centre and radii of whole cells:
+    # every distance is exact, so centres sit exactly on the sphere
+    rng = np.random.default_rng(8)
+    dims = (14, 12, 9)
+    cells = np.full(3, 0.25)
+    true_occ = rng.random(dims) < 0.2
+    centre = np.array([6, 5, 4])
+    for r in (1, 2, 3, 4):
+        for axis in range(3):
+            for sign in (-1, 1):
+                cell = centre.copy()
+                cell[axis] += sign * r
+                true_occ[tuple(cell)] = True
+    true_occ[tuple(centre + (2, 1, 2))] = True   # |(2, 1, 2)| = 3 cells
+    w = wd.VoxelWorld(np.array(dims), cells, np.zeros(3), true_occ)
+    m = rp.KnownMap(w, make_settings(cell=0.25).contract)
+    centers = (np.indices(dims).reshape(3, -1).T + 0.5) * cells
+    known = np.zeros(dims, dtype=bool)
+    pos = w.cell_center(centre)
+    offsets = np.indices(dims).reshape(3, -1).T - centre
+    for r in (1, 2, 3, 4):
+        radius = 0.25 * r
+        on_sphere = (np.sum(offsets ** 2, axis=1) == r * r).reshape(dims)
+        assert (on_sphere & true_occ & ~known).any()
+        want = _brute_force_reveal(true_occ, known, centers, pos, radius)
+        assert m.reveal(pos, radius) == want
+        assert np.array_equal(m.known, known)
+        assert not (on_sphere & true_occ & ~m.known).any()
 
 
 def test_agent_state_matches_eval_span():
@@ -381,6 +508,32 @@ class TestReplannerRuns:
         fails = [e for e in sim.events if e["kind"] == "search_fail"]
         assert fails
         assert fails[0]["planner"] == "astar" and fails[0]["reason"] == reason
+
+    @pytest.mark.parametrize("empty, budget, kind, reason, partial, named", [
+        (False, {"search_expansions": 3}, "search_fail", "partial", None,
+         "expansions"),
+        (False, {"search_wall_ms": 1e-6}, "search_fail", "budget-exceeded",
+         None, "wall"),
+        (False, {"search_expansions": 20}, "replan", None, True,
+         "expansions"),
+        # the cropped box drains: a partial that no budget ended
+        (False, {"search_wall_ms": 1e9}, "replan", None, True, None),
+        (True, {"search_wall_ms": 1e9}, "replan", None, False, None),
+    ])
+    def test_tuple_search_events_name_the_budget(self, empty, budget, kind,
+                                                  reason, partial, named):
+        w = self._world()
+        if empty:
+            w = w.with_occ(np.zeros_like(w.occ))
+        sim = rp.Replanner(w, (0.9, 4.1, 1.1), (11.0, 4.1, 1.1),
+                           make_settings(**budget))
+        for _ in range(3):
+            sim.step(0.1)
+        events = [e for e in sim.events if e["kind"] == kind]
+        assert events
+        for e in events:
+            assert (e.get("reason"), e.get("partial"), e["budget"]) == (
+                reason, partial, named)
 
     def test_event_log_schema(self):
         w = self._world()

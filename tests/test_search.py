@@ -290,6 +290,33 @@ class TestSearch:
                            bounds=BOUNDS, d=1, max_expansions=10)
         assert se.search(q, cs).status == "budget-exceeded"
 
+    @staticmethod
+    def _open_query(**budgets):
+        w = empty_world((30, 30, 1))
+        q = se.SearchQuery(start=se.static_tuple((1, 1, 0), 5, w),
+                           goal=se.static_tuple((28, 28, 0), 5, w), dt=0.17,
+                           lam=20.0, order=2, bounds=BOUNDS, d=1, **budgets)
+        return q, wd.build_config_space(w, 0.0)
+
+    def test_result_names_the_budget_that_ended_it(self):
+        q, cs = self._open_query(max_expansions=1)
+        r = se.search(q, cs)
+        assert (r.status, r.budget) == ("budget-exceeded", "expansions")
+        q, cs = self._open_query(max_wall_ms=1e-6)
+        r = se.search(q, cs)
+        assert (r.status, r.budget) == ("budget-exceeded", "wall")
+        q, cs = self._open_query()
+        r = se.search(q, cs)
+        assert (r.status, r.budget) == ("success", None)
+
+    def test_partial_result_keeps_its_budget(self):
+        q, cs = self._open_query(max_expansions=5)
+        r = se.search(q, cs, best_effort=True)
+        assert (r.status, r.budget) == ("partial", "expansions")
+        q, cs = self._open_query(max_wall_ms=1e-6)
+        r = se.search(q, cs, best_effort=True)
+        assert r.budget == "wall"
+
     def test_no_path_status_and_best_effort(self):
         occ = np.zeros((9, 9, 1), dtype=bool)
         occ[4, :, 0] = True
@@ -302,6 +329,7 @@ class TestSearch:
         assert se.search(q, cs).status == "no-path"
         r = se.search(q, cs, best_effort=True)
         assert r.status == "partial"
+        assert r.budget is None  # the open set ran dry
         assert r.cells[-1][0] == 3  # right against the wall
 
     def test_occupied_endpoint_rejected(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,26 @@ class TestEvalSpan:
                 assert np.allclose(stacked[j],
                                    sp.eval_span_many(P[j], us, l, 0.17),
                                    rtol=1e-12, atol=1e-9)
+
+
+def test_derivative_basis_rows_are_memoized_and_read_only():
+    rng = np.random.default_rng(12)
+    u_sets = (np.linspace(0.0, 1.0, 9), np.array([0.0, 1.0, 0.5, 1e-300]),
+              rng.random(17))
+    for k in range(2, 6):
+        for l in range(k + 1):
+            # the formula before memoization, built afresh per call
+            ff = np.array([math.perm(i, l) for i in range(k + 1)],
+                          dtype=float)
+            ex = np.maximum(np.arange(k + 1) - l, 0)
+            for us in u_sets:
+                assert np.array_equal(sp._derivative_basis(us, k, l),
+                                      ff * us[:, None] ** ex)
+            rows = sp._derivative_rows(k, l)
+            assert rows is sp._derivative_rows(k, l)
+            for row in rows:
+                with pytest.raises(ValueError):
+                    row[0] = 7
 
 
 class TestSpanCost:

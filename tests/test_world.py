@@ -171,7 +171,7 @@ def test_updated_config_space_matches_rebuild():
                          np.zeros(tuple(w.dims), dtype=bool))
     cs0 = wd.build_config_space(base, 0.3)
     fresh = w.occ.copy()
-    cs1 = wd.updated_config_space(cs0, w, fresh)
+    cs1 = wd.updated_config_space(cs0, w, np.flatnonzero(fresh))
     cs_ref = wd.build_config_space(w, 0.3)
     assert np.array_equal(cs1.occ_inflated, cs_ref.occ_inflated)
 
@@ -190,7 +190,8 @@ def test_updated_config_space_on_faces_and_corners(delta):
                  (6, 2, 1), (3, 0, 4), (2, 5, 3), (4, 1, 0), (5, 4, 4)):
         fresh[cell] = True
     w = base.with_occ(base.occ | fresh)
-    cs1 = wd.updated_config_space(cs0, w, fresh & ~base.occ)
+    cs1 = wd.updated_config_space(cs0, w,
+                                  np.flatnonzero(fresh & ~base.occ))
     ref = wd.build_config_space(w, delta)
     assert np.array_equal(cs1.occ_inflated, ref.occ_inflated)
     assert np.array_equal(cs1.occ_flat, ref.occ_flat)
@@ -227,7 +228,7 @@ def test_updated_config_space_runs_no_dilation(monkeypatch):
     dilate = wd.ndimage.binary_dilation
     monkeypatch.setattr(wd.ndimage, "binary_dilation",
                         lambda *a, **kw: calls.append(1) or dilate(*a, **kw))
-    cs1 = wd.updated_config_space(cs0, w, w.occ & ~base.occ)
+    cs1 = wd.updated_config_space(cs0, w, np.flatnonzero(w.occ & ~base.occ))
     assert calls == []
     assert np.array_equal(cs1.occ_inflated, ref.occ_inflated)
 
