@@ -18,6 +18,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -533,73 +534,100 @@ def state_reference_points(position, velocity, k: int, dt: float) -> np.ndarray:
     return position + offs[:, None] * dt * velocity
 
 
+_CLOSED = -1.0  # astar_cells' g of a closed cell
+
+
 def astar_cells(cs: ConfigSpace, start_cell, goal_cell,
                 max_expansions: int = 2_000_000):
     """Position-only shortest path on free cells, 26-connected.
 
-    Euclidean step costs in meters; deterministic tie-breaking on the cell
-    code. Returns the cell path as an (n, 3) array or None.
+    Euclidean step costs in meters. The heap orders nodes by (f, g, cell
+    code): a code is pushed again only at a strictly smaller g, so no two
+    entries tie, and ties in f and g go to the smaller code. Returns the
+    cell path as an (n, 3) array, or None when the goal is unreachable or
+    max_expansions nodes were expanded first.
     """
     world = cs.world
-    dims = world.dims
-    nx, ny, nz = (int(v) for v in dims)
+    nx, ny, nz = (int(v) for v in world.dims)
     start = tuple(int(v) for v in start_cell)
     goal = tuple(int(v) for v in goal_cell)
     if not cs.is_free(start) or not cs.is_free(goal):
         return None
-    csz = world.cell_sizes
     occ = cs.occ_bytes
+    csz = tuple(float(v) for v in world.cell_sizes)
+    steps = _astar_steps(ny, nz, *csz)
+    # h = ((hx[x] + hy[y]) + hz[z]) ** 0.5, the Euclidean distance to the
+    # goal summed in the same order as its closed form
+    hx, hy, hz = ([(c * (i - g)) ** 2 for i in range(n)]
+                  for n, c, g in zip((nx, ny, nz), csz, goal))
+    nyz = ny * nz
+    xmax, ymax, zmax = nx - 1, ny - 1, nz - 1
+    start_code = (start[0] * ny + start[1]) * nz + start[2]
+    goal_code = (goal[0] * ny + goal[1]) * nz + goal[2]
+    # g per code; a closed code holds _CLOSED, below every path cost, so
+    # no relaxation reopens it and its stale heap entries never match
+    g_best = {start_code: 0.0}
+    parent = {start_code: None}
+    heap = [((hx[start[0]] + hy[start[1]] + hz[start[2]]) ** 0.5, 0.0,
+             start_code)]
+    pop, push, get = heapq.heappop, heapq.heappush, g_best.get
+    inf = math.inf
+    n = 0
+    while heap:
+        _, g, code = pop(heap)
+        if g_best[code] != g:
+            continue
+        g_best[code] = _CLOSED
+        if code == goal_code:
+            path = []
+            while code is not None:
+                path.append(code)
+                code = parent[code]
+            return np.column_stack(np.unravel_index(path[::-1],
+                                                    (nx, ny, nz)))
+        n += 1
+        if n >= max_expansions:
+            return None
+        x, r = divmod(code, nyz)
+        y, z = divmod(r, nz)
+        if 0 < x < xmax and 0 < y < ymax and 0 < z < zmax:
+            for off, dx, dy, dz, sc in steps:
+                nc = code + off
+                if occ[nc]:
+                    continue
+                ng = g + sc
+                if ng < get(nc, inf):
+                    g_best[nc] = ng
+                    parent[nc] = code
+                    push(heap, (ng + (hx[x + dx] + hy[y + dy] + hz[z + dz])
+                                ** 0.5, ng, nc))
+            continue
+        for off, dx, dy, dz, sc in steps:
+            xx = x + dx
+            yy = y + dy
+            zz = z + dz
+            if xx < 0 or xx >= nx or yy < 0 or yy >= ny or zz < 0 or zz >= nz:
+                continue
+            nc = code + off
+            if occ[nc]:
+                continue
+            ng = g + sc
+            if ng < get(nc, inf):
+                g_best[nc] = ng
+                parent[nc] = code
+                push(heap, (ng + (hx[xx] + hy[yy] + hz[zz]) ** 0.5, ng, nc))
+    return None
+
+
+@lru_cache(maxsize=64)
+def _astar_steps(ny: int, nz: int, cx: float, cy: float, cz: float):
+    """The 26 grid steps as (flat code offset, dx, dy, dz, length in m)."""
     steps = []
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             for dz in (-1, 0, 1):
                 if dx == dy == dz == 0:
                     continue
-                cost = float(np.linalg.norm([dx * csz[0], dy * csz[1],
-                                             dz * csz[2]]))
-                steps.append((dx, dy, dz, cost))
-    cx, cy, cz = (float(v) for v in csz)
-    gx, gy, gz = goal
-
-    def h(x, y, z):
-        return ((cx * (x - gx)) ** 2 + (cy * (y - gy)) ** 2
-                + (cz * (z - gz)) ** 2) ** 0.5
-
-    start_code = (start[0] * ny + start[1]) * nz + start[2]
-    goal_code = (goal[0] * ny + goal[1]) * nz + goal[2]
-    g_best = {start_code: 0.0}
-    parent = {start_code: None}
-    closed = set()
-    heap = [(h(*start), 0.0, start_code, start)]
-    n = 0
-    while heap:
-        f, g, code, cell = heapq.heappop(heap)
-        if code in closed or g > g_best[code]:
-            continue
-        closed.add(code)
-        if code == goal_code:
-            path = []
-            while code is not None:
-                path.append((code // (ny * nz), (code // nz) % ny, code % nz))
-                code = parent[code]
-            return np.array(path[::-1], dtype=np.int64)
-        n += 1
-        if n >= max_expansions:
-            return None
-        x, y, z = cell
-        for dx, dy, dz, sc in steps:
-            xx = x + dx
-            yy = y + dy
-            zz = z + dz
-            if xx < 0 or xx >= nx or yy < 0 or yy >= ny or zz < 0 or zz >= nz:
-                continue
-            ncode = (xx * ny + yy) * nz + zz
-            if ncode in closed or occ[ncode]:
-                continue
-            ng = g + sc
-            if ng < g_best.get(ncode, np.inf):
-                g_best[ncode] = ng
-                parent[ncode] = code
-                heapq.heappush(heap, (ng + h(xx, yy, zz), ng, ncode,
-                                      (xx, yy, zz)))
-    return None
+                cost = float(np.linalg.norm([dx * cx, dy * cy, dz * cz]))
+                steps.append(((dx * ny + dy) * nz + dz, dx, dy, dz, cost))
+    return tuple(steps)

@@ -4,8 +4,15 @@ Occupancy lives on a regular grid; a cell with index (ix, iy, iz) has its
 center at origin + (index + 0.5) * cell_sizes. Configuration spaces are
 derived by inflating obstacles: a cell is inflated-occupied when its center
 lies within delta of some obstacle cell's axis-aligned box (Minkowski sum
-with a ball, evaluated at centers). Clearances come from a KD-tree over
-the inflated-occupied cell centers plus the world's boundary planes.
+with a ball, evaluated at centers). That set is the occupancy dilated by
+one stencil of cell offsets (_stencil). The squared center-to-box distance
+is a sum of per-axis terms that grow with the shift along their axis, so
+every x-row of the stencil is one centered run of cells: a full build
+dilates along x once per run length and ORs each (y, z) row's run into
+place (_inflate), which marks exactly the stencil's cells, bit for bit;
+an update places the stencil at each fresh cell. Clearances come from a
+KD-tree over the inflated-occupied cell centers plus the world's boundary
+planes.
 """
 
 from dataclasses import dataclass, field
@@ -79,16 +86,12 @@ def neighbors26(cell, dims) -> np.ndarray:
     return cand[keep]
 
 
-def _inflation_stencil(cell_sizes, delta: float) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _stencil(cell_sizes: tuple, delta: float) -> np.ndarray:
     """Boolean dilation stencil for center-to-box distance <= delta.
 
     Memoized per (cell sizes, delta); the shared array is read-only.
     """
-    return _stencil(tuple(float(c) for c in cell_sizes), float(delta))
-
-
-@lru_cache(maxsize=64)
-def _stencil(cell_sizes: tuple, delta: float) -> np.ndarray:
     cs = np.asarray(cell_sizes)
     reach = np.maximum(np.ceil(delta / cs + 0.5).astype(int), 0)
     ax = [np.arange(-r, r + 1) for r in reach]
@@ -198,14 +201,58 @@ class ConfigSpace:
 
 
 def build_config_space(world: VoxelWorld, delta: float) -> ConfigSpace:
+    """Obstacles inflated by delta: the occupancy dilated by the stencil,
+    built by separating the stencil into centered x-runs (_inflate)."""
     if delta < 0:
         raise ValueError("inflation radius must be >= 0")
     if delta == 0:
         inflated = world.occ.copy()
     else:
-        inflated = ndimage.binary_dilation(world.occ,
-                                           structure=_inflation_stencil(world.cell_sizes, delta))
+        inflated = _inflate(world.occ, world.cell_sizes, delta)
     return _finish_config_space(world, delta, inflated)
+
+
+def _inflate(occ, cell_sizes, delta: float) -> np.ndarray:
+    """occ dilated by the stencil (_stencil), one x-run at a time.
+
+    The stencil's squared distance (gx + gy) + gz grows with |sx|, so the
+    stencil cells through each (sy, sz) are the centered x-run
+    |sx| <= h(sy, sz). Dilating occ by runs of half-length 0..max h along
+    x (one pass), then OR-ing the run of each (sy, sz) shifted by
+    (sy, sz), places the stencil exactly: the same cells, read from the
+    same array. Each z-row of the grid is preceded by rz cells of False
+    and each x-slab by ry rows of them, so a shift by (sy, sz) is one
+    flat, contiguous slice whose reads from a real cell past a row's or
+    a slab's end land on padding.
+    """
+    stencil = _stencil(tuple(float(c) for c in cell_sizes), float(delta))
+    ry, rz = stencil.shape[1] // 2, stencil.shape[2] // 2
+    half = (stencil.sum(axis=0) - 1) // 2  # per (sy, sz); -1: no cell
+    nx, ny, nz = occ.shape
+    py, pw = ny + ry, nz + rz
+    size = nx * py * pw
+    base = np.zeros((nx, py, pw), dtype=bool)
+    base[:, ry:ry + ny, rz:rz + nz] = occ
+    base = base.reshape(-1)
+    runs = [base]
+    for h in range(1, int(half.max()) + 1):
+        run = runs[-1].copy()
+        t = h * py * pw
+        if t < size:
+            run[t:] |= base[:-t]
+            run[:-t] |= base[t:]
+        runs.append(run)
+    out = np.zeros(size, dtype=bool)
+    for (jy, jz), h in np.ndenumerate(half):
+        if h < 0:
+            continue
+        off = (jy - ry) * pw + (jz - rz)
+        if off >= 0:
+            out[:size - off] |= runs[h][off:]
+        else:
+            out[-off:] |= runs[h][:size + off]
+    return np.ascontiguousarray(
+        out.reshape(nx, py, pw)[:, ry:ry + ny, rz:rz + nz])
 
 
 def _finish_config_space(world, delta, inflated) -> ConfigSpace:
@@ -288,9 +335,11 @@ def generate(spec: MapGenSpec) -> VoxelWorld:
     dims = np.ceil(extent / cs - 1e-9).astype(np.int64)
     occ = np.zeros(tuple(dims), dtype=bool)
     world = VoxelWorld(dims, cs, np.zeros(3), occ)
-    rng = np.random.default_rng(spec.seed)
     if spec.kind == "empty" or (spec.kind == "pillars" and spec.density == 0):
         return world
+    # seeded only by the kinds that draw from it: a generator costs more
+    # to create than an empty world does to build
+    rng = np.random.default_rng(spec.seed)
     if spec.kind == "pillars":
         return _gen_pillars(world, spec, rng)
     return _gen_noise(world, spec, rng)
@@ -378,14 +427,16 @@ def bench_course(cell: float = 0.2, seed: int = 9) -> VoxelWorld:
     dims_m = (20.0, 10.0, 3.0)
     w = generate(MapGenSpec(kind="empty", extent=dims_m,
                             cell_sizes=(cell, cell, cell)))
-    w = add_box(w, (5.0, 0.0, 0.0), (5.4, 3.6, 3.0))       # wall below the gap
-    w = add_box(w, (5.0, 6.4, 0.0), (5.4, 10.0, 3.0))      # wall above the gap
-    w = add_box(w, (7.6, 2.2, 1.8), (9.0, 7.8, 2.4))       # slab, free underneath
-    # an S-chicane of two staggered walls revealed in sequence: crossings
-    # must swing up, then down, under partial knowledge
-    w = add_box(w, (10.6, 0.0, 0.0), (11.0, 5.6, 3.0))
-    w = add_box(w, (13.6, 4.4, 0.0), (14.0, 10.0, 3.0))
     occ = np.array(w.occ)
+    for lo, hi in (
+            ((5.0, 0.0, 0.0), (5.4, 3.6, 3.0)),      # wall below the gap
+            ((5.0, 6.4, 0.0), (5.4, 10.0, 3.0)),     # wall above the gap
+            ((7.6, 2.2, 1.8), (9.0, 7.8, 2.4)),      # slab, free underneath
+            # an S-chicane of two staggered walls revealed in sequence:
+            # crossings must swing up, then down, under partial knowledge
+            ((10.6, 0.0, 0.0), (11.0, 5.6, 3.0)),
+            ((13.6, 4.4, 0.0), (14.0, 10.0, 3.0))):
+        _fill_box(occ, w, lo, hi)
     # pillars keep pairwise gaps of at least 1.5 m so every corridor fits a
     # refinable tube; two of them sit near the line so the final stretch
     # picks sides (the course is deterministic; seed kept for interface

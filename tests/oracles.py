@@ -44,6 +44,28 @@ def brute_force_nn(cs, point):
     return best
 
 
+def brute_force_inflation(world, delta):
+    """Cells whose center lies within delta of some obstacle cell's box.
+
+    For every obstacle cell, the per-axis gap from each cell center to
+    the box [origin + q * c, origin + (q + 1) * c] is clipped at zero and
+    the squared gaps are summed; the same 1e-12 tolerance on delta**2
+    keeps boundary cases inside.
+    """
+    dims = np.asarray(world.dims)
+    c = np.asarray(world.cell_sizes, dtype=float)
+    org = np.asarray(world.origin, dtype=float)
+    idx = np.indices(tuple(dims)).reshape(3, -1).T
+    centers = org + (idx + 0.5) * c
+    out = np.zeros(idx.shape[0], dtype=bool)
+    for q in np.argwhere(world.occ):
+        lo = org + q * c
+        hi = org + (q + 1) * c
+        gap = np.maximum(np.maximum(lo - centers, centers - hi), 0.0)
+        out |= (gap ** 2).sum(axis=1) <= delta ** 2 + 1e-12
+    return out.reshape(tuple(dims))
+
+
 _OFFSETS27 = np.array(list(product((-1, 0, 1), repeat=3)))
 
 
@@ -230,3 +252,77 @@ def projected_gradient(prob, iters=200000, dykstra=40, tol=1e-12):
 
 def all_axis_patterns(k):
     return list(product((-1, 0, 1), repeat=k))
+
+
+def astar_cells(cs, start_cell, goal_cell,
+                max_expansions: int = 2_000_000):
+    """Textbook A* over free cells, 26-connected: the reference for
+    search.astar_cells.
+
+    Euclidean step costs in meters; heap entries (f, g, code, cell) break
+    ties on the cell code, and a closed set skips settled cells. Returns
+    the cell path as an (n, 3) array or None.
+    """
+    world = cs.world
+    dims = world.dims
+    nx, ny, nz = (int(v) for v in dims)
+    start = tuple(int(v) for v in start_cell)
+    goal = tuple(int(v) for v in goal_cell)
+    if not cs.is_free(start) or not cs.is_free(goal):
+        return None
+    csz = world.cell_sizes
+    occ = cs.occ_bytes
+    steps = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                if dx == dy == dz == 0:
+                    continue
+                cost = float(np.linalg.norm([dx * csz[0], dy * csz[1],
+                                             dz * csz[2]]))
+                steps.append((dx, dy, dz, cost))
+    cx, cy, cz = (float(v) for v in csz)
+    gx, gy, gz = goal
+
+    def h(x, y, z):
+        return ((cx * (x - gx)) ** 2 + (cy * (y - gy)) ** 2
+                + (cz * (z - gz)) ** 2) ** 0.5
+
+    start_code = (start[0] * ny + start[1]) * nz + start[2]
+    goal_code = (goal[0] * ny + goal[1]) * nz + goal[2]
+    g_best = {start_code: 0.0}
+    parent = {start_code: None}
+    closed = set()
+    heap = [(h(*start), 0.0, start_code, start)]
+    n = 0
+    while heap:
+        f, g, code, cell = heapq.heappop(heap)
+        if code in closed or g > g_best[code]:
+            continue
+        closed.add(code)
+        if code == goal_code:
+            path = []
+            while code is not None:
+                path.append((code // (ny * nz), (code // nz) % ny, code % nz))
+                code = parent[code]
+            return np.array(path[::-1], dtype=np.int64)
+        n += 1
+        if n >= max_expansions:
+            return None
+        x, y, z = cell
+        for dx, dy, dz, sc in steps:
+            xx = x + dx
+            yy = y + dy
+            zz = z + dz
+            if xx < 0 or xx >= nx or yy < 0 or yy >= ny or zz < 0 or zz >= nz:
+                continue
+            ncode = (xx * ny + yy) * nz + zz
+            if ncode in closed or occ[ncode]:
+                continue
+            ng = g + sc
+            if ng < g_best.get(ncode, np.inf):
+                g_best[ncode] = ng
+                parent[ncode] = code
+                heapq.heappush(heap, (ng + h(xx, yy, zz), ng, ncode,
+                                      (xx, yy, zz)))
+    return None

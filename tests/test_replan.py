@@ -407,10 +407,17 @@ class TestReplannerRuns:
 
     @pytest.mark.parametrize("planner", ["tuple", "astar"])
     def test_run_feasible_and_collision_free(self, planner):
+        # the wall-clock limit is set out of reach, so the expansion budget
+        # alone decides every search and the flight is the same on a
+        # loaded machine
         w = self._world()
         sim = rp.Replanner(w, (0.9, 4.1, 1.1), (11.0, 4.1, 1.1),
-                           make_settings(mode="active", planner=planner))
+                           make_settings(mode="active", planner=planner,
+                                         search_wall_ms=1e12))
         traj = sim.run(max_time=60.0)
+        assert not [e for e in sim.events
+                    if e["kind"] in ("replan", "search_fail")
+                    and e.get("budget") == "wall"]
         assert sim.goal_reached
         assert np.abs(traj[:, 4:7]).max() <= 2.0 + 1e-6
         assert np.abs(traj[:, 7:10]).max() <= 4.7 + 1e-6

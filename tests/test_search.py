@@ -596,6 +596,77 @@ class TestAstar:
         cs = wd.build_config_space(w, 0.0)
         assert se.astar_cells(cs, (1, 1, 0), (7, 1, 0)) is None
 
+    @staticmethod
+    def _same_as_reference(cs, start, goal, max_expansions=2_000_000):
+        got = se.astar_cells(cs, start, goal, max_expansions)
+        ref = oracles.astar_cells(cs, start, goal, max_expansions)
+        if ref is None:
+            assert got is None, (start, goal, max_expansions)
+        else:
+            assert got is not None and got.dtype == ref.dtype
+            assert np.array_equal(got, ref), (start, goal, max_expansions)
+        return ref
+
+    def test_matches_reference_on_random_worlds(self):
+        # anisotropic cells, ends on faces, edges and corners, interior
+        # ends, and small expansion budgets
+        rng = np.random.default_rng(29)
+        found = none = 0
+        for _ in range(30):
+            dims = rng.integers(1, 10, size=3)
+            occ = rng.random(tuple(dims)) < rng.uniform(0.0, 0.3)
+            w = wd.VoxelWorld(dims, rng.uniform(0.1, 0.4, size=3),
+                              rng.uniform(-1.0, 1.0, size=3), occ)
+            cs = wd.build_config_space(w, 0.0)
+            free = np.argwhere(~occ)
+            if free.size == 0:
+                continue
+            hi = dims - 1
+            corners = [c for c in (np.array(k) * hi
+                                   for k in np.ndindex(2, 2, 2))
+                       if not occ[tuple(c)]]
+            for _ in range(8):
+                ends = [free[rng.integers(len(free))] for _ in range(2)]
+                if corners and rng.random() < 0.5:
+                    ends[rng.integers(2)] = corners[rng.integers(len(corners))]
+                start, goal = (tuple(int(v) for v in e) for e in ends)
+                for budget in (2_000_000, 1, 2, int(rng.integers(3, 40))):
+                    ref = self._same_as_reference(cs, start, goal, budget)
+                    found += ref is not None
+                    none += ref is None
+        assert found > 100 and none > 100
+
+    def test_matches_reference_when_goal_walled_off(self):
+        # a shell of obstacles around the goal: the search drains the
+        # start's component and returns None, exactly like the reference
+        occ = np.zeros((10, 9, 6), dtype=bool)
+        occ[5:8, 4:7, 1:4] = True
+        occ[6, 5, 2] = False
+        w = wd.VoxelWorld(np.array(occ.shape), np.array([0.2, 0.3, 0.25]),
+                          np.zeros(3), occ)
+        cs = wd.build_config_space(w, 0.0)
+        for start in ((0, 0, 0), (9, 8, 5), (0, 4, 3), (4, 4, 2)):
+            assert self._same_as_reference(cs, start, (6, 5, 2)) is None
+            assert self._same_as_reference(cs, (6, 5, 2), start) is None
+        # with the shell opened on a face, both find the same path
+        occ[7, 5, 2] = False
+        cs = wd.build_config_space(w.with_occ(occ), 0.0)
+        for start in ((0, 0, 0), (9, 8, 5), (9, 5, 2)):
+            assert self._same_as_reference(cs, start, (6, 5, 2)) is not None
+
+    def test_matches_reference_on_inflated_maps(self):
+        w = wd.generate(wd.MapGenSpec(kind="pillars", extent=(8, 8, 2),
+                                      cell_sizes=(0.25, 0.25, 0.4),
+                                      density=0.3, seed=1))
+        cs = wd.build_config_space(w, 0.3)
+        free = np.argwhere(~cs.occ_inflated)
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            start, goal = (tuple(int(v) for v in free[rng.integers(len(free))])
+                           for _ in range(2))
+            self._same_as_reference(cs, start, goal)
+            self._same_as_reference(cs, start, goal, 25)
+
     def test_query_work_does_not_scale_with_grid(self):
         # a 10-cell path on a 2.7M-cell grid allocates what its nodes
         # need, nothing per grid cell

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,58 @@ class TestGenerators:
         with pytest.raises(ValueError):
             wd.MapGenSpec(kind="pillars", extent=(1, 1, 1),
                           cell_sizes=(0.1,) * 3, density=-1)
+
+
+# (kind, extent, cell sizes, density, seed, occupied cells, sha256 prefix
+# of the occupancy bytes) of every generated map the tests and the
+# benchmark use, recorded when generate still created its random generator
+# for every kind: the maps must not depend on when it is created
+GENERATED = [
+    ("empty", (10.2, 10.2, 2.0), (0.2, 0.2, 0.4), 0.0, 0, 0, "7f84cceafe1a2be7"),
+    ("empty", (12, 8, 2.4), (0.2, 0.2, 0.2), 0.0, 0, 0, "19a9b0eb3572bcbe"),
+    ("pillars", (20, 20, 4), (0.25, 0.25, 0.25), 0.1, 7, 2464, "517538f9348fd15e"),
+    ("pillars", (20, 20, 4), (0.25, 0.25, 0.25), 0.2, 11, 5024, "c65f316e3c9f26ee"),
+    ("pillars", (20, 20, 4), (0.25, 0.25, 0.25), 0.4, 17, 9728, "d326caee17ec3881"),
+    ("pillars", (15, 15, 4), (0.25, 0.25, 0.25), 0.25, 3, 3424, "f84724b79ef309df"),
+    ("pillars", (15, 15, 4), (0.25, 0.25, 0.25), 0.25, 4, 3472, "e30feb489a73732e"),
+    ("pillars", (15, 15, 4), (0.25, 0.25, 0.25), 0.15, 2, 2160, "cae21318e3de136e"),
+    ("pillars", (15, 15, 4), (0.25, 0.25, 0.25), 0.2, 4, 2832, "81ffaa4e601a0042"),
+    ("pillars", (12, 8, 2.4), (0.2, 0.2, 0.2), 0.15, 5, 996, "87ecd6cb6d253334"),
+    ("pillars", (20, 20, 4), (0.2, 0.2, 0.2), 0.1, 7, 4720, "5c01d34c1085fa6e"),
+    ("pillars", (20, 20, 4), (0.25, 0.25, 0.25), 0.3, 13, 7248, "b760c512473c2681"),
+    ("noise", (10, 10, 3), (0.25, 0.25, 0.25), 0.0, 3, 1938, "391fb21deac8f6fc"),
+    ("noise", (10, 10, 3), (0.25, 0.25, 0.25), 0.0, 5, 3610, "168d353611668560"),
+]
+
+
+@pytest.mark.parametrize("kind,extent,cells,density,seed,count,digest",
+                         GENERATED)
+def test_generated_maps_unchanged(kind, extent, cells, density, seed, count,
+                                  digest):
+    w = wd.generate(wd.MapGenSpec(kind=kind, extent=extent, cell_sizes=cells,
+                                  density=density, seed=seed))
+    assert int(w.occ.sum()) == count
+    assert hashlib.sha256(w.occ.tobytes()).hexdigest()[:16] == digest
+
+
+def test_bench_course_equals_box_chain():
+    for cell in (0.2, 0.25):
+        w = wd.generate(wd.MapGenSpec(kind="empty", extent=(20.0, 10.0, 3.0),
+                                      cell_sizes=(cell,) * 3))
+        for lo, hi in (((5.0, 0.0, 0.0), (5.4, 3.6, 3.0)),
+                       ((5.0, 6.4, 0.0), (5.4, 10.0, 3.0)),
+                       ((7.6, 2.2, 1.8), (9.0, 7.8, 2.4)),
+                       ((10.6, 0.0, 0.0), (11.0, 5.6, 3.0)),
+                       ((13.6, 4.4, 0.0), (14.0, 10.0, 3.0))):
+            w = wd.add_box(w, lo, hi)
+        for cx, cy in ((16.2, 3.4), (17.6, 5.0), (16.6, 7.2)):
+            w = wd.add_box(w, (cx - 0.25, cy - 0.25, 0.0),
+                           (cx + 0.25, cy + 0.25, 3.0))
+        course = wd.bench_course(cell=cell)
+        assert np.array_equal(course.occ, w.occ)
+        assert np.array_equal(course.dims, w.dims)
+    assert hashlib.sha256(wd.bench_course().occ.tobytes()).hexdigest()[:16] \
+        == "6595c1b1a393ef10"
 
 
 class TestConfigSpace:
@@ -199,8 +253,8 @@ def test_updated_config_space_on_faces_and_corners(delta):
 
 
 def test_inflation_stencil_is_shared_and_read_only():
-    a = wd._inflation_stencil(np.array([0.2, 0.2, 0.4]), 0.3)
-    b = wd._inflation_stencil((0.2, 0.2, 0.4), 0.3)
+    a = wd._stencil((0.2, 0.2, 0.4), 0.3)
+    b = wd._stencil((0.2, 0.2, 0.4), 0.3)
     assert a is b
     with pytest.raises(ValueError):
         a[0, 0, 0] = not a[0, 0, 0]
@@ -213,7 +267,7 @@ def test_stencil_offsets_are_shared_and_read_only():
     with pytest.raises(ValueError):
         off[0, 0] = 0
     # the offsets place the stencil's cells around its center
-    stencil = wd._inflation_stencil((0.2, 0.2, 0.4), 0.3)
+    stencil = wd._stencil((0.2, 0.2, 0.4), 0.3)
     rebuilt = np.zeros_like(stencil)
     rebuilt[tuple(off + (np.array(stencil.shape) // 2)[:, None])] = True
     assert np.array_equal(rebuilt, stencil)
@@ -225,12 +279,67 @@ def test_updated_config_space_runs_no_dilation(monkeypatch):
     cs0 = wd.build_config_space(base, 0.3)
     ref = wd.build_config_space(w, 0.3)
     calls = []
-    dilate = wd.ndimage.binary_dilation
-    monkeypatch.setattr(wd.ndimage, "binary_dilation",
-                        lambda *a, **kw: calls.append(1) or dilate(*a, **kw))
+    inflate = wd._inflate
+    monkeypatch.setattr(wd, "_inflate",
+                        lambda *a, **kw: calls.append(1) or inflate(*a, **kw))
+    assert wd.build_config_space(base, 0.3) is not None and calls == [1]
+    calls.clear()
     cs1 = wd.updated_config_space(cs0, w, np.flatnonzero(w.occ & ~base.occ))
     assert calls == []
     assert np.array_equal(cs1.occ_inflated, ref.occ_inflated)
+
+
+def _check_inflation(w, delta):
+    cs = wd.build_config_space(w, delta)
+    ref = oracles.brute_force_inflation(w, delta)
+    assert cs.occ_inflated.flags.c_contiguous
+    assert np.array_equal(cs.occ_inflated, ref), (w.dims, w.cell_sizes, delta)
+    assert cs.occ_bytes == ref.tobytes()
+
+
+def test_inflation_matches_brute_force_on_random_worlds():
+    # anisotropic cells, non-zero origins, dims from 1 to 11 and deltas
+    # from 0 up to several cells
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        dims = rng.integers(1, 12, size=3)
+        cells = rng.uniform(0.1, 0.4, size=3)
+        occ = rng.random(tuple(dims)) < rng.uniform(0.0, 0.08)
+        w = wd.VoxelWorld(dims, cells, rng.uniform(-5.0, 5.0, size=3), occ)
+        for delta in (0.0, rng.uniform(0.0, 0.3), rng.uniform(0.3, 1.0)):
+            _check_inflation(w, delta)
+
+
+@pytest.mark.parametrize("dims", [(1, 9, 8), (9, 1, 8), (9, 8, 1), (1, 1, 7),
+                                  (1, 1, 1), (6, 5, 4)])
+def test_inflation_on_faces_corners_and_thin_grids(dims):
+    # obstacles on every corner and face centre dilate into clipped boxes
+    occ = np.zeros(dims, dtype=bool)
+    hi = np.array(dims) - 1
+    for corner in np.ndindex(2, 2, 2):
+        occ[tuple(np.array(corner) * hi)] = True
+    for ax in range(3):
+        for end in (0, hi[ax]):
+            cell = hi // 2
+            cell[ax] = end
+            occ[tuple(cell)] = True
+    w = wd.VoxelWorld(np.array(dims), np.array([0.13, 0.2, 0.31]),
+                      np.array([2.5, -1.25, 0.75]), occ)
+    for delta in (0.05, 0.1, 0.26, 0.45, 0.9):
+        _check_inflation(w, delta)
+
+
+def test_inflation_at_exact_whole_cell_radii():
+    # delta = (s - 0.5) * c_a puts whole rows of cells on the sphere
+    rng = np.random.default_rng(23)
+    cells = np.array([0.15, 0.2, 0.35])
+    occ = rng.random((9, 10, 7)) < 0.03
+    occ[4, 5, 3] = True
+    w = wd.VoxelWorld(np.array(occ.shape), cells, np.array([-0.6, 0.2, 1.0]),
+                      occ)
+    for ax in range(3):
+        for s in (1, 2, 3):
+            _check_inflation(w, (s - 0.5) * cells[ax])
 
 
 def test_reachable_mask_blocks_walls():
