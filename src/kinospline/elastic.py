@@ -12,7 +12,6 @@ problem is re-solved, at most k times per ball gap (k^2 per span).
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from . import qcqp
 from .splines import (SplineDef, blending_tables, check_feasible,
@@ -164,27 +163,29 @@ def assemble_qcqp(balls_per_point, init_points, start_pins, goal_pins,
     if len(balls_per_point) != nf:
         raise ValueError("need one ball list per free point")
     seq = np.vstack([start_pins, init_points, goal_pins])
-    npts = seq.shape[0]
-    nspan = npts - k
+    nspan = seq.shape[0] - k
     tab = blending_tables(k)
     cm = tab.cost_mat(l) * dt ** (1 - 2 * l)
 
-    hseq = np.zeros((npts, npts))
-    for j in range(nspan):
-        hseq[j:j + k + 1, j:j + k + 1] += cm
-    free = np.arange(k + 1, k + 1 + nf)
-    fixed = np.concatenate([np.arange(0, k + 1), np.arange(k + 1 + nf, npts)])
-    hff = hseq[np.ix_(free, free)]
-    hfp = hseq[np.ix_(free, fixed)] @ seq[fixed]
-
+    # every free point lies in all k+1 spans that hold it, so diagonal d
+    # of the free points' Gram band is the sum of cm's, and H = 2 hff (x) I3
+    # puts it on H's diagonal 3d (point-major variables)
     n = 3 * nf
-    H = np.zeros((n, n))
-    g = np.zeros(n)
-    for a in range(3):
-        H[a::3, a::3] = 2.0 * hff
-        g[a::3] = 2.0 * hfp[:, a]
-    hpp = hseq[np.ix_(fixed, fixed)]
-    const = float(np.einsum("ia,ij,ja->", seq[fixed], hpp, seq[fixed]))
+    diag = np.array([np.trace(cm, -d) for d in range(k + 1)])
+    H_band = np.zeros((3 * k + 1, n))
+    H_band[::3] = np.where(np.arange(n) < n - 3 * np.arange(k + 1)[:, None],
+                           2.0 * diag[:, None], 0.0)
+    # the pins' share per span, free points zeroed: its gradient at the
+    # free points is g / 2, its value const
+    idx = np.arange(nspan)[:, None] + np.arange(k + 1)
+    free_mask = (idx >= k + 1) & (idx < k + 1 + nf)
+    pinned = seq[idx] * ~free_mask[:, :, None]
+    cp = np.einsum("rc,jca->jra", cm, pinned)
+    grad = np.zeros_like(seq)
+    for r in range(k + 1):
+        grad[r:r + nspan] += cp[:, r]
+    g = 2.0 * grad[k + 1:k + 1 + nf].reshape(-1)
+    const = float(np.einsum("jca,jca->", pinned, cp))
 
     balls = []
     for i, lst in enumerate(balls_per_point):
@@ -192,41 +193,41 @@ def assemble_qcqp(balls_per_point, init_points, start_pins, goal_pins,
             balls.append(qcqp.BallConstraint(i, np.asarray(center, dtype=float),
                                              float(radius)))
 
-    # derivative-span rows, one sparse matrix. Row (order, span j, r, axis)
-    # holds S_order[r, c] on free point j + c; the pinned points' share
-    # moves into the bounds. Spans 1..k+nf are those touching a free point.
-    spans = np.arange(1, k + 1 + nf) if nf else np.zeros(0, dtype=np.int64)
-    idx = spans[:, None] + np.arange(k + 1)
-    free_mask = (idx >= k + 1) & (idx < k + 1 + nf)
-    pinned = seq[idx] * ~free_mask[:, :, None]
+    # derivative-span rows, padded. Row (order, span j, r, axis) holds
+    # S_order[r, c] on free point j + c; the pinned points' share moves
+    # into the bounds. Spans 1..k+nf touch a free point. Built as (k+1, m)
+    # and transposed, so the rows come out column-major.
+    spans = slice(1, nspan - 1) if nf else slice(0, 0)
     S = np.stack([tab.bound_transform(order, dt) for order in (1, 2)])
-    fixed = np.einsum("orc,jca->ojra", S, pinned)
+    fixed = np.einsum("orc,jca->ojra", S, pinned[spans])
     b_lo = np.stack([bounds.v_min, bounds.a_min]).astype(float)
     b_hi = np.stack([bounds.v_max, bounds.a_max]).astype(float)
     lo = (b_lo[:, None, None, :] - fixed).reshape(-1)
     hi = (b_hi[:, None, None, :] - fixed).reshape(-1)
-    shape = (2, spans.size, k + 1, 3, k + 1)
-    data = np.broadcast_to((S[:, None] * free_mask[None, :, None, :])
-                           [:, :, :, None, :], shape).reshape(-1, k + 1)
-    col_pt = np.where(free_mask, idx - (k + 1), 0)
-    col = np.broadcast_to(3 * col_pt[None, :, None, None, :]
-                          + np.arange(3)[:, None], shape).reshape(-1, k + 1)
-    live = data != 0.0
+    # entry e of span j's rows sits on the span's (first free + e)-th
+    # point; entries past its last free point repeat that one
+    j = idx[spans, :1]
+    at = np.maximum(k + 1 - j, 0) + np.arange(k + 1)
+    end = np.minimum(k + nf - j, k)
+    pos = np.minimum(at, end)
+    shape = (k + 1, 2, j.shape[0], k + 1, 3)
+    coef = np.broadcast_to((S[:, :, pos.T] * (at <= end).T)
+                           .transpose(2, 0, 3, 1)[..., None],
+                           shape).reshape(k + 1, -1)
+    cols = np.broadcast_to(3 * (j + pos - (k + 1)).T[:, None, :, None, None]
+                           + np.arange(3), shape).reshape(k + 1, -1)
     # a row without free coefficients is a fixed number: drop it when it
     # holds, keep it as an empty row (the solver reports it) when not
-    keep = live.any(axis=1) | (lo > 0.0) | (hi < 0.0)
-    A = None
+    keep = (coef != 0.0).any(axis=0) | (lo > 0.0) | (hi < 0.0)
+    A = A_cols = None
     if keep.any():
-        # entries are row-major with ascending columns: CSR as they stand
-        sel = live & keep[:, None]
-        indptr = np.concatenate([[0], np.cumsum(sel.sum(axis=1)[keep])])
-        A = sparse.csr_matrix((data[sel], col[sel], indptr),
-                              shape=(int(keep.sum()), n))
+        A = np.compress(keep, coef, axis=1).T
+        A_cols = np.compress(keep, cols, axis=1).T
         lo, hi = lo[keep], hi[keep]
     else:
         lo = hi = None
-    return qcqp.QcqpProblem(H=H, g=g, balls=tuple(balls), A=A, lo=lo, hi=hi,
-                            const=const)
+    return qcqp.QcqpProblem(H_band=H_band, g=g, balls=tuple(balls), A=A,
+                            A_cols=A_cols, lo=lo, hi=hi, const=const)
 
 
 def _span_samples(spans, dt: float, step: float) -> list:

@@ -12,21 +12,21 @@ a nonnegative slack.
 G is never stored as a matrix; it is applied from the cones' structure.
 A ball selects one point, so G x gathers x.reshape(-1, 3) at the ball
 points and G'z scatters the balls' duals back with one bincount over the
-flat indices 3p + axis. A row of A touches at most w coefficients (k+1
-consecutive points' coordinates on tube problems), so the rows are kept
-once per solve as padded (m, w) arrays of columns and coefficients, with
-a scale per row; the working rows' products are gathered row products
-over them, and every step runs as a few whole-array operations per cone
-family (a family without cones is skipped).
+flat indices 3p + axis. The problem holds its rows as padded (m, w)
+arrays of columns and coefficients, w the longest row (k+1 consecutive
+points' coordinates on tube problems), and the solve adds a scale per
+row; the working rows' products are gathered row products over them,
+and every step runs as a few whole-array operations per cone family (a
+family without cones is skipped).
 
 Every Newton system reduces to H + G'W^-2 G: H plus a 3x3 block per ball
 point plus the rows' coupling. For the tube problems H and the rows span
 k+1 interleaved xyz points, so the matrix is banded with half-bandwidth
-3k and a banded Cholesky solves it in O(n k^2). H's band is extracted
-once per solve (the PSD check factors it), and each iteration adds the
-cones' entries to it with one bincount per family over band positions
-computed once per sub-problem. The iteration count does not depend on
-the conditioning of H.
+3k and a banded Cholesky solves it in O(n k^2). H arrives as its lower
+band (the PSD check factors it), and each iteration adds the cones'
+entries to it with one bincount per family over band positions computed
+once per sub-problem. No step forms a dense n x n matrix, and the
+iteration count does not depend on the conditioning of H.
 
 Every main iteration starts strictly feasible and centered: s = h - Gx
 inside the cones and z = mu s^-1. A start point outside the cones, or on
@@ -51,7 +51,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, optimize, sparse
+from scipy import linalg, optimize
+from scipy.linalg import blas
 
 _pbtrf, _pbtrs = linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
                                          (np.zeros((1, 1)),))
@@ -71,14 +72,18 @@ class BallConstraint:
 class QcqpProblem:
     """min 0.5 x'Hx + g'x + const  s.t.  ||x_p - q_j|| <= r_j,  lo <= Ax <= hi.
 
-    A may be a dense array or a scipy sparse matrix; infinite entries of
-    lo and hi leave that side of the row free.
+    H_band is H's lower band in LAPACK storage, H_band[d, j] = H[j + d, j],
+    0 past each band row's end (j + d >= n). Row i of A holds coefficients
+    A[i] on the ascending columns A_cols[i], both (m, w); a repeated column
+    carries coefficient 0, so a short row is padded by repeating its last
+    column. Infinite entries of lo and hi leave that side of the row free.
     """
 
-    H: np.ndarray
+    H_band: np.ndarray
     g: np.ndarray
     balls: tuple
-    A: object = None
+    A: np.ndarray = None
+    A_cols: np.ndarray = None
     lo: np.ndarray = None
     hi: np.ndarray = None
     const: float = 0.0
@@ -101,51 +106,63 @@ class QcqpProblem:
             hb[:, 1:] = [b.center for b in self.balls]
         return pts, hb
 
-    def validate(self, tol: float = 1e-8) -> np.ndarray:
-        """Raise ValueError unless the problem is well posed.
-
-        Returns H's lower band in LAPACK storage (ab[d, j] = H[j + d, j]),
-        on which the PSD check ran.
-        """
-        H = self.H
-        if H.shape != (self.n, self.n):
-            raise ValueError("H shape does not match the decision vector")
-        if self.n == 0:
-            return np.zeros((1, 0))
-        # every entry of H's lower triangle lies in its band
-        ab = _lower_band(H)
-        scale = max(float(np.abs(ab).max()), 1.0)
-        if np.abs(H - H.T).max() > 1e-10 * scale:
-            raise ValueError("H must be symmetric")
+    def validate(self, tol: float = 1e-8) -> None:
+        """Raise ValueError unless the problem is well posed."""
+        n, ab = self.n, self.H_band
+        if ab.ndim != 2 or ab.shape[0] < 1 or ab.shape[1] != n:
+            raise ValueError("H_band must be a band of n columns")
+        past_end = np.arange(n) + np.arange(ab.shape[0])[:, None] >= n
+        if np.any(ab[past_end] != 0.0):
+            raise ValueError("H_band must be 0 past the end of each row")
+        if n == 0:
+            return
         # H + tol*scale*I factors exactly when H's smallest eigenvalue
         # exceeds -tol*scale (up to roundoff)
         shifted = ab.copy()
-        shifted[0] += tol * scale
+        shifted[0] += tol * max(float(np.abs(ab).max()), 1.0)
         _, info = _pbtrf(shifted, lower=1, overwrite_ab=1)
         if info != 0:
             raise ValueError("H is not PSD")
         pts, hb = self._ball_arrays
         if np.any(hb[:, 0] <= 0):
             raise ValueError("ball radii must be positive")
-        if np.any((3 * pts + 2 < 0) | (3 * pts + 2 >= self.n)):
+        if np.any((3 * pts + 2 < 0) | (3 * pts + 2 >= n)):
             raise ValueError("ball point index out of range")
-        return ab
+        if self.A is None:
+            return
+        cols, coef = self.A_cols, self.A
+        if cols is None or cols.ndim != 2 or cols.shape != coef.shape:
+            raise ValueError("A and A_cols must have the same (m, w) shape")
+        if np.any(cols[:, 1:] < cols[:, :-1]):
+            raise ValueError("row columns must not descend")
+        if not np.issubdtype(cols.dtype, np.integer) \
+                or np.any(cols[:, :1] < 0) or np.any(cols[:, -1:] >= n):
+            raise ValueError("row column out of range")
+        if np.any((cols[:, 1:] == cols[:, :-1]) & (coef[:, 1:] != 0.0)):
+            raise ValueError("a repeated row column must carry coefficient 0")
+
+    def hess_dot(self, x) -> np.ndarray:
+        """H x, from the band."""
+        if self.n == 0:
+            return np.zeros(0)
+        return blas.dsbmv(self.H_band.shape[0] - 1, 1.0, self.H_band, x,
+                          lower=1)
 
     def violation(self, x) -> float:
         """Largest constraint violation at x (0 when feasible)."""
+        x = np.asarray(x, dtype=float)
         v = 0.0
         pts, hb = self._ball_arrays
         if pts.size:
-            d = np.linalg.norm(np.asarray(x).reshape(-1, 3)[pts] - hb[:, 1:],
-                               axis=1)
+            d = np.linalg.norm(x.reshape(-1, 3)[pts] - hb[:, 1:], axis=1)
             v = float(np.max(d - hb[:, 0]))
         if self.n_rows:
-            ax = self.A @ x
+            ax = np.einsum("ij,ij->i", self.A, x[self.A_cols])
             v = max(v, float(np.max(ax - self.hi)), float(np.max(self.lo - ax)))
         return max(v, 0.0)
 
     def objective(self, x) -> float:
-        return float(0.5 * x @ self.H @ x + self.g @ x + self.const)
+        return float(0.5 * x @ self.hess_dot(x) + self.g @ x + self.const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,46 +174,22 @@ class QcqpSolution:
     status: str
 
 
-def _lower_band(H) -> np.ndarray:
-    """H's lower band in LAPACK storage, ab[d, j] = H[j + d, j], for d up
-    to its lower bandwidth."""
-    n = H.shape[0]
-    nz = H != 0
-    first = np.argmax(nz, axis=1)
-    bw = int(np.max(np.arange(n) - first, where=nz.any(axis=1), initial=0))
-    ab = np.zeros((bw + 1, n))
-    for d in range(bw + 1):
-        ab[d, :n - d] = np.diagonal(H, -d)
-    return ab
-
-
 class _Rows:
-    """The linear rows of a problem as padded arrays, built once per solve.
+    """A problem's padded rows, column-major so that per-row work runs
+    along m, built once per solve.
 
-    Row i holds its stored coefficients coef[i] (duplicates summed) on
-    the ascending columns cols[i], both of shape (m, w) with w the longest
-    row; on tube problems w = k+1. A shorter row is padded with
-    coefficient 0 on its last column, so its padding adds nothing to a
-    product and stays inside the row's band. rs scales each row to unit
-    largest coefficient, as the working rows enter the cones. A row whose
-    coefficients are all zero is the fixed number 0: `violated` says that
-    such a row breaks its bounds, which makes the problem infeasible
-    before any step is taken.
+    rs scales each row to unit largest coefficient, as the working rows
+    enter the cones. A row whose coefficients are all zero is the fixed
+    number 0: `violated` says that such a row breaks its bounds, which
+    makes the problem infeasible before any step is taken.
     """
 
     def __init__(self, p: QcqpProblem):
         m = p.n_rows
-        A = sparse.csr_matrix(p.A if m else (0, p.n), dtype=float)
-        if not A.has_canonical_format:
-            A = A.copy()
-            A.sum_duplicates()
-        rnnz = np.diff(A.indptr)
-        # gathered as (w, m) and kept transposed, so that per-row work
-        # runs along m; padding repeats the row's last stored entry
-        pos = np.arange(int(rnnz.max(initial=0)))[:, None]
-        src = A.indptr[:-1] + np.minimum(pos, rnnz - 1)
-        self.cols = A.indices[src].T
-        self.coef = np.where(pos < rnnz, A.data[src], 0.0).T
+        self.cols = np.asfortranarray(p.A_cols) if m \
+            else np.zeros((0, 0), dtype=np.int64)
+        self.coef = np.asfortranarray(p.A, dtype=float) if m \
+            else np.zeros((0, 0))
         amax = np.abs(self.coef).max(axis=1, initial=0.0)
         empty = amax == 0.0
         amax[empty] = 1.0
@@ -231,7 +224,7 @@ class _Cones:
     c_j) times its summed side weights.
     """
 
-    def __init__(self, p: QcqpProblem, rows: _Rows, work, h_band):
+    def __init__(self, p: QcqpProblem, rows: _Rows, work):
         n = p.n
         self.n = n
         pts, hb = p._ball_arrays
@@ -265,11 +258,11 @@ class _Cones:
 
         # the normal matrix's band: H's, widened to the balls' 3x3 blocks
         # and the working rows' column spans
-        bw_h = h_band.shape[0] - 1
+        bw_h = p.H_band.shape[0] - 1
         self.bw = max(bw_h, 2 if nb else 0,
                       int(np.max(cols - cols[:, :1], initial=0)))
         self.h_band = np.zeros((self.bw + 1, n))
-        self.h_band[:bw_h + 1] = h_band
+        self.h_band[:bw_h + 1] = p.H_band
         self.band_size = (self.bw + 1) * n
         a, b = _TRIL3
         self.ball_flat = ((a - b) * n + 3 * pts[:, None] + b).reshape(-1)
@@ -572,15 +565,16 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
     over every sub-solve, phase I included, and iterations reports that
     sum. max-iter means the solve did not converge: with iterations ==
     max_iter the budget ran out; with fewer, phase I found neither a
-    strictly feasible point nor a certificate, or an iteration broke down
-    numerically.
+    strictly feasible point nor a certificate, an iteration broke down
+    numerically, or the first sub-problem has no cone and an H that does
+    not factor.
 
     x0 (zeros when None) is where the first sub-problem starts, each later
     one starting from the previous optimum; a start outside the cones, or
     within the primal tolerance of their boundary, runs phase I first. x0
     must be a finite vector of length n.
     """
-    h_band = p.validate()
+    p.validate()
     n = p.n
     if x0 is None:
         x = np.zeros(n)
@@ -594,16 +588,14 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
     if rows.violated:
         return QcqpSolution(x, p.objective(x), p.violation(x), 0,
                             "infeasible-detected")
-    H = np.asarray(p.H, dtype=float)
-    g = np.asarray(p.g, dtype=float)
     tol_gap = 1e-4 * max(tol, 1e-7)
     tol_feas = min(tol, feas_tol) * 1e-2
 
     work = np.zeros(0, dtype=np.int64)
     total = 0
     while True:
-        cones = _Cones(p, rows, work, h_band)
-        status, x, it = _solve_cones(cones, H, g, x, tol_gap, tol_feas,
+        cones = _Cones(p, rows, work)
+        status, x, it = _solve_cones(cones, p, x, tol_gap, tol_feas,
                                      feas_tol, max_iter - total)
         total += it
         if status != "optimal":
@@ -618,9 +610,9 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
     return QcqpSolution(x, p.objective(x), p.violation(x), total, status)
 
 
-def _solve_cones(cones: _Cones, H, g, x, tol_gap, tol_feas, feas_tol,
-                 max_iter):
-    """One interior point solve over the given cones, starting from x.
+def _solve_cones(cones: _Cones, p: QcqpProblem, x, tol_gap, tol_feas,
+                 feas_tol, max_iter):
+    """One interior point solve of p over the given cones, starting from x.
 
     A start inside every cone by more than the primal tolerance is run
     from directly. Any other start runs phase I first (minimize the
@@ -630,13 +622,20 @@ def _solve_cones(cones: _Cones, H, g, x, tol_gap, tol_feas, feas_tol,
     is not certified means a feasible set without interior: the main run
     then starts from it over cones loosened just past t.
 
+    Without any cone (no ball and no working row) the minimizer solves
+    H x = -g by one band Cholesky of H. An H that does not factor there
+    (singular, so the minimizer is not unique or the problem unbounded)
+    returns max-iter at the start x with 0 iterations.
+
     Returns (status, x, iterations) with status optimal,
     infeasible-detected or max-iter.
     """
     n = cones.n
     if cones.degree == 0:
-        x = linalg.lstsq(H, -g, lapack_driver="gelsd")[0]
-        return "optimal", x, 1
+        chol, info = _pbtrf(p.H_band, lower=1)
+        if info != 0:
+            return "max-iter", x, 0
+        return "optimal", _pbtrs(chol, -p.g, lower=1)[0], 1
     H_band = cones.h_band
     nb, ml = cones.nb, cones.ml
     gb, gl = cones.g_x(x)
@@ -683,7 +682,7 @@ def _solve_cones(cones: _Cones, H, g, x, tol_gap, tol_feas, feas_tol,
     zb = mu * sb * _J / _soc_det(sb)[:, None]
     zl = mu / sl
     reason, x, _, _, _, _, _, it = _ipm(
-        cones, H.dot, H_band, g, x, sb, sl, zb, zl, None, tol_gap,
+        cones, p.hess_dot, H_band, p.g, x, sb, sl, zb, zl, None, tol_gap,
         tol_feas, max_iter - total)
     return ("optimal" if reason == "optimal" else "max-iter"), x, total + it
 
@@ -721,7 +720,7 @@ def kkt_residual(p: QcqpProblem, x, active_tol: float = 1e-6) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape[0] != p.n:
         raise ValueError("x dimension mismatch")
-    grad = p.H @ x + p.g
+    grad = p.hess_dot(x) + p.g
     scale = 1.0 + float(np.max(np.abs(grad), initial=0.0))
     primal = p.violation(x)
 
@@ -737,18 +736,16 @@ def kkt_residual(p: QcqpProblem, x, active_tol: float = 1e-6) -> float:
             cols.append(col)
             slacks.append(abs(s))
     if p.n_rows:
-        A = sparse.csr_matrix(p.A)
-        ax = A @ x
-        for i in range(A.shape[0]):
-            # an infinite bound is no constraint, never an active one
-            if np.isfinite(p.hi[i]) \
-                    and p.hi[i] - ax[i] <= active_tol * (1 + abs(p.hi[i])):
-                cols.append(A[i].toarray().ravel())
-                slacks.append(abs(p.hi[i] - ax[i]))
-            if np.isfinite(p.lo[i]) \
-                    and ax[i] - p.lo[i] <= active_tol * (1 + abs(p.lo[i])):
-                cols.append(-A[i].toarray().ravel())
-                slacks.append(abs(ax[i] - p.lo[i]))
+        ax = np.einsum("ij,ij->i", p.A, x[p.A_cols])
+        for i in range(p.n_rows):
+            for sign, bound in ((1.0, p.hi[i]), (-1.0, p.lo[i])):
+                slack = sign * (bound - ax[i])
+                # an infinite bound is no constraint, never an active one
+                if np.isfinite(bound) \
+                        and slack <= active_tol * (1 + abs(bound)):
+                    cols.append(sign * np.bincount(p.A_cols[i], weights=p.A[i],
+                                                   minlength=p.n))
+                    slacks.append(abs(slack))
     if cols:
         G = np.column_stack(cols)
         mu, _ = optimize.nnls(G, -grad)

@@ -228,12 +228,23 @@ def aggregated_dijkstra(graph, start, start_cost, goal_codes, d):
     return None, expanded
 
 
+def dense_hessian(prob):
+    """A QCQP's dense H from its lower band, H_band[d, j] = H[j + d, j]."""
+    n, band = prob.n, prob.H_band
+    H = np.zeros((n, n))
+    for d in range(min(band.shape[0], n)):
+        i = np.arange(n - d)
+        H[i + d, i] = H[i, i + d] = band[d, :n - d]
+    return H
+
+
 def projected_gradient(prob, iters=200000, dykstra=40, tol=1e-12):
     """Long-run projected gradient with Dykstra projections onto the balls."""
-    L = float(np.linalg.eigvalsh(prob.H)[-1])
+    H = dense_hessian(prob)
+    L = float(np.linalg.eigvalsh(H)[-1])
     x = np.zeros(prob.n)
     for _ in range(iters):
-        y = x - (prob.H @ x + prob.g) / L
+        y = x - (H @ x + prob.g) / L
         mem = [np.zeros(3) for _ in prob.balls]
         for _ in range(dykstra):
             for j, b in enumerate(prob.balls):

@@ -275,7 +275,9 @@ def test_criterion_6_qcqp_projected_gradient_oracle():
             qcqp.BallConstraint(j, rng.normal(size=3) * 0.3,
                                 0.4 + 0.3 * rng.random())
             for j in range(n_pts))
-        prob = qcqp.QcqpProblem(H=H, g=g, balls=balls)
+        H_band = np.array([np.pad(np.diagonal(H, -d), (0, d))
+                           for d in range(n)])
+        prob = qcqp.QcqpProblem(H_band=H_band, g=g, balls=balls)
         sol = qcqp.solve(prob, tol=1e-9)
         assert sol.status == "optimal"
         xo = oracles.projected_gradient(prob)

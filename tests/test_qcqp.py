@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,49 @@ def ball(point, center, radius):
     return qcqp.BallConstraint(point, np.asarray(center, dtype=float), radius)
 
 
+def to_band(H):
+    """Dense symmetric H as its lower band, ab[d, j] = H[j + d, j], for d
+    up to its bandwidth."""
+    bw = max((d for d in range(H.shape[0]) if np.diagonal(H, -d).any()),
+             default=0)
+    return np.array([np.pad(np.diagonal(H, -d), (0, d))
+                     for d in range(bw + 1)])
+
+
+def to_rows(A):
+    """Dense or sparse A as padded rows, dict(A=coef, A_cols=cols).
+
+    Each row keeps its entries in ascending column order, duplicates
+    summed and zeros dropped, padded with coefficient 0 on its last
+    column (column 0 for an empty row).
+    """
+    A = sparse.csr_matrix(A, dtype=float, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    w = int(np.diff(A.indptr).max(initial=0))
+    cols = np.zeros((A.shape[0], w), dtype=np.int64)
+    coef = np.zeros((A.shape[0], w))
+    for i in range(A.shape[0]):
+        c = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        cols[i] = c[-1] if c.size else 0
+        cols[i, :c.size] = c
+        coef[i, :c.size] = A.data[A.indptr[i]:A.indptr[i + 1]]
+    return dict(A=coef, A_cols=cols)
+
+
+def dense_rows(p):
+    """p's rows as a dense (m, n) matrix."""
+    A = np.zeros((p.n_rows, p.n))
+    np.add.at(A, (np.arange(p.n_rows)[:, None], p.A_cols), p.A)
+    return A
+
+
+def problem(H, g, balls, A=None, **kw):
+    """A QcqpProblem from a dense H and a dense or sparse A."""
+    rows = {} if A is None else to_rows(A)
+    return qcqp.QcqpProblem(H_band=to_band(H), g=g, balls=balls, **rows, **kw)
+
+
 def short_step_instance():
     """A tube QCQP with its rows dropped whose iterates take short steps.
 
@@ -22,15 +66,9 @@ def short_step_instance():
     the placement x0, which lies 0.1 inside every ball, as the start.
     """
     z = np.load(Path(__file__).parent / "data" / "qcqp_short_steps_n90.npz")
-    band = z["H_band"]
-    n = z["g"].size
-    H = np.zeros((n, n))
-    for d in range(band.shape[0]):
-        i = np.arange(n - d)
-        H[i + d, i] = H[i, i + d] = band[d, :n - d]
     balls = tuple(ball(int(p), c, float(r))
                   for p, c, r in zip(z["points"], z["centers"], z["radii"]))
-    return qcqp.QcqpProblem(H=H, g=z["g"], balls=balls), z["x0"]
+    return qcqp.QcqpProblem(H_band=z["H_band"], g=z["g"], balls=balls), z["x0"]
 
 
 def with_cut_rows(rng, p, n_cut=3, n_loose=40):
@@ -45,7 +83,8 @@ def with_cut_rows(rng, p, n_cut=3, n_loose=40):
     A = np.vstack([cut, loose])
     lo = np.concatenate([np.full(n_cut, -np.inf), -np.full(n_loose, 1e3)])
     hi = np.concatenate([cut @ x_b - 0.1, np.full(n_loose, 1e3)])
-    full = qcqp.QcqpProblem(H=p.H, g=p.g, balls=p.balls, A=A, lo=lo, hi=hi)
+    full = qcqp.QcqpProblem(H_band=p.H_band, g=p.g, balls=p.balls,
+                            **to_rows(A), lo=lo, hi=hi)
     return full, x_b
 
 
@@ -70,14 +109,14 @@ def random_instance(rng, n_points=10, pd_shift=0.2):
     g = rng.normal(size=n)
     balls = tuple(ball(i, rng.normal(size=3) * 0.3, 0.4 + 0.3 * rng.random())
                   for i in range(n_points))
-    return qcqp.QcqpProblem(H=H, g=g, balls=balls)
+    return problem(H=H, g=g, balls=balls)
 
 
 class TestSolve:
     def test_single_point_ball_clamp(self):
-        p = qcqp.QcqpProblem(H=np.diag([2.0, 2.0, 2.0]),
-                             g=np.array([-4.0, 0.0, 0.0]),
-                             balls=(ball(0, [0, 0, 0], 1.0),))
+        p = problem(H=np.diag([2.0, 2.0, 2.0]),
+                    g=np.array([-4.0, 0.0, 0.0]),
+                    balls=(ball(0, [0, 0, 0], 1.0),))
         s = qcqp.solve(p, tol=1e-9)
         assert s.status == "optimal"
         assert s.x[0] == pytest.approx(1.0, abs=1e-7)
@@ -90,15 +129,22 @@ class TestSolve:
         H = B.T @ B + 0.5 * np.eye(n)
         g = rng.normal(size=n)
         balls = tuple(ball(i, rng.normal(size=3), 1e6) for i in range(n // 3))
-        s = qcqp.solve(qcqp.QcqpProblem(H=H, g=g, balls=balls), tol=1e-10)
+        s = qcqp.solve(problem(H=H, g=g, balls=balls), tol=1e-10)
         xref = np.linalg.solve(H, -g)
         assert np.abs(s.x - xref).max() < 1e-5
 
     def test_no_constraints_least_squares(self):
         H = np.diag([2.0, 4.0, 8.0])
         g = np.array([-2.0, -4.0, -8.0])
-        s = qcqp.solve(qcqp.QcqpProblem(H=H, g=g, balls=()))
+        s = qcqp.solve(problem(H=H, g=g, balls=()))
         assert np.allclose(s.x, [1.0, 1.0, 1.0], atol=1e-10)
+
+    def test_no_cones_singular_h_does_not_converge(self):
+        # without cones the solve factors H; singular, the problem here is
+        # unbounded below
+        p = problem(H=np.diag([1.0, 0.0, 1.0]), g=-np.ones(3), balls=())
+        s = qcqp.solve(p)
+        assert (s.status, s.iterations) == ("max-iter", 0)
 
     def test_matches_projected_gradient_oracle(self):
         rng = np.random.default_rng(5)
@@ -116,23 +162,23 @@ class TestSolve:
         H = np.eye(3) * 2
         g = np.array([-10.0, 0.0, 0.0])
         A = np.array([[1.0, 0.0, 0.0]])
-        p = qcqp.QcqpProblem(H=H, g=g, balls=(ball(0, [0, 0, 0], 100.0),),
-                             A=A, lo=np.array([-1.0]), hi=np.array([2.0]))
+        p = problem(H=H, g=g, balls=(ball(0, [0, 0, 0], 100.0),),
+                    A=A, lo=np.array([-1.0]), hi=np.array([2.0]))
         s = qcqp.solve(p, tol=1e-9)
         assert s.x[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_infeasible_detected(self):
-        p = qcqp.QcqpProblem(H=np.eye(3) * 2, g=np.zeros(3),
-                             balls=(ball(0, [2, 0, 0], 0.5),
-                                    ball(0, [-2, 0, 0], 0.5)))
+        p = problem(H=np.eye(3) * 2, g=np.zeros(3),
+                    balls=(ball(0, [2, 0, 0], 0.5),
+                           ball(0, [-2, 0, 0], 0.5)))
         s = qcqp.solve(p, tol=1e-8, max_iter=20000)
         assert s.status == "infeasible-detected"
 
     def test_lens_constraint_pair(self):
         # two overlapping balls on one point: optimum lands in the lens
-        p = qcqp.QcqpProblem(H=np.eye(3) * 2, g=np.array([-8.0, 0, 0]),
-                             balls=(ball(0, [0, 0, 0], 1.0),
-                                    ball(0, [1.5, 0, 0], 1.0)))
+        p = problem(H=np.eye(3) * 2, g=np.array([-8.0, 0, 0]),
+                    balls=(ball(0, [0, 0, 0], 1.0),
+                           ball(0, [1.5, 0, 0], 1.0)))
         s = qcqp.solve(p, tol=1e-9)
         assert s.status == "optimal"
         assert s.x[0] == pytest.approx(1.0, abs=1e-6)
@@ -150,10 +196,10 @@ class TestSolve:
     def test_rows_only_infeasible_detected(self):
         # two rows asking x0 >= 1 and x0 + x1 <= -1 with x1 pinned near 0
         A = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-        p = qcqp.QcqpProblem(H=np.eye(3), g=np.zeros(3),
-                             balls=(ball(0, [0, 0, 0], 1.5),),
-                             A=A, lo=np.array([1.0, -np.inf]),
-                             hi=np.array([np.inf, -1.0]))
+        p = problem(H=np.eye(3), g=np.zeros(3),
+                    balls=(ball(0, [0, 0, 0], 1.5),),
+                    A=A, lo=np.array([1.0, -np.inf]),
+                    hi=np.array([np.inf, -1.0]))
         s = qcqp.solve(p)
         assert s.status == "infeasible-detected"
 
@@ -161,17 +207,17 @@ class TestSolve:
         # a row without coefficients is the number 0: kept or refused
         A = np.zeros((1, 3))
         base = dict(H=np.eye(3), g=-np.ones(3), balls=(ball(0, [0, 0, 0], 1.0),))
-        ok = qcqp.solve(qcqp.QcqpProblem(A=A, lo=np.array([-1.0]),
-                                         hi=np.array([1.0]), **base))
+        ok = qcqp.solve(problem(A=A, lo=np.array([-1.0]),
+                                hi=np.array([1.0]), **base))
         assert ok.status == "optimal"
-        bad = qcqp.solve(qcqp.QcqpProblem(A=A, lo=np.array([0.5]),
-                                          hi=np.array([1.0]), **base))
+        bad = qcqp.solve(problem(A=A, lo=np.array([0.5]),
+                                 hi=np.array([1.0]), **base))
         assert bad.status == "infeasible-detected"
 
     def test_max_iter_bounds_whole_solve(self):
-        p = qcqp.QcqpProblem(H=np.eye(3) * 2, g=np.zeros(3),
-                             balls=(ball(0, [2, 0, 0], 0.5),
-                                    ball(0, [-2, 0, 0], 0.5)))
+        p = problem(H=np.eye(3) * 2, g=np.zeros(3),
+                    balls=(ball(0, [2, 0, 0], 0.5),
+                           ball(0, [-2, 0, 0], 0.5)))
         full = qcqp.solve(p)
         assert full.status == "infeasible-detected"
         for budget in (1, full.iterations // 2, full.iterations - 1):
@@ -181,14 +227,57 @@ class TestSolve:
 
     def test_psd_guard(self):
         H = np.diag([1.0, -1.0, 1.0])
-        p = qcqp.QcqpProblem(H=H, g=np.zeros(3), balls=(ball(0, [0, 0, 0], 1.0),))
+        p = problem(H=H, g=np.zeros(3), balls=(ball(0, [0, 0, 0], 1.0),))
         with pytest.raises(ValueError):
             qcqp.solve(p)
 
     def test_const_offsets_objective(self):
-        p = qcqp.QcqpProblem(H=np.eye(3), g=np.zeros(3), balls=(), const=5.0)
+        p = problem(H=np.eye(3), g=np.zeros(3), balls=(), const=5.0)
         s = qcqp.solve(p)
         assert s.objective == pytest.approx(5.0)
+
+
+def rows_instance():
+    """Two points, a band of width 3 and three rows: one plain, one padded
+    by repeating its column, one with a zero coefficient."""
+    H = 2.0 * np.eye(6) + 0.5 * (np.eye(6, k=3) + np.eye(6, k=-3))
+    return qcqp.QcqpProblem(
+        H_band=to_band(H), g=-np.ones(6),
+        balls=(ball(0, [0, 0, 0], 1.0), ball(1, [0, 0, 0], 1.0)),
+        A=np.array([[1.0, 2.0], [0.5, 0.0], [0.0, 0.5]]),
+        A_cols=np.array([[0, 4], [2, 2], [3, 5]]),
+        lo=-np.ones(3), hi=np.ones(3))
+
+
+class TestValidate:
+    def test_padded_rows_solve(self):
+        p = rows_instance()
+        s = qcqp.solve(p, tol=1e-9)
+        assert s.status == "optimal"
+        assert qcqp.kkt_residual(p, s.x) <= 1e-6
+
+    @pytest.mark.parametrize("case", [
+        "band columns", "band padding", "column past n", "negative column",
+        "descending columns", "repeated non-zero column", "cols shape",
+        "no cols"])
+    def test_malformed_problem_raises(self, case):
+        p = rows_instance()
+        band = p.H_band.copy()
+        band[3, 4] = 0.3            # H[7, 4], past the end of n = 6
+        repeat = p.A.copy()
+        repeat[1, 1] = 1.0          # both entries on column 2 non-zero
+        change, message = {
+            "band columns": (dict(H_band=p.H_band[:, :5]), "H_band"),
+            "band padding": (dict(H_band=band), "past the end"),
+            "column past n": (dict(A_cols=p.A_cols + 2), "range"),
+            "negative column": (dict(A_cols=p.A_cols - 1), "range"),
+            "descending columns": (dict(A_cols=p.A_cols[:, ::-1]), "descend"),
+            "repeated non-zero column": (dict(A=repeat), "repeated"),
+            "cols shape": (dict(A_cols=p.A_cols[:, :1]), "shape"),
+            "no cols": (dict(A_cols=None), "shape"),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            qcqp.solve(dataclasses.replace(p, **change))
 
 
 def count_phase1(monkeypatch):
@@ -217,9 +306,9 @@ class TestStart:
         assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
 
     def test_x0_outside_a_ball_runs_phase1(self, monkeypatch):
-        p = qcqp.QcqpProblem(H=np.diag([2.0, 2.0, 2.0]),
-                             g=np.array([-4.0, 0.0, 0.0]),
-                             balls=(ball(0, [0, 0, 0], 1.0),))
+        p = problem(H=np.diag([2.0, 2.0, 2.0]),
+                    g=np.array([-4.0, 0.0, 0.0]),
+                    balls=(ball(0, [0, 0, 0], 1.0),))
         runs = count_phase1(monkeypatch)
         s = qcqp.solve(p, tol=1e-9, x0=np.array([5.0, 0.0, 0.0]))
         assert runs == [True, False]
@@ -230,8 +319,8 @@ class TestStart:
                                     np.array([0.0, np.nan, 0.0]),
                                     np.array([np.inf, 0.0, 0.0])])
     def test_malformed_x0_raises(self, x0):
-        p = qcqp.QcqpProblem(H=np.eye(3), g=-np.ones(3),
-                             balls=(ball(0, [0, 0, 0], 1.0),))
+        p = problem(H=np.eye(3), g=-np.ones(3),
+                    balls=(ball(0, [0, 0, 0], 1.0),))
         with pytest.raises(ValueError):
             qcqp.solve(p, x0=x0)
 
@@ -240,15 +329,15 @@ class TestStart:
         # phase I ends at t = 0 with nothing to certify; the main run goes
         # on over cones loosened by about the primal tolerance
         if case == "touching balls":
-            p = qcqp.QcqpProblem(H=np.eye(3) * 2, g=np.array([0.0, -2.0, 0.0]),
-                                 balls=(ball(0, [-1, 0, 0], 1.0),
-                                        ball(0, [1, 0, 0], 1.0)))
+            p = problem(H=np.eye(3) * 2, g=np.array([0.0, -2.0, 0.0]),
+                        balls=(ball(0, [-1, 0, 0], 1.0),
+                               ball(0, [1, 0, 0], 1.0)))
             x_ref = np.zeros(3)
         else:
-            p = qcqp.QcqpProblem(H=np.eye(3) * 2, g=np.array([-4.0, -4.0, 0.0]),
-                                 balls=(ball(0, [0, 0, 0], 1.0),),
-                                 A=np.array([[1.0, 0.0, 0.0]]),
-                                 lo=np.array([0.5]), hi=np.array([0.5]))
+            p = problem(H=np.eye(3) * 2, g=np.array([-4.0, -4.0, 0.0]),
+                        balls=(ball(0, [0, 0, 0], 1.0),),
+                        A=np.array([[1.0, 0.0, 0.0]]),
+                        lo=np.array([0.5]), hi=np.array([0.5]))
             x_ref = np.array([0.5, np.sqrt(0.75), 0.0])
         s = qcqp.solve(p)
         assert s.status == "optimal"
@@ -261,9 +350,9 @@ class TestStart:
         starts, optima = [], []
         inner = qcqp._solve_cones
 
-        def spy(cones, H, g, x, *args):
+        def spy(cones, prob, x, *args):
             starts.append(x.copy())
-            status, x_opt, it = inner(cones, H, g, x, *args)
+            status, x_opt, it = inner(cones, prob, x, *args)
             optima.append(x_opt.copy())
             return status, x_opt, it
 
@@ -292,17 +381,17 @@ class TestWorkingSet:
         assert s.status == "optimal"
         assert len(rounds) >= 2 and rounds[0][0] == 0
         assert qcqp.kkt_residual(p, s.x) <= 1e-5
-        ax = p.A @ s.x
+        ax = dense_rows(p) @ s.x
         assert np.all((p.lo <= ax) & (ax <= p.hi))
         # the rows only cut the balls-only problem down
         assert s.objective >= balls_only.objective(x_b) - 1e-9
 
     def test_infeasible_only_once_rows_join(self, monkeypatch):
         # the ball alone holds x0 <= 1 and the row alone x0 >= 2
-        p = qcqp.QcqpProblem(H=np.eye(3), g=np.array([1.0, 0.0, 0.0]),
-                             balls=(ball(0, [0, 0, 0], 1.0),),
-                             A=np.array([[1.0, 0.0, 0.0]]),
-                             lo=np.array([2.0]), hi=np.array([np.inf]))
+        p = problem(H=np.eye(3), g=np.array([1.0, 0.0, 0.0]),
+                    balls=(ball(0, [0, 0, 0], 1.0),),
+                    A=np.array([[1.0, 0.0, 0.0]]),
+                    lo=np.array([2.0]), hi=np.array([np.inf]))
         rounds = count_rounds(monkeypatch)
         s = qcqp.solve(p)
         assert s.status == "infeasible-detected"
@@ -327,9 +416,9 @@ class TestWorkingSet:
 
     def test_empty_broken_row_decided_before_any_step(self, monkeypatch):
         A = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        p = qcqp.QcqpProblem(H=np.eye(3), g=-np.ones(3),
-                             balls=(ball(0, [0, 0, 0], 1.0),), A=A,
-                             lo=np.array([0.5, -1.0]), hi=np.array([1.0, 1.0]))
+        p = problem(H=np.eye(3), g=-np.ones(3),
+                    balls=(ball(0, [0, 0, 0], 1.0),), A=A,
+                    lo=np.array([0.5, -1.0]), hi=np.array([1.0, 1.0]))
         rounds = count_rounds(monkeypatch)
         s = qcqp.solve(p)
         assert (s.status, s.iterations, rounds) == ("infeasible-detected",
@@ -349,28 +438,28 @@ def test_cone_step_stops_at_apex_when_discriminant_rounds_negative():
 
 class TestKktResidual:
     def test_zero_at_analytic_optimum(self):
-        p = qcqp.QcqpProblem(H=np.diag([2.0, 2.0, 2.0]),
-                             g=np.array([-4.0, 0.0, 0.0]),
-                             balls=(ball(0, [0, 0, 0], 1.0),))
+        p = problem(H=np.diag([2.0, 2.0, 2.0]),
+                    g=np.array([-4.0, 0.0, 0.0]),
+                    balls=(ball(0, [0, 0, 0], 1.0),))
         assert qcqp.kkt_residual(p, np.array([1.0, 0.0, 0.0])) < 1e-9
 
     def test_infinite_row_side_is_never_active(self):
         # analytic optimum (1, 0, 0) on the ball; the row's missing lower
         # side must not enter the active set with an infinite slack
-        p = qcqp.QcqpProblem(H=np.diag([2.0, 2.0, 2.0]),
-                             g=np.array([-4.0, 0.0, 0.0]),
-                             balls=(ball(0, [0, 0, 0], 1.0),),
-                             A=np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-                             lo=np.array([-np.inf, -3.0]),
-                             hi=np.array([5.0, np.inf]))
+        p = problem(H=np.diag([2.0, 2.0, 2.0]),
+                    g=np.array([-4.0, 0.0, 0.0]),
+                    balls=(ball(0, [0, 0, 0], 1.0),),
+                    A=np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                    lo=np.array([-np.inf, -3.0]),
+                    hi=np.array([5.0, np.inf]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert qcqp.kkt_residual(p, np.array([1.0, 0.0, 0.0])) < 1e-9
 
     def test_primal_violation_passes_through(self):
-        p = qcqp.QcqpProblem(H=np.diag([2.0, 2.0, 2.0]),
-                             g=np.array([-4.0, 0.0, 0.0]),
-                             balls=(ball(0, [0, 0, 0], 1.0),))
+        p = problem(H=np.diag([2.0, 2.0, 2.0]),
+                    g=np.array([-4.0, 0.0, 0.0]),
+                    balls=(ball(0, [0, 0, 0], 1.0),))
         assert qcqp.kkt_residual(p, np.array([1.5, 0.0, 0.0])) >= 0.5
 
     def test_solver_output_consistent(self):
@@ -396,7 +485,7 @@ class TestKktResidual:
         assert qcqp.kkt_residual(p, s.x) <= 1e-5
 
     def test_dimension_check(self):
-        p = qcqp.QcqpProblem(H=np.eye(3), g=np.zeros(3), balls=())
+        p = problem(H=np.eye(3), g=np.zeros(3), balls=())
         with pytest.raises(ValueError):
             qcqp.kkt_residual(p, np.zeros(4))
 
@@ -404,7 +493,8 @@ class TestKktResidual:
 def structured_instance(rng, a_kind):
     """A problem with a banded H, two balls on point 0, and rows of every
     kind: two-sided, one-sided, free on both sides, and (sparse) of
-    differing lengths with one row stored unsorted with a duplicate."""
+    differing lengths with one row stored unsorted with a duplicate, which
+    `to_rows` canonicalizes."""
     n_points = 8
     n = 3 * n_points
     H = np.zeros((n, n))
@@ -435,14 +525,14 @@ def structured_instance(rng, a_kind):
         A = sparse.csr_matrix((data, indices, indptr), shape=(m, n))
     lo = np.array([-1.0, -np.inf, -2.0, -np.inf, 0.5, -3.0, -1.0])
     hi = np.array([1.0, 2.0, np.inf, np.inf, 4.0, np.inf, 1.0])
-    return qcqp.QcqpProblem(H=H, g=rng.normal(size=n), balls=balls, A=A,
-                            lo=lo, hi=hi)
+    return problem(H=H, g=rng.normal(size=n), balls=balls, A=A, lo=lo,
+                   hi=hi)
 
 
 def dense_cones(p, work):
     """G (ball rows (0, x_p) per ball, then the signed working row sides
     scaled to unit largest coefficient) and h, built densely."""
-    A = p.A.toarray() if sparse.issparse(p.A) else np.asarray(p.A)
+    A = dense_rows(p)
     G_b, h_b = [], []
     for b in p.balls:
         rows = np.zeros((4, p.n))
@@ -466,7 +556,8 @@ def test_cones_match_dense_products(a_kind, work):
     rng = np.random.default_rng(len(work) + (a_kind == "sparse"))
     p = structured_instance(rng, a_kind)
     work = np.array(work, dtype=np.int64)
-    cones = qcqp._Cones(p, qcqp._Rows(p), work, p.validate())
+    p.validate()
+    cones = qcqp._Cones(p, qcqp._Rows(p), work)
     G_b, h_b, G_l, h_l = dense_cones(p, work)
     nb, ml = len(p.balls), G_l.shape[0]
     assert (cones.nb, cones.ml, cones.mrows) == (nb, ml, work.size)
@@ -488,7 +579,8 @@ def test_cones_match_dense_products(a_kind, work):
     phi = np.zeros((4 * nb, 4 * nb))
     for j in range(nb):
         phi[4 * j:4 * j + 4, 4 * j:4 * j + 4] = phib[j]
-    N = p.H + G_b.T @ phi @ G_b + G_l.T @ (dl[:, None] * G_l)
+    N = oracles.dense_hessian(p) + G_b.T @ phi @ G_b \
+        + G_l.T @ (dl[:, None] * G_l)
     band = cones.normal_band(cones.h_band, phib, dl)
     i, j = np.tril_indices(p.n)
     inside = i - j <= cones.bw
