@@ -127,6 +127,9 @@ def certify(k: int, cell_sizes, mode: str = "per-axis") -> InflationCertificate:
     if mode not in ("per-axis", "full"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
     cell_sizes = tuple(float(c) for c in cell_sizes)
+    if not all(np.isfinite(c) and c > 0 for c in cell_sizes):
+        raise ValueError(f"cell sizes must be positive and finite, "
+                         f"got {cell_sizes}")
     if mode == "full":
         if k > 3:
             raise ValueError("full enumeration is limited to k <= 3")

@@ -56,8 +56,8 @@ def _vec(text) -> np.ndarray:
 
 
 _POSITIVE = ("dt", "sample_step", "max_time", "goal_sep", "vmax", "amax",
-             "budget_ms", "sense", "local_range")
-_NONNEGATIVE = ("lam", "body_radius")
+             "budget_ms", "sense", "local_range", "cell", "cell_y", "cell_z")
+_NONNEGATIVE = ("lam", "body_radius", "max_goals")
 
 
 def _check_args(args) -> None:
@@ -74,6 +74,17 @@ def _check_args(args) -> None:
             if v is not None and not (math.isfinite(v) and ok(v)):
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} must be {what} and finite, got {v}")
+    footprint = getattr(args, "footprint", None)
+    if footprint is not None and not all(math.isfinite(v) and v > 0
+                                         for v in footprint):
+        raise ValueError(f"--footprint must be positive and finite, "
+                         f"got {footprint}")
+
+
+def _cell_sizes(args) -> tuple:
+    """--cell, with --cell-y and --cell-z overriding it where given."""
+    return (args.cell, args.cell if args.cell_y is None else args.cell_y,
+            args.cell if args.cell_z is None else args.cell_z)
 
 
 def _setup(args):
@@ -91,9 +102,7 @@ def _setup(args):
 
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
-    cert = certify.certify(args.degree, (args.cell, args.cell_y or args.cell,
-                                         args.cell_z or args.cell),
-                           mode=args.mode)
+    cert = certify.certify(args.degree, _cell_sizes(args), mode=args.mode)
     certify.save_certificate(cert, args.output)
     print(f"delta_bk {cert.delta_bk:.6f} m  worst {cert.worst_pattern} "
           f"({time.perf_counter() - t0:.2f} s) -> {args.output}")
@@ -106,8 +115,7 @@ def cmd_genmap(args) -> int:
     else:
         spec = world.MapGenSpec(
             kind=args.kind, extent=tuple(args.extent),
-            cell_sizes=(args.cell, args.cell_y or args.cell,
-                        args.cell_z or args.cell),
+            cell_sizes=_cell_sizes(args),
             density=args.density, footprint=tuple(args.footprint),
             noise_freq=args.noise_freq, noise_threshold=args.noise_threshold,
             seed=args.seed)

@@ -94,10 +94,6 @@ class ElasticTube:
         gaps = np.linalg.norm(np.diff(self.centers, axis=0), axis=1)
         return bool(np.all(gaps <= self.radii[:-1] + self.radii[1:] + slack))
 
-    def contains(self, point) -> bool:
-        d = np.linalg.norm(self.centers - np.asarray(point), axis=1)
-        return bool(np.any(d <= self.radii))
-
 
 def tube_expansion(points, cs: ConfigSpace, params: EoParams) -> ElasticTube:
     """Push each clearance ball away from its nearest obstacle.
@@ -316,8 +312,8 @@ class RefineResult:
 
 def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
            raw_world: VoxelWorld, contract: InflationContract,
-           bounds, l: int, dt: float, params: EoParams = None,
-           solver_tol: float = 1e-6, solver_max_iter: int = 20000) -> RefineResult:
+           bounds, l: int, dt: float, solver_tol: float = 1e-6,
+           solver_max_iter: int = 20000) -> RefineResult:
     """Tube expansion, QCQP solve and the shrinking-insertion loop.
 
     Returns status safe with the refined spline; infeasible when the
@@ -330,23 +326,22 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
     import time as _time
 
     contract.validate()
-    if params is None:
-        params = EoParams.default(cs_elas.world.cell_sizes)
     start_pins = np.asarray(start_pins, dtype=float)
     goal_pins = np.asarray(goal_pins, dtype=float)
     free_points = np.asarray(free_points, dtype=float).reshape(-1, 3)
     k = start_pins.shape[0] - 1
 
     t0 = _time.perf_counter()
-    tube = tube_expansion(free_points, cs_elas, params)
+    tube = tube_expansion(free_points, cs_elas,
+                          EoParams.default(cs_elas.world.cell_sizes))
     expand_time = _time.perf_counter() - t0
 
     initial_seq = np.vstack([start_pins, free_points, goal_pins])
     initial_cost = SplineDef(k=k, dt=dt, points=initial_seq).cost(l)
 
     # mutable problem state: per free point, its ball ids and origin gap
-    centers = [tube.centers[i] for i in range(free_points.shape[0])]
-    radii = [float(tube.radii[i]) for i in range(free_points.shape[0])]
+    # (the balls themselves stay the tube's)
+    centers, radii = tube.centers, tube.radii
     point_balls = [[i] for i in range(free_points.shape[0])]
     init_pts = [free_points[i] for i in range(free_points.shape[0])]
     gap_of_point = list(range(free_points.shape[0]))
@@ -377,8 +372,7 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
         new_free = sol.x.reshape(-1, 3)
         seq = np.vstack([start_pins, new_free, goal_pins])
         ball_map = {k + 1 + i: tuple(bl) for i, bl in enumerate(point_balls)}
-        bad = verify_safety(seq, k, dt, ball_map,
-                            (np.asarray(centers), np.asarray(radii)), raw_world)
+        bad = verify_safety(seq, k, dt, ball_map, (centers, radii), raw_world)
         if not bad:
             # the derivative-bound rows cover every span touching a free
             # point; spans made purely of pins still need the exact check
@@ -393,10 +387,7 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
             spline = SplineDef(k=k, dt=dt, points=seq)
             cost = spline.cost(l)
             return RefineResult(status="safe", points=seq, spline=spline,
-                                tube=ElasticTube(np.asarray(centers),
-                                                 np.asarray(radii),
-                                                 tube.supports),
-                                cost=cost, initial_cost=initial_cost,
+                                tube=tube, cost=cost, initial_cost=initial_cost,
                                 inserted=inserted, iterations=iterations,
                                 solver_iterations=sol.iterations,
                                 solve_time=solve_time, expand_time=expand_time)
@@ -419,9 +410,8 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
 
 
 def refine_adaptive(free_points, start_pins, goal_pins, cs_elas, raw_world,
-                    contract, bounds, l, dt, params=None, solver_tol=1e-6,
-                    solver_max_iter=20000,
-                    slow_factors=(1, 2, 4)) -> RefineResult:
+                    contract, bounds, l, dt, solver_tol=1e-6,
+                    solver_max_iter=20000) -> RefineResult:
     """refine() with knot-count fallbacks for short or abrupt placements.
 
     The derivative-bound rows are conservative for one-cell-per-knot
@@ -437,13 +427,12 @@ def refine_adaptive(free_points, start_pins, goal_pins, cs_elas, raw_world,
             and not np.allclose(start_pins[-1], goal_pins[0]):
         free_points = 0.5 * (start_pins[-1] + goal_pins[0])[None, :]
     res = None
-    for slow in slow_factors:
+    for slow in (1, 2, 4):
         if slow > 2 and free_points.shape[0] > 24:
             break  # quadrupling a long placement buys nothing but solve time
         pts = np.repeat(free_points, slow, axis=0) if slow > 1 else free_points
         res = replace(refine(pts, start_pins, goal_pins, cs_elas, raw_world,
-                             contract, bounds, l, dt, params=params,
-                             solver_tol=solver_tol,
+                             contract, bounds, l, dt, solver_tol=solver_tol,
                              solver_max_iter=solver_max_iter),
                       knot_repeat=slow)
         if res.ok:

@@ -59,6 +59,8 @@ _pbtrf, _pbtrs = linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
 _TRIL3 = np.tril_indices(3)     # lower entries (a, b) of a 3x3 block
 
 _STEP = 0.99          # fraction of the way to the cone boundary
+FEAS_TOL = 5e-7       # phase I calls a common violation above it infeasible
+ACTIVE_TOL = 1e-6     # kkt_residual counts a constraint this close as active
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,7 +551,7 @@ def _ipm(cones: _Cones, P_apply, P_band, q, x, sb, sl, zb, zl, border,
 
 
 def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
-          x0=None, feas_tol: float = 5e-7) -> QcqpSolution:
+          x0=None) -> QcqpSolution:
     """Interior point solve; status optimal, infeasible-detected or max-iter.
 
     The rows join a working set as they break (see the module docstring):
@@ -558,9 +560,9 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
     positive definite on the coordinates that no ball holds.
 
     A sub-solve ends optimal once the primal and dual residuals fall below
-    min(tol, feas_tol)/100 relative to the data and every complementarity
+    min(tol, FEAS_TOL)/100 relative to the data and every complementarity
     product below 1e-4 max(tol, 1e-7) (1 + |Hx + g|).
-    feas_tol is also the common violation above which phase I declares
+    FEAS_TOL is also the common violation above which phase I declares
     the problem infeasible. max_iter bounds the Newton iterations summed
     over every sub-solve, phase I included, and iterations reports that
     sum. max-iter means the solve did not converge: with iterations ==
@@ -589,14 +591,14 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
         return QcqpSolution(x, p.objective(x), p.violation(x), 0,
                             "infeasible-detected")
     tol_gap = 1e-4 * max(tol, 1e-7)
-    tol_feas = min(tol, feas_tol) * 1e-2
+    tol_feas = min(tol, FEAS_TOL) * 1e-2
 
     work = np.zeros(0, dtype=np.int64)
     total = 0
     while True:
         cones = _Cones(p, rows, work)
         status, x, it = _solve_cones(cones, p, x, tol_gap, tol_feas,
-                                     feas_tol, max_iter - total)
+                                     max_iter - total)
         total += it
         if status != "optimal":
             break
@@ -611,14 +613,14 @@ def solve(p: QcqpProblem, tol: float = 1e-6, max_iter: int = 20000,
 
 
 def _solve_cones(cones: _Cones, p: QcqpProblem, x, tol_gap, tol_feas,
-                 feas_tol, max_iter):
+                 max_iter):
     """One interior point solve of p over the given cones, starting from x.
 
     A start inside every cone by more than the primal tolerance is run
     from directly. Any other start runs phase I first (minimize the
     common violation t of every constraint from x): its strictly feasible
     point starts the main run, and its optimum, when the dual certifies
-    it, proves the cones empty. A phase-I optimum at t <= feas_tol that
+    it, proves the cones empty. A phase-I optimum at t <= FEAS_TOL that
     is not certified means a feasible set without interior: the main run
     then starts from it over cones loosened just past t.
 
@@ -664,11 +666,10 @@ def _solve_cones(cones: _Cones, p: QcqpProblem, x, tol_gap, tol_feas,
         reason, x, t, _, _, zb1, zl1, total = _ipm(
             cones, prox, band1, np.zeros(n), x, sb1, sl + t0, zb1,
             np.ones(ml), t0, tol_gap, tol_feas, max_iter, phase1=True)
-        if reason == "converged" and _certified(cones, x, t, zb1, zl1,
-                                                feas_tol):
+        if reason == "converged" and _certified(cones, x, t, zb1, zl1):
             return "infeasible-detected", x, total
-        if reason == "converged" and t <= feas_tol:
-            # feasible to within feas_tol, but no interior wider than the
+        if reason == "converged" and t <= FEAS_TOL:
+            # feasible to within FEAS_TOL, but no interior wider than the
             # primal tolerance: loosen every cone until x is well inside
             cones = cones.relaxed(max(t, 0.0) + 2.0 * tol_feas * cones.h_norm)
         elif reason != "interior":
@@ -687,15 +688,15 @@ def _solve_cones(cones: _Cones, p: QcqpProblem, x, tol_gap, tol_feas,
     return ("optimal" if reason == "optimal" else "max-iter"), x, total + it
 
 
-def _certified(cones: _Cones, x, t, zb, zl, feas_tol) -> bool:
-    """Farkas test on the phase-I dual: no x violates less than feas_tol.
+def _certified(cones: _Cones, x, t, zb, zl) -> bool:
+    """Farkas test on the phase-I dual: no x violates less than FEAS_TOL.
 
     For z in the dual cone, z'(h - Gx) >= 0 holds at any feasible x, so
     h'z < G'z . x for every x in a box holding the feasible set proves it
     empty. Ball points are boxed by their balls; the bound on the other
     coordinates is taken generously from the phase-I point.
     """
-    if t <= feas_tol:
+    if t <= FEAS_TOL:
         return False
     mass = float(zb[:, 0].sum() + zl.sum())
     if mass <= 0.0:
@@ -707,10 +708,10 @@ def _certified(cones: _Cones, x, t, zb, zl, feas_tol) -> bool:
         reach = np.abs(cones.hb[:, 1:]) + cones.hb[:, :1]
         b3 = box.reshape(-1, 3)
         b3[cones.ball_pts] = np.minimum(b3[cones.ball_pts], reach)
-    return support + float(np.abs(r) @ box) < -feas_tol
+    return support + float(np.abs(r) @ box) < -FEAS_TOL
 
 
-def kkt_residual(p: QcqpProblem, x, active_tol: float = 1e-6) -> float:
+def kkt_residual(p: QcqpProblem, x) -> float:
     """Scaled KKT residual of x: primal, stationarity and complementarity.
 
     Multipliers for the active set are recovered by nonnegative least
@@ -730,7 +731,7 @@ def kkt_residual(p: QcqpProblem, x, active_tol: float = 1e-6) -> float:
         v = x[3 * b.point:3 * b.point + 3] - b.center
         nrm = float(np.linalg.norm(v))
         s = b.radius - nrm
-        if s <= active_tol * (1 + b.radius) and nrm > 1e-12:
+        if s <= ACTIVE_TOL * (1 + b.radius) and nrm > 1e-12:
             col = np.zeros(p.n)
             col[3 * b.point:3 * b.point + 3] = v / nrm
             cols.append(col)
@@ -742,7 +743,7 @@ def kkt_residual(p: QcqpProblem, x, active_tol: float = 1e-6) -> float:
                 slack = sign * (bound - ax[i])
                 # an infinite bound is no constraint, never an active one
                 if np.isfinite(bound) \
-                        and slack <= active_tol * (1 + abs(bound)):
+                        and slack <= ACTIVE_TOL * (1 + abs(bound)):
                     cols.append(sign * np.bincount(p.A_cols[i], weights=p.A[i],
                                                    minlength=p.n))
                     slacks.append(abs(slack))

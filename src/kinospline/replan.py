@@ -10,7 +10,7 @@ feasible plan arrives in time.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from .splines import SplineDef, check_feasible, eval_span_many, span_stack
 # the collision check samples each span at these u values
 CHECK_US = np.linspace(0.0, 1.0, 9)
 CHECK_US.setflags(write=False)
+
+HORIZON_SPANS = 7      # replan when this many spans or fewer remain
+REGION_MARGIN = 2.0    # crop box padding around seam and goal, meters
+GOAL_TOL = 0.4         # goal reached within this distance, meters
 
 
 @dataclass(frozen=True)
@@ -36,12 +40,9 @@ class ReplanSettings:
     planner: str = "tuple"           # "tuple" or "astar" (ablation)
     local_range: float = 5.0
     sense_radius: float = 4.0
-    horizon_spans: int = 7           # replan when fewer spans remain
     search_expansions: int = 200_000
     search_wall_ms: float = 150.0
     solver_max_iter: int = 5000
-    region_margin: float = 2.0       # crop box padding around seam and goal
-    goal_tol: float = 0.4
 
 
 class PlanWindow:
@@ -330,11 +331,29 @@ class KnownMap:
         return self._cs_body.occ_inflated
 
 
-@dataclass
-class StepOutcome:
-    events: list = field(default_factory=list)
-    replanned: bool = False
-    stopped: bool = False
+def _nearest_free(cs_bk, point, reach: int):
+    """Free cell of cs_bk nearest point; None when none lies within reach.
+
+    point is in cell units with cell centers at integers, so its own cell
+    is the one it rounds to, clipped into the grid. That cell is returned
+    when free. Otherwise cubes of radius 1 to reach cells grow around it,
+    and the first cube holding a free cell gives the one whose center is
+    nearest point (the first in index order on a tie).
+    """
+    world = cs_bk.world
+    point = np.asarray(point, dtype=float)
+    cell = np.clip(np.floor(point + 0.5).astype(np.int64), 0, world.dims - 1)
+    if cs_bk.is_free(cell):
+        return cell
+    for r in range(1, reach + 1):
+        lo = np.maximum(cell - r, 0)
+        hi = np.minimum(cell + r, world.dims - 1)
+        free = np.argwhere(~cs_bk.occ_inflated[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1,
+                                               lo[2]:hi[2] + 1]) + lo
+        if free.size:
+            d = np.linalg.norm((free - point) * world.cell_sizes, axis=1)
+            return free[int(np.argmin(d))]
+    return None
 
 
 class Replanner:
@@ -357,26 +376,27 @@ class Replanner:
         self.agent = SimAgent.from_window(self.window, settings.sense_radius)
         self.events = []
         self.replans = 0
-        self.eo_calls = 0
         self.search_time = []
         self.tube_time = []
         self.opt_time = []
         self.goal_reached = False
         self.stopped = False
-        self._failed_at_version = None
         self._archive = []
         self._kick = 0
-        self._last_attempt_clock = -1e9
 
     @property
     def global_time(self) -> float:
         return self.window.clock + self.time_offset
 
-    def _event(self, kind: str, **detail):
+    @property
+    def eo_calls(self) -> int:
+        """Refinements run so far."""
+        return len(self.opt_time)
+
+    def _event(self, kind: str, **detail) -> None:
         rec = {"t": round(self.global_time, 6), "kind": kind}
         rec.update(detail)
         self.events.append(rec)
-        return rec
 
     def _collision_ahead(self):
         """First not-yet-frozen span whose samples hit a known obstacle.
@@ -399,19 +419,6 @@ class Replanner:
         if hit < 0:
             return None
         return first + hit // CHECK_US.size
-
-    def _nearest_free(self, cs_bk, cell):
-        for r in range(1, 6):
-            lo = np.maximum(np.asarray(cell) - r, 0)
-            hi = np.minimum(np.asarray(cell) + r, self.world.dims - 1)
-            block = ~cs_bk.occ_inflated[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1,
-                                        lo[2]:hi[2] + 1]
-            if block.any():
-                offs = np.argwhere(block)
-                d = np.linalg.norm((offs + lo - cell) * self.world.cell_sizes,
-                                   axis=1)
-                return lo + offs[int(np.argmin(d))]
-        return None
 
     @staticmethod
     def _poor_progress(res, start_tup) -> bool:
@@ -438,32 +445,46 @@ class Replanner:
         else:
             target = pos + to_goal * (self.s.local_range / dist)
         kick = self._kick
-        if kick and dist > self.s.goal_tol:
+        if kick and dist > GOAL_TOL:
             lateral = np.array([-to_goal[1], to_goal[0], 0.0])
             nrm = np.linalg.norm(lateral)
             if nrm > 1e-9:
                 amp = ((kick + 1) // 2) * 1.0 * (1 if kick % 2 else -1)
                 target = target + lateral / nrm * amp
-        cell = self.world.point_to_cell(target)
-        cell = np.clip(cell, 0, self.world.dims - 1)
-        if cs_bk.is_free(cell):
-            return cell
-        best = None
-        best_d = np.inf
-        for r in range(1, 8):
-            lo = np.maximum(cell - r, 0)
-            hi = np.minimum(cell + r, self.world.dims - 1)
-            block = ~cs_bk.occ_inflated[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1,
-                                        lo[2]:hi[2] + 1]
-            if block.any():
-                for off in np.argwhere(block):
-                    cand = lo + off
-                    d = float(np.linalg.norm(self.world.cell_center(cand) - target))
-                    if d < best_d:
-                        best_d = d
-                        best = cand
-                break
-        return best
+        w = self.world
+        return _nearest_free(cs_bk, (target - w.origin) / w.cell_sizes - 0.5, 7)
+
+    def _search(self, cs_bk, tup, goal_cell, goal_tup):
+        """The tuple search from the seam to the local goal's static tuple.
+
+        Searches the crop box around seam and goal; when that yields no
+        usable progress, retries on the whole grid with a larger budget.
+        None when an endpoint is out of the search's reach.
+        """
+        lo = np.minimum(tup.cells.min(axis=0), goal_cell)
+        hi = np.maximum(tup.cells.max(axis=0), goal_cell)
+        pad = np.ceil(REGION_MARGIN / self.world.cell_sizes).astype(np.int64)
+        region = (tuple(np.maximum(lo - pad, 0)),
+                  tuple(np.minimum(hi + pad, self.world.dims - 1)))
+        q = search.SearchQuery(start=tup, goal=goal_tup, dt=self.s.dt,
+                               lam=self.s.lam, order=self.s.order,
+                               bounds=self.s.bounds, d=self.s.d,
+                               max_expansions=self.s.search_expansions,
+                               max_wall_ms=self.s.search_wall_ms,
+                               region=region, allow_occupied_start=True)
+        try:
+            res = search.search(q, cs_bk, best_effort=True)
+            if self._poor_progress(res, tup):
+                # detours can leave the cropped box, and pockets behind
+                # obstacles need a much deeper flood under aggregation
+                res = search.search(
+                    replace(q, region=None,
+                            max_expansions=6 * q.max_expansions,
+                            max_wall_ms=16.0 * q.max_wall_ms),
+                    cs_bk, best_effort=True)
+        except ValueError:
+            return None
+        return res
 
     def _plan(self, cs_bk, cs_elas) -> bool:
         """One search + refine cycle; splices on success."""
@@ -480,9 +501,7 @@ class Replanner:
         partial = False
         budget = None
         if self.s.planner == "astar":
-            a_start = tup.cells[-1]
-            if not cs_bk.is_free(a_start):
-                a_start = self._nearest_free(cs_bk, a_start)
+            a_start = _nearest_free(cs_bk, tup.cells[-1], 5)
             path = None if a_start is None \
                 else search.astar_cells(cs_bk, a_start, goal_cell)
             self.search_time.append(time.perf_counter() - t0)
@@ -495,39 +514,12 @@ class Replanner:
             free_pts = self.world.cell_center(free_cells) if len(free_cells) \
                 else np.zeros((0, 3))
         else:
-            lo = np.minimum(tup.cells.min(axis=0), goal_cell)
-            hi = np.maximum(tup.cells.max(axis=0), goal_cell)
-            pad = np.ceil(self.s.region_margin
-                          / self.world.cell_sizes).astype(np.int64)
-            region = (np.maximum(lo - pad, 0),
-                      np.minimum(hi + pad, self.world.dims - 1))
-            q = search.SearchQuery(start=tup, goal=goal_tup, dt=self.s.dt,
-                                   lam=self.s.lam, order=self.s.order,
-                                   bounds=self.s.bounds, d=self.s.d,
-                                   max_expansions=self.s.search_expansions,
-                                   max_wall_ms=self.s.search_wall_ms,
-                                   region=(tuple(region[0]), tuple(region[1])),
-                                   allow_occupied_start=True)
-            try:
-                res = search.search(q, cs_bk, best_effort=True)
-                if res.status != "success" and self._poor_progress(res, tup):
-                    # detours can leave the cropped box, and pockets behind
-                    # obstacles need a much deeper flood under aggregation:
-                    # retry on the whole grid with a larger budget
-                    q_full = search.SearchQuery(
-                        start=tup, goal=goal_tup, dt=self.s.dt,
-                        lam=self.s.lam, order=self.s.order,
-                        bounds=self.s.bounds, d=self.s.d,
-                        max_expansions=6 * self.s.search_expansions,
-                        max_wall_ms=16.0 * self.s.search_wall_ms,
-                        allow_occupied_start=True)
-                    res = search.search(q_full, cs_bk, best_effort=True)
-            except ValueError:
-                self.search_time.append(time.perf_counter() - t0)
+            res = self._search(cs_bk, tup, goal_cell, goal_tup)
+            self.search_time.append(time.perf_counter() - t0)
+            if res is None:
                 self._event("search_fail", planner="tuple", reason="endpoint",
                             budget=None)
                 return False
-            self.search_time.append(time.perf_counter() - t0)
             budget = res.budget
             if res.status not in ("success", "partial") \
                     or self._poor_progress(res, tup):
@@ -547,7 +539,6 @@ class Replanner:
         start_pins = self.window.cps[seam:seam + self.s.k + 1]
         goal_pins = goal_tup.positions
         raw = self.map.true_world.with_occ(self.map.body_occupancy())
-        self.eo_calls += 1
         ref = elastic.refine_adaptive(free_pts, start_pins, goal_pins,
                                       cs_elas, raw, self.s.contract,
                                       self.s.bounds, self.s.order, self.s.dt,
@@ -566,62 +557,47 @@ class Replanner:
         self.replans += 1
         return True
 
-    def step(self, dt_sim: float = 0.1) -> StepOutcome:
-        out = StepOutcome()
+    def step(self, dt_sim: float = 0.1) -> None:
+        """Advance the clock, sense, and replan or brake when needed."""
         advanced = self.window.advance(dt_sim)
         self.agent.track(self.window)
         self.map.reveal(self.agent.position, self.agent.sense_radius)
         cs_bk, cs_elas = self.map.spaces()
 
         if self.goal_reached:
-            return out
-        if np.linalg.norm(self.agent.position - self.goal) <= self.s.goal_tol \
+            return
+        if np.linalg.norm(self.agent.position - self.goal) <= GOAL_TOL \
                 and np.linalg.norm(self.agent.velocity) < 0.2:
             self.goal_reached = True
-            out.events.append(self._event("goal"))
-            return out
+            self._event("goal")
+            return
 
         remaining = self.window.n_spans - self.window.exec_span
-        need_horizon = remaining <= self.s.horizon_spans
         collide_span = self._collision_ahead()
-        collide = collide_span is not None
         # active mode replans on every window advance so the braking tail
         # of the previous plan keeps getting pushed out ahead; passive only
         # reacts to collisions and the shrinking horizon
-        active_kick = self.s.mode == "active" and advanced > 0
-        want_replan = collide or need_horizon or active_kick
-        if want_replan:
-            ok = False
-            # while hovering the seam is static, so a failed attempt is
-            # deterministic until the map gains cells; in motion the seam
-            # evolves and retries can succeed
-            blocked = (self.stopped
-                       and self._failed_at_version == self.map.version
-                       and self._kick >= 8
-                       and self.global_time - self._last_attempt_clock < 2.0)
-            if not blocked:
-                self._last_attempt_clock = self.global_time
-                ok = self._plan(cs_bk, cs_elas)
-                self._failed_at_version = None if ok else self.map.version
-                self._kick = 0 if ok else min(self._kick + 1, 8)
-                out.replanned = ok
-            imminent = (collide
-                        and collide_span - self.window.exec_span <= 10) \
-                or remaining <= 2
-            if not ok and imminent and not self.stopped:
-                # stop as early as the dynamics allow: cut at the seam when
-                # possible, else coast to the end of the current plan;
-                # distant conflicts wait for the next cycle's attempt
-                if self.window.brake_at(self.window.seam_index(), cs_bk) \
-                        or self.window.extend_brake():
-                    out.stopped = True
-                    self.stopped = True
-                    out.events.append(self._event("stop"))
-                else:
-                    out.events.append(self._event("brake_infeasible"))
-        if out.replanned:
+        if collide_span is None and remaining > HORIZON_SPANS \
+                and not (self.s.mode == "active" and advanced > 0):
+            return
+        if self._plan(cs_bk, cs_elas):
+            self._kick = 0
             self.stopped = False
-        return out
+            return
+        self._kick = min(self._kick + 1, 8)
+        imminent = (collide_span is not None
+                    and collide_span - self.window.exec_span <= 10) \
+            or remaining <= 2
+        if imminent and not self.stopped:
+            # stop as early as the dynamics allow: cut at the seam when
+            # possible, else coast to the end of the current plan;
+            # distant conflicts wait for the next cycle's attempt
+            if self.window.brake_at(self.window.seam_index(), cs_bk) \
+                    or self.window.extend_brake():
+                self.stopped = True
+                self._event("stop")
+            else:
+                self._event("brake_infeasible")
 
     def run(self, max_time: float = 120.0, dt_sim: float = 0.1):
         """Step until the goal is reached or time runs out."""

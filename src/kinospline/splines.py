@@ -210,17 +210,11 @@ class SplineDef:
             raise IndexError(f"span {j} outside 0..{self.n_spans - 1}")
         return self.points[j:j + self.k + 1]
 
-    def eval(self, t: float, l: int = 0) -> np.ndarray:
-        """Derivative of order l at trajectory time t in [0, duration]."""
-        j = min(int(t / self.dt), self.n_spans - 1)
-        j = max(j, 0)
-        u = t / self.dt - j
-        return eval_span(self.span(j), min(max(u, 0.0), 1.0), l, self.dt)
-
     def sample(self, step: float, l: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(times, values) on a uniform grid including both endpoints.
 
-        Each sample is eval(t, l), evaluated for all times at once.
+        Time t is evaluated on span min(floor(t / dt), n_spans - 1), and
+        all times at once.
         """
         ts, (out,) = self.sample_orders(step, (l,))
         return ts, out

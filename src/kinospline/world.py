@@ -327,6 +327,8 @@ class MapGenSpec:
             raise ValueError("density must be >= 0")
         if any(e <= 0 for e in self.extent) or any(c <= 0 for c in self.cell_sizes):
             raise ValueError("extents and cell sizes must be positive")
+        if not all(f > 0 for f in self.footprint):
+            raise ValueError("footprint sizes must be positive")
 
 
 def generate(spec: MapGenSpec) -> VoxelWorld:

@@ -156,3 +156,10 @@ def test_scaled_certificate():
     cert = ct.certify(5, (0.16,) * 3)
     doubled = cert.scaled((0.32,) * 3)
     assert doubled.delta_bk == pytest.approx(2 * cert.delta_bk, rel=1e-12)
+
+
+@pytest.mark.parametrize("cells", [(0.0, 0.2, 0.2), (0.2, -0.2, 0.2),
+                                   (0.2, 0.2, float("nan"))])
+def test_certify_rejects_bad_cell_sizes(cells):
+    with pytest.raises(ValueError, match="cell sizes"):
+        ct.certify(5, cells)

@@ -37,14 +37,17 @@ def test_genmap_deterministic(tmp_path):
 
 
 def test_plan_success_and_outputs(small_map, tmp_path):
+    # the wall-clock limit is set out of reach, so the search ends on its
+    # own and the outcome is the same on a loaded machine
     out = tmp_path / "plan"
     rc = cli.main(["plan", "--map", str(small_map),
                    "--start", "0.9 3.0 1.0", "--start-vel", "1.2 0 0",
                    "--goal", "8.9 3.0 1.0", "--order", "2",
-                   "-o", str(out)])
+                   "--budget-ms", "1e12", "-o", str(out)])
     assert rc == 0
     rec = json.loads((out / "stats.json").read_text())
     assert rec["status"] == "success"
+    assert rec["budget"] is None
     assert rec["eo_solver_iterations"] > 0
     assert rec["eo_knot_repeat"] in (1, 2, 4)
     rows = stats.read_csv(out / "trajectory.csv")
@@ -223,6 +226,7 @@ def test_malformed_plan_input_exits_1(small_map, tmp_path, capsys, extra):
     ("replan", ["--local-range", "nan"]),
     ("replan", ["--local-range", "0"]),
     ("replan", ["--local-range", "-1"]),
+    ("suite", ["--max-goals", "-1"]),
 ])
 def test_malformed_numbers_exit_1_before_any_work(small_map, tmp_path, capsys,
                                                   cmd, extra):
@@ -233,3 +237,23 @@ def test_malformed_numbers_exit_1_before_any_work(small_map, tmp_path, capsys,
     assert cli.main(argv + extra) == cli.EXIT_OTHER
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--cell", "0"],
+    ["certify", "--cell", "-0.2"],
+    ["certify", "--cell", "nan"],
+    ["certify", "--cell", "0.2", "--cell-y", "0"],
+    ["certify", "--cell", "0.2", "--cell-z", "0"],
+    ["genmap", "--cell", "0"],
+    ["genmap", "--cell-y", "0"],
+    ["genmap", "--cell-z", "-0.25"],
+    ["genmap", "--footprint", "-1", "1"],
+    ["genmap", "--footprint", "0.5", "0"],
+    ["genmap", "--footprint", "nan", "0.5"],
+])
+def test_malformed_sizes_exit_1_and_write_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["-o", str(out)]) == cli.EXIT_OTHER
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()

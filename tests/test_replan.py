@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -552,6 +555,68 @@ class TestReplannerRuns:
             assert "t" in e and "kind" in e
             if e["kind"] == "replan":
                 assert "cost" in e and "seam" in e
+
+
+class TestNearestFree:
+    """A local goal or an A* start inside the inflated set moves to the
+    free cell nearest it, found in cubes of growing radius."""
+
+    def _world(self):
+        # a wall at x = 2.2-2.6 m with a gap at y >= 2 m: every cell at
+        # x = 10 lies in its inflated set
+        occ = np.zeros((30, 12, 12), dtype=bool)
+        occ[11:13, :10, :] = True
+        return wd.VoxelWorld(np.array([30, 12, 12]), np.full(3, 0.2),
+                             np.zeros(3), occ)
+
+    @staticmethod
+    def scan(cs, cell, point, reach):
+        # every cell within Chebyshev radius r of cell, r = 1, 2, ...; the
+        # free ones ranked by (metric distance of its center to point,
+        # index)
+        dims = cs.world.dims
+        for r in range(1, reach + 1):
+            ranges = [range(max(c - r, 0), min(c + r, n - 1) + 1)
+                      for c, n in zip(cell, dims)]
+            free = [c for c in itertools.product(*ranges) if cs.is_free(c)]
+            if free:
+                return min(free, key=lambda c: (
+                    math.dist(cs.world.cell_center(c), point), c))
+        return None
+
+    def test_local_goal_in_inflated_set(self):
+        w = self._world()
+        goal = np.array([2.17, 0.93, 1.41])     # in cell (10, 4, 7)
+        sim = rp.Replanner(w, (0.9, 0.9, 1.1), goal, make_settings(),
+                           prior_known=w.occ)
+        cs_bk, _ = sim.map.spaces()
+        cell = w.point_to_cell(goal)
+        assert not cs_bk.is_free(cell)
+        got = sim._local_goal_cell(cs_bk)
+        want = self.scan(cs_bk, cell, goal, 7)
+        assert tuple(got) == want != tuple(cell)
+
+    def test_astar_start_in_inflated_set(self, monkeypatch):
+        w = self._world()
+        starts = []
+        astar = rp.search.astar_cells
+
+        def spy(cs, start_cell, goal_cell, *args):
+            starts.append(tuple(int(c) for c in start_cell))
+            return astar(cs, start_cell, goal_cell, *args)
+
+        monkeypatch.setattr(rp.search, "astar_cells", spy)
+        start = (2.1, 1.3, 1.3)                  # in cell (10, 6, 6)
+        sim = rp.Replanner(w, start, (4.1, 1.3, 1.3),
+                           make_settings(planner="astar", local_range=10.0),
+                           prior_known=w.occ)
+        sim.step(0.1)
+        cs_bk, _ = sim.map.spaces()
+        cell = tuple(w.point_to_cell(start))
+        assert not cs_bk.is_free(cell)
+        want = self.scan(cs_bk, cell, w.cell_center(cell), 5)
+        assert starts == [want]
+        assert [e["kind"] for e in sim.events] == ["replan"]
 
 
 def test_match_boundary_snaps_seam():

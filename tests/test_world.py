@@ -58,6 +58,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             wd.MapGenSpec(kind="pillars", extent=(1, 1, 1),
                           cell_sizes=(0.1,) * 3, density=-1)
+        for footprint in ((-1.0, 1.0), (0.5, 0.0), (float("nan"), 0.5)):
+            with pytest.raises(ValueError, match="footprint"):
+                wd.MapGenSpec(kind="pillars", extent=(1, 1, 1),
+                              cell_sizes=(0.1,) * 3, density=1.0,
+                              footprint=footprint)
 
 
 # (kind, extent, cell sizes, density, seed, occupied cells, sha256 prefix
