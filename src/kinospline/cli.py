@@ -57,7 +57,7 @@ def _vec(text) -> np.ndarray:
 
 _POSITIVE = ("dt", "sample_step", "max_time", "goal_sep", "vmax", "amax",
              "budget_ms", "sense", "local_range", "cell", "cell_y", "cell_z")
-_NONNEGATIVE = ("lam", "body_radius", "max_goals")
+_NONNEGATIVE = ("lam", "body_radius", "max_goals", "density")
 
 
 def _check_args(args) -> None:
@@ -74,11 +74,10 @@ def _check_args(args) -> None:
             if v is not None and not (math.isfinite(v) and ok(v)):
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} must be {what} and finite, got {v}")
-    footprint = getattr(args, "footprint", None)
-    if footprint is not None and not all(math.isfinite(v) and v > 0
-                                         for v in footprint):
-        raise ValueError(f"--footprint must be positive and finite, "
-                         f"got {footprint}")
+    for name in ("extent", "footprint"):
+        v = getattr(args, name, None)
+        if v is not None and not all(math.isfinite(x) and x > 0 for x in v):
+            raise ValueError(f"--{name} must be positive and finite, got {v}")
 
 
 def _cell_sizes(args) -> tuple:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import elastic, search, world
-from .kernels import collision_scan
 from .splines import SplineDef, check_feasible, eval_span_many, span_stack
 
 # the collision check samples each span at these u values
@@ -53,8 +52,8 @@ class PlanWindow:
     from seam + k + 1 onward only, where seam > exec_span.
 
     `cps` is never written in place, only replaced, so the collision
-    check's samples are evaluated once per committed array and tied to it
-    by identity.
+    check's samples and their grid cells are computed once per committed
+    array and tied to it by identity.
     """
 
     def __init__(self, k: int, dt: float, points, bounds=None):
@@ -68,6 +67,9 @@ class PlanWindow:
         self.clock = 0.0
         self._samples = None
         self._samples_for = None
+        self._cells = None
+        self._cells_for = None
+        self._cells_grid = None
 
     @property
     def n_spans(self) -> int:
@@ -90,13 +92,31 @@ class PlanWindow:
         """Positions at CHECK_US on every span, span-major: (n_spans * 9, 3).
 
         Evaluated once for each committed `cps` array, at the first call
-        after splice or extend_brake replaced it; trim slices them.
+        after splice, brake_at or extend_brake replaced it; trim slices
+        them, and check_cells holds their grid cells.
         """
         if self._samples_for is not self.cps:
             self._samples = eval_span_many(span_stack(self.cps, self.k),
                                            CHECK_US, 0, self.dt).reshape(-1, 3)
             self._samples_for = self.cps
         return self._samples
+
+    def check_cells(self, grid: world.VoxelWorld) -> np.ndarray:
+        """Flat (C-order) cell of each check sample in grid, -1 outside it.
+
+        Floored exactly as kernels.collision_scan floors points, computed
+        once per committed `cps` (and grid) and sliced by trim with the
+        samples, so a collision check is one gather.
+        """
+        if self._cells_for is not self.cps or self._cells_grid is not grid:
+            c = grid.point_to_cell(self.check_samples())
+            dims = grid.dims
+            inside = np.all((c >= 0) & (c < dims), axis=1)
+            flat = (c[:, 0] * dims[1] + c[:, 1]) * dims[2] + c[:, 2]
+            self._cells = np.where(inside, flat, -1)
+            self._cells_for = self.cps
+            self._cells_grid = grid
+        return self._cells
 
     def advance(self, dt_sim: float) -> int:
         """Move the clock forward; returns how many spans finished."""
@@ -178,11 +198,16 @@ class PlanWindow:
         keep_from = self.exec_span - 2 * (self.k + 1)
         if keep_from <= 0:
             return 0
-        cached = self._samples_for is self.cps
+        cut = keep_from * CHECK_US.size
+        samples = self._samples_for is self.cps
+        cells = self._cells_for is self.cps
         self.cps = self.cps[keep_from:]
-        if cached:
-            self._samples = self._samples[keep_from * CHECK_US.size:]
+        if samples:
+            self._samples = self._samples[cut:]
             self._samples_for = self.cps
+        if cells:
+            self._cells = self._cells[cut:]
+            self._cells_for = self.cps
         self.clock -= keep_from * self.dt
         return keep_from
 
@@ -240,12 +265,16 @@ class SimAgent:
 
 
 class KnownMap:
-    """Occupancy revealed so far, with copy-on-update config spaces.
+    """Occupancy revealed so far, with lazily updated config spaces.
 
-    The true occupied cells not yet revealed are kept as flat indices with
-    their centers, and the cells revealed since the last config-space
-    update as a list of flat index arrays, so a reveal and an update cost
-    time in the hidden and the fresh obstacle cells, not in the grid.
+    The true occupied cells are kept as sorted flat indices with their
+    centers, so a reveal measures only the cells of the x-slab its sphere
+    can reach; the known map tells which of those are new. Revealed cells
+    wait as lists of flat index arrays until a config space is read:
+    spaces() brings C_bk and C_elas up to date and body_occupancy() the
+    body space alone, each copy-on-update. Dilation distributes over
+    union, so a batch of reveals gives the grids that one update per
+    reveal gives, and a step that reads no space pays for none.
     """
 
     def __init__(self, true_world: world.VoxelWorld,
@@ -253,15 +282,41 @@ class KnownMap:
         self.true_world = true_world
         self.contract = contract
         self.known = np.zeros(tuple(true_world.dims), dtype=bool)
-        self._hidden = np.flatnonzero(true_world.occ)
-        self._hidden_centers = (
-            np.column_stack(np.unravel_index(self._hidden, self.known.shape))
-            + 0.5) * true_world.cell_sizes + true_world.origin
+        self._occupied = np.flatnonzero(true_world.occ)
+        # one row of center coordinates per axis, read contiguously
+        self._centers = (
+            np.array(np.unravel_index(self._occupied, self.known.shape))
+            + 0.5) * true_world.cell_sizes[:, None] \
+            + true_world.origin[:, None]
+        self._x0 = float(true_world.origin[0])
+        self._dx = float(true_world.cell_sizes[0])
+        self._nx = int(true_world.dims[0])
+        self._x_stride = int(true_world.dims[1] * true_world.dims[2])
         self.version = 0
-        self._fresh = []
+        self._fresh = []         # revealed since C_bk and C_elas were updated
+        self._fresh_body = []    # revealed since the body space was updated
         self._cs_bk = None
         self._cs_elas = None
         self._cs_body = None
+
+    def _slab(self, x: float, radius: float):
+        """Range of _occupied holding every cell whose center lies within
+        radius of x along x, with a cell of slack on each side; the whole
+        array when the bounds are not numbers.
+
+        _occupied is sorted, and the cells of x-columns a to b - 1 are
+        the flat indices from a * stride up to b * stride.
+        """
+        lo = (x - radius - self._x0) / self._dx - 1.5
+        hi = (x + radius - self._x0) / self._dx + 1.5
+        i0, i1 = 0, self._occupied.size
+        if lo > 0:
+            i0 = int(np.searchsorted(
+                self._occupied, int(min(lo, self._nx)) * self._x_stride))
+        if hi < self._nx:
+            i1 = int(np.searchsorted(
+                self._occupied, int(max(hi, 0)) * self._x_stride))
+        return i0, i1
 
     def reveal(self, position, radius: float) -> int:
         """Merge true occupancy within radius of position; returns new cells.
@@ -270,64 +325,64 @@ class KnownMap:
         """
         if radius <= 0:
             return 0
-        d = (self._hidden_centers - np.asarray(position)) ** 2
+        p = np.asarray(position, dtype=float)
+        i0, i1 = self._slab(float(p[0]), radius)
+        d = self._centers[:, i0:i1] - p[:, None]
+        d *= d
         # summed left to right, as np.sum over three terms
-        near = d[:, 0] + d[:, 1] + d[:, 2] <= radius * radius
-        if not near.any():
-            return 0
-        idx = self._hidden[near]
-        self._hidden = self._hidden[~near]
-        self._hidden_centers = self._hidden_centers[~near]
+        idx = self._occupied[i0:i1][d[0] + d[1] + d[2] <= radius * radius]
         known = self.known.reshape(-1)
         idx = idx[~known[idx]]
         if idx.size:
             known[idx] = True
             self._fresh.append(idx)
+            if self.contract.body_radius > 0:
+                self._fresh_body.append(idx)
             self.version += 1
         return int(idx.size)
 
     def reveal_all(self) -> None:
-        self._hidden = self._hidden[:0]
-        self._hidden_centers = self._hidden_centers[:0]
         fresh = np.flatnonzero(self.true_world.occ & ~self.known)
         if fresh.size:
             self.known.reshape(-1)[fresh] = True
             self._fresh.append(fresh)
+            if self.contract.body_radius > 0:
+                self._fresh_body.append(fresh)
             self.version += 1
 
-    def _update(self) -> None:
-        """Bring the config spaces up to date with the known occupancy."""
-        body = self.contract.body_radius > 0
-        if self._cs_bk is None:
-            w = self.true_world.with_occ(self.known.copy())
-            self._cs_bk = world.build_config_space(w, self.contract.delta_bk)
-            self._cs_elas = world.build_config_space(w, self.contract.delta_elas)
-            if body:
-                self._cs_body = world.build_config_space(
-                    w, self.contract.body_radius)
-            self._fresh.clear()
-        elif self._fresh:
-            fresh = np.concatenate(self._fresh)
-            w = self.true_world.with_occ(self.known.copy())
-            self._cs_bk = world.updated_config_space(self._cs_bk, w, fresh)
-            self._cs_elas = world.updated_config_space(self._cs_elas, w, fresh)
-            if body:
-                self._cs_body = world.updated_config_space(self._cs_body, w,
-                                                           fresh)
-            self._fresh.clear()
+    def _known_world(self) -> world.VoxelWorld:
+        return self.true_world.with_occ(self.known.copy())
 
     def spaces(self):
-        """Current (C_bk, C_elas) pair, updated incrementally on new cells."""
-        self._update()
+        """Current (C_bk, C_elas) pair, updated with the cells revealed
+        since the last call: built on the first call, then incrementally."""
+        if self._cs_bk is None:
+            w = self._known_world()
+            self._cs_bk = world.build_config_space(w, self.contract.delta_bk)
+            self._cs_elas = world.build_config_space(w, self.contract.delta_elas)
+        elif self._fresh:
+            w = self._known_world()
+            fresh = np.concatenate(self._fresh)
+            self._cs_bk = world.updated_config_space(self._cs_bk, w, fresh)
+            self._cs_elas = world.updated_config_space(self._cs_elas, w, fresh)
+        self._fresh.clear()
         return self._cs_bk, self._cs_elas
 
     def body_occupancy(self) -> np.ndarray:
         """Cells the body center must avoid: the known occupancy dilated
         by the contract's body radius (the known occupancy itself when the
-        radius is 0)."""
-        if self.contract.body_radius <= 0:
+        radius is 0). Updates the body space alone."""
+        radius = self.contract.body_radius
+        if radius <= 0:
             return self.known
-        self._update()
+        if self._cs_body is None:
+            self._cs_body = world.build_config_space(self._known_world(),
+                                                     radius)
+        elif self._fresh_body:
+            self._cs_body = world.updated_config_space(
+                self._cs_body, self._known_world(),
+                np.concatenate(self._fresh_body))
+        self._fresh_body.clear()
         return self._cs_body.occ_inflated
 
 
@@ -408,17 +463,16 @@ class Replanner:
         inflation) and make passive mode replan on every step near
         obstacles.
         """
-        w = self.world
         first = self.window.exec_span + 1
         if first >= self.window.n_spans:
             return None
-        pts = self.window.check_samples()[first * CHECK_US.size:]
-        occ = np.ascontiguousarray(self.map.body_occupancy())
-        hit = collision_scan(pts, occ.reshape(-1).view(np.uint8), w.dims,
-                             w.origin, w.cell_sizes)
-        if hit < 0:
+        cells = self.window.check_cells(self.world)[first * CHECK_US.size:]
+        # samples outside the grid count as collisions (conservative)
+        hit = np.flatnonzero(
+            (cells < 0) | self.map.body_occupancy().reshape(-1)[cells])
+        if not hit.size:
             return None
-        return first + hit // CHECK_US.size
+        return first + int(hit[0]) // CHECK_US.size
 
     @staticmethod
     def _poor_progress(res, start_tup) -> bool:
@@ -558,11 +612,15 @@ class Replanner:
         return True
 
     def step(self, dt_sim: float = 0.1) -> None:
-        """Advance the clock, sense, and replan or brake when needed."""
+        """Advance the clock, sense, and replan or brake when needed.
+
+        The config spaces are brought up to date only on a step that
+        plans (and may then brake); any other step reveals cells and
+        checks the committed plan against the body occupancy alone.
+        """
         advanced = self.window.advance(dt_sim)
         self.agent.track(self.window)
         self.map.reveal(self.agent.position, self.agent.sense_radius)
-        cs_bk, cs_elas = self.map.spaces()
 
         if self.goal_reached:
             return
@@ -580,6 +638,7 @@ class Replanner:
         if collide_span is None and remaining > HORIZON_SPANS \
                 and not (self.s.mode == "active" and advanced > 0):
             return
+        cs_bk, cs_elas = self.map.spaces()
         if self._plan(cs_bk, cs_elas):
             self._kick = 0
             self.stopped = False

@@ -15,6 +15,7 @@ KD-tree over the inflated-occupied cell centers plus the world's boundary
 planes.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,6 +24,9 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 MAP_MAGIC = "KSGRID1"
+
+# stencil targets an incremental config-space update places at a time
+_SCATTER_TARGETS = 1 << 13
 
 _NEIGHBOR_OFFSETS = np.array(
     [(dx, dy, dz)
@@ -272,21 +276,29 @@ def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
     so the new inflated cells are the stencil placed at each fresh cell,
     with targets outside the grid dropped: the same grid as a full
     rebuild, in O(fresh x stencil) work after one copy of the previous
-    grid. The previous space stays untouched for concurrent readers.
+    grid. The stencil is placed at _SCATTER_TARGETS targets at a time, so
+    the scratch memory stays bounded however many cells arrive at once.
+    The previous space stays untouched for concurrent readers.
     """
     inflated = prev.occ_inflated.copy()
+    out = inflated.reshape(-1)
     flat = np.asarray(fresh, dtype=np.int64)
-    inflated.reshape(-1)[flat] = True
+    out[flat] = True
     if prev.delta > 0 and flat.size:
         offsets = _stencil_offsets(tuple(float(c) for c in world.cell_sizes),
                                    float(prev.delta))
-        # (axis, fresh cell, stencil cell) target indices
-        cells = np.array(np.unravel_index(flat, inflated.shape))
-        targets = cells[:, :, None] + offsets[:, None, :]
-        keep = np.all((targets >= 0)
-                      & (targets < np.array(inflated.shape)[:, None, None]),
-                      axis=0)
-        inflated[tuple(targets[:, keep])] = True
+        dims = inflated.shape
+        # a target's flat index is its cell's plus the offset's, valid when
+        # each axis stays in the grid
+        shift = (offsets[0] * dims[1] + offsets[1]) * dims[2] + offsets[2]
+        chunk = max(1, _SCATTER_TARGETS // offsets.shape[1])
+        for i in range(0, flat.size, chunk):
+            part = flat[i:i + chunk]
+            cells = np.unravel_index(part, dims)
+            keep = np.ones((part.size, offsets.shape[1]), dtype=bool)
+            for c, off, n in zip(cells, offsets, dims):
+                keep &= (off >= -c[:, None]) & (off < n - c[:, None])
+            out[(part[:, None] + shift)[keep]] = True
     return _finish_config_space(world, prev.delta, inflated)
 
 
@@ -323,10 +335,12 @@ class MapGenSpec:
     def __post_init__(self):
         if self.kind not in ("empty", "pillars", "noise"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.density < 0:
-            raise ValueError("density must be >= 0")
-        if any(e <= 0 for e in self.extent) or any(c <= 0 for c in self.cell_sizes):
-            raise ValueError("extents and cell sizes must be positive")
+        if not (math.isfinite(self.density) and self.density >= 0):
+            raise ValueError("density must be >= 0 and finite")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (*self.extent, *self.cell_sizes)):
+            raise ValueError("extents and cell sizes must be positive and "
+                             "finite")
         if not all(f > 0 for f in self.footprint):
             raise ValueError("footprint sizes must be positive")
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -256,4 +257,23 @@ def test_malformed_sizes_exit_1_and_write_nothing(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert cli.main(argv + ["-o", str(out)]) == cli.EXIT_OTHER
     assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--extent", "nan", "5", "2"], "--extent"),
+    (["--extent", "20", "inf", "2"], "--extent"),
+    (["--extent", "20", "5", "-2"], "--extent"),
+    (["--density", "nan"], "--density"),
+    (["--density", "inf"], "--density"),
+])
+def test_genmap_non_finite_spec_names_the_flag(tmp_path, capsys, extra, flag):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["genmap"] + extra + ["-o", str(out)])
+    assert rc == cli.EXIT_OTHER
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["message"].startswith(flag + " must be")
     assert not out.exists()

@@ -277,12 +277,14 @@ def _brute_force_reveal(true_occ, known, centers, position, radius):
 
 
 @pytest.mark.parametrize("seed, body_radius", [(0, 0.0), (1, 0.0), (2, 0.3),
-                                               (3, 0.0)])
+                                               (3, 0.0), (4, 0.0), (5, 0.3)])
 def test_reveal_matches_full_grid_reference(seed, body_radius):
     rng = np.random.default_rng(seed)
     dims = tuple(rng.integers(6, 14, size=3))
     cells = rng.uniform(0.15, 0.3, size=3)
     origin = rng.uniform(-2.0, 2.0, size=3)
+    if seed >= 4:
+        origin += (-57.3, 31.9, 12.6)   # a grid far from the world origin
     true_occ = rng.random(dims) < 0.15
     w = wd.VoxelWorld(np.array(dims), cells, origin, true_occ)
     contract = make_settings(body_radius=body_radius).contract
@@ -293,11 +295,9 @@ def test_reveal_matches_full_grid_reference(seed, body_radius):
     m.known |= prior
     known = prior.copy()
     version = 0
-    diag = float(np.linalg.norm(w.extent))
-    radii = [0.0, 0.6, 1.0, 0.0, 2.0 * diag] if seed % 2 else \
-        list(rng.uniform(0.0, 1.2, size=8)) + [0.0]
-    for radius in radii:
-        pos = origin + rng.uniform(-0.2, 1.2, size=3) * w.extent
+
+    def check(pos, radius):
+        nonlocal version
         want = _brute_force_reveal(true_occ, known, centers, pos, radius)
         version += want > 0
         assert m.reveal(pos, radius) == want
@@ -311,6 +311,28 @@ def test_reveal_matches_full_grid_reference(seed, body_radius):
             assert np.array_equal(cs.occ_inflated, ref.occ_inflated)
         body = wd.build_config_space(ref_world, body_radius).occ_inflated
         assert np.array_equal(m.body_occupancy(), body)
+        return want
+
+    diag = float(np.linalg.norm(w.extent))
+    radii = [0.0, 0.6, 1.0, 0.0, 2.0 * diag] if seed % 2 else \
+        list(rng.uniform(0.0, 1.2, size=8)) + [0.0]
+    for radius in radii:
+        check(origin + rng.uniform(-0.2, 1.2, size=3) * w.extent, radius)
+    # the x-slab a reveal measures is conservative: a sphere beyond the
+    # grid along x by more than its radius reveals nothing and one beyond
+    # it by less reaches the end columns, on either side; then a sphere
+    # centred off the grid covers all of it
+    mid = origin + 0.5 * w.extent
+    x_lo, x_hi = origin[0], origin[0] + w.extent[0]
+    r = 0.8
+    for x, radius in ((x_lo - r - 1e-3, r), (x_hi + r + 1e-3, r)):
+        assert check(np.array([x, mid[1], mid[2]]), radius) == 0
+    for x in (x_lo - 0.4 * r, x_hi + 0.4 * r):
+        pos = np.array([x, mid[1], mid[2]])
+        assert (np.sum((centers - pos) ** 2, axis=1) <= r * r).any()
+        check(pos, r)
+    check(np.array([x_lo - 1.0, mid[1], mid[2]]), 2.0 * diag)
+    assert not (true_occ & ~m.known).any()
     m.reveal_all()
     version += bool((true_occ & ~known).any())
     assert np.array_equal(m.known, known | true_occ)
@@ -350,6 +372,63 @@ def test_reveal_counts_centres_on_the_sphere():
         assert m.reveal(pos, radius) == want
         assert np.array_equal(m.known, known)
         assert not (on_sphere & true_occ & ~m.known).any()
+
+
+@pytest.mark.parametrize("planner, body_radius", [
+    ("astar", 0.0), ("tuple", 0.0), ("astar", 0.25), ("tuple", 0.25)])
+def test_idle_steps_skip_the_config_spaces(monkeypatch, planner,
+                                           body_radius):
+    # a step that neither plans nor brakes builds and updates no config
+    # space but the body's, which the collision check reads; every plan
+    # reads spaces equal to a full rebuild of the known map
+    build, update = wd.build_config_space, wd.updated_config_space
+    calls = []
+    monkeypatch.setattr(wd, "build_config_space", lambda w, delta: (
+        calls.append(float(delta)) or build(w, delta)))
+    monkeypatch.setattr(wd, "updated_config_space", lambda prev, w, fresh: (
+        calls.append(prev.delta) or update(prev, w, fresh)))
+    w = wd.bench_course(cell=0.2, seed=9)
+    settings = make_settings(planner=planner, body_radius=body_radius,
+                             search_wall_ms=1e12, search_expansions=2600,
+                             solver_max_iter=6000)
+    contract = settings.contract
+    sim = rp.Replanner(w, (1.0, 5.0, 1.2), (19.0, 5.0, 1.2), settings)
+    acted = []
+    plan = sim._plan
+
+    def planned(cs_bk, cs_elas):
+        acted.append("plan")
+        known = w.with_occ(sim.map.known.copy())
+        for cs, delta in ((cs_bk, contract.delta_bk),
+                          (cs_elas, contract.delta_elas)):
+            assert np.array_equal(cs.occ_inflated,
+                                  build(known, delta).occ_inflated)
+        assert np.array_equal(sim.map.body_occupancy(),
+                              build(known, body_radius).occ_inflated)
+        return plan(cs_bk, cs_elas)
+
+    sim._plan = planned
+    for name in ("brake_at", "extend_brake"):
+        setattr(sim.window, name, lambda *a, _fn=getattr(sim.window, name): (
+            acted.append("brake") or _fn(*a)))
+    body = {float(body_radius)} if body_radius > 0 else set()
+    plans = idle_reveals = idle_body_updates = 0
+    for _ in range(1800):
+        calls.clear()
+        acted.clear()
+        version = sim.map.version
+        sim.step(0.1)
+        sim.window.trim()
+        plans += "plan" in acted
+        if not acted:
+            assert set(calls) <= body
+            idle_reveals += sim.map.version > version
+            idle_body_updates += bool(calls)
+        if sim.goal_reached:
+            break
+    assert sim.goal_reached and plans >= 3
+    assert idle_reveals >= 10
+    assert (idle_body_updates > 0) == (body_radius > 0)
 
 
 def test_agent_state_matches_eval_span():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,22 @@ class TestGenerators:
                 wd.MapGenSpec(kind="pillars", extent=(1, 1, 1),
                               cell_sizes=(0.1,) * 3, density=1.0,
                               footprint=footprint)
+
+    @pytest.mark.parametrize("field, value", [
+        ("extent", (float("nan"), 5.0, 2.0)),
+        ("extent", (20.0, float("inf"), 2.0)),
+        ("extent", (20.0, 5.0, -float("inf"))),
+        ("cell_sizes", (0.2, float("nan"), 0.2)),
+        ("cell_sizes", (float("inf"), 0.2, 0.2)),
+        ("density", float("nan")),
+        ("density", float("inf")),
+    ])
+    def test_spec_rejects_non_finite(self, field, value):
+        kw = dict(kind="pillars", extent=(20.0, 5.0, 2.0),
+                  cell_sizes=(0.2,) * 3, density=0.1)
+        kw[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            wd.MapGenSpec(**kw)
 
 
 # (kind, extent, cell sizes, density, seed, occupied cells, sha256 prefix
@@ -255,6 +272,33 @@ def test_updated_config_space_on_faces_and_corners(delta):
     assert np.array_equal(cs1.occ_inflated, ref.occ_inflated)
     assert np.array_equal(cs1.occ_flat, ref.occ_flat)
     assert not np.array_equal(cs0.occ_inflated, cs1.occ_inflated)
+
+
+def test_updated_config_space_memory_is_bounded():
+    # one update of 2,000 fresh cells on the bench_course grid: the stencil
+    # is placed in chunks, so the scratch memory stays well below the
+    # (3, fresh, stencil) index arrays a one-shot placement builds
+    course = wd.bench_course(cell=0.2, seed=9)
+    rng = np.random.default_rng(20)
+    fresh = np.sort(rng.choice(np.flatnonzero(~course.occ), 2000,
+                               replace=False))
+    occ = course.occ.copy()
+    occ.reshape(-1)[fresh] = True
+    w = course.with_occ(occ)
+    delta = 0.22032592898698794     # the course's C_bk: a 27-cell stencil
+    assert wd._stencil_offsets((0.2,) * 3, delta).shape == (3, 27)
+    cs0 = wd.build_config_space(course, delta)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cs1 = wd.updated_config_space(cs0, w, fresh)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    ref = wd.build_config_space(w, delta)
+    assert np.array_equal(cs1.occ_inflated, ref.occ_inflated)
+    assert np.array_equal(cs1.occ_flat, ref.occ_flat)
 
 
 def test_inflation_stencil_is_shared_and_read_only():
