@@ -90,10 +90,6 @@ class ElasticTube:
     radii: np.ndarray
     supports: np.ndarray
 
-    def well_connected(self, slack: float = 0.0) -> bool:
-        gaps = np.linalg.norm(np.diff(self.centers, axis=0), axis=1)
-        return bool(np.all(gaps <= self.radii[:-1] + self.radii[1:] + slack))
-
 
 def tube_expansion(points, cs: ConfigSpace, params: EoParams) -> ElasticTube:
     """Push each clearance ball away from its nearest obstacle.

@@ -11,7 +11,12 @@ by a key, the Python tuple of the flat codes of their last d cells (the
 last code itself at d = 1), so no grid size or aggregation level can
 overflow it; each aggregated node keeps the representative tuple that
 reached it at the lowest cost, which keeps the search deterministic and
-the reconstructed placement admissible.
+the reconstructed placement admissible. A node stores the representative's
+last code and parent key, and its full codes only once it closes.
+
+There is one successor scan, in search()'s loop: the product of the
+per-axis step options (_Expander._axis, memoized), with each child's key
+looked up before anything else is read or built for it.
 """
 
 import heapq
@@ -62,9 +67,6 @@ class VertexTuple:
     def last_cell(self) -> np.ndarray:
         return self.cells[-1]
 
-    def is_static(self) -> bool:
-        return bool(np.all(self.cells == self.cells[0]))
-
 
 def static_tuple(cell, k: int, world) -> VertexTuple:
     """The tuple of one cell repeated k+1 times (a state at rest)."""
@@ -87,29 +89,6 @@ def tuple_cost(t: VertexTuple, lam: float, l: int, dt: float) -> float:
     return lam * dt + float(span_cost(t.positions, l, dt))
 
 
-def heuristic(t: VertexTuple, goal: VertexTuple, lam: float, dt: float) -> float:
-    """Admissible remaining-cost bound: lam*dt per outstanding grid step.
-
-    Every expansion moves the tuple's last cell by at most one cell per
-    axis and costs at least lam*dt, so lam*dt times the Chebyshev cell
-    distance between the last cells never exceeds the true remaining cost.
-    """
-    dist = int(np.max(np.abs(t.last_cell - goal.last_cell)))
-    return lam * dt * dist
-
-
-def feasible_succs(t: VertexTuple, cs: ConfigSpace, bounds: DerivativeBounds,
-                   dt: float, lam: float = 0.0, l: int = 2):
-    """Successor tuples in deterministic lexicographic offset order."""
-    expand = _Expander(cs, bounds, dt, lam, l, t.k)
-    full = tuple(int(c) for c in cell_code(t.cells, cs.world.dims))
-    out = []
-    for code, _, _, _ in expand(full, t.patterns):
-        nxt = np.vstack([t.cells[1:], _decode(code, cs.world.dims)])
-        out.append(VertexTuple.from_cells(nxt, cs.world))
-    return out
-
-
 def _tuple_feasible(t: VertexTuple, tables) -> bool:
     """Velocity and acceleration bounds of a cell-center tuple, read from
     the per-axis feasibility tables (patterns.feasible_tables) at the
@@ -117,26 +96,18 @@ def _tuple_feasible(t: VertexTuple, tables) -> bool:
     return all(tab[p] for tab, p in zip(tables, t.patterns))
 
 
-def _decode(code: int, dims) -> np.ndarray:
-    cx, rem = divmod(int(code), int(dims[1]) * int(dims[2]))
-    cy, cz = divmod(rem, int(dims[2]))
-    return np.array([cx, cy, cz], dtype=np.int64)
-
-
 class _Expander:
-    """Feasible free successors of a tuple, as (code, node cost, patterns,
-    Chebyshev cells to the goal).
+    """The per-axis successor options of one search query.
 
-    A tuple is given by its flat cell codes and its axis pattern codes
-    (every step lies in {-1, 0, 1}). The per-axis feasibility tables give
-    the steps whose appended pattern is feasible (and which stay in
-    the crop box); their product, filtered by occupancy, is the successor
-    set, and each node cost is lam*dt plus the cost table entries of the
-    child's three axis patterns (see patterns). The per-axis options,
-    each with the child's cell distance to the goal along that axis (0
-    without a goal), are memoized by cell coordinate and window pattern.
-    Order is lexicographic over the offsets in {-1, 0, 1}^3. Nothing here
-    scales with the grid: occupancy is read from the space's bytes.
+    A tuple's successors append one step in {-1, 0, 1} per axis to its
+    last cell. Along axis a the step's appended pattern must be feasible
+    (the per-axis feasibility table) and the child's coordinate must stay
+    in the crop box; _axis lists those steps as (flat code offset, cost
+    table entry, child pattern, cells to the goal along a), memoized by
+    cell coordinate and window pattern. search() scans their product in
+    lexicographic offset order, reads occupancy from the space's bytes for
+    codes it has not seen, and takes a node cost as lam*dt plus the three
+    cost terms (see patterns). Nothing here scales with the grid.
     """
 
     def __init__(self, cs, bounds, dt, lam, l, k, region=None, goal=None):
@@ -158,34 +129,6 @@ class _Expander:
         self.goal = None if goal is None else [int(v) for v in goal]
         self.step_cost = lam * dt
         self.memo = ({}, {}, {})
-
-    def __call__(self, full, pats):
-        last = full[-1]
-        cx, rem = divmod(last, self.nyz)
-        cy, cz = divmod(rem, self.nz)
-        top = self.top
-        xs = self.memo[0].get(cx * top + pats[0] // 3)
-        if xs is None:
-            xs = self._axis(0, cx, pats[0] // 3)
-        ys = self.memo[1].get(cy * top + pats[1] // 3)
-        if ys is None:
-            ys = self._axis(1, cy, pats[1] // 3)
-        zs = self.memo[2].get(cz * top + pats[2] // 3)
-        if zs is None:
-            zs = self._axis(2, cz, pats[2] // 3)
-        occ = self.occ
-        sc = self.step_cost
-        out = []
-        for ox, tx, px, hx in xs:
-            for oy, ty, py, hy in ys:
-                base = last + ox + oy
-                txy = tx + ty
-                hxy = hx if hx > hy else hy
-                for oz, tz, pz, hz in zs:
-                    if occ[base + oz] == 0:
-                        out.append((base + oz, sc + (txy + tz),
-                                    (px, py, pz), hxy if hxy > hz else hz))
-        return out
 
     def _axis(self, a, c0, wcode):
         """(offset, cost term, child pattern, goal distance) of the feasible
@@ -247,13 +190,6 @@ class SearchResult:
     def ok(self) -> bool:
         return self.status == "success"
 
-    def free_slice(self, k: int) -> np.ndarray:
-        """Cells between the boundary tuples (may be empty)."""
-        n = self.cells.shape[0]
-        if n < 2 * (k + 1):
-            return self.cells[:0]
-        return self.cells[k + 1:n - (k + 1)]
-
 
 def _validate_endpoint(t: VertexTuple, cs: ConfigSpace, tables, name):
     """ValueError unless the tuple is free and within the derivative bounds
@@ -282,30 +218,38 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
 
     Internally tuples live as flat cell codes; an aggregated node is keyed
     by the Python tuple of its last d codes (the last code at d = 1) and
-    stores [g, full codes, parent key, closed, axis patterns]. Successors
-    come from the step-pattern tables (see patterns) of the query's one
-    _Expander, and the endpoints are checked against its feasibility
-    tables at their stored patterns; a seed start (allow_occupied_start)
-    skips those checks.
+    stores [g, last code, parent key, closed, axis patterns, full codes].
+    The full codes are built once, when the node closes, from its parent's
+    as parent_full[1:] + (code,). The loop itself is the successor scan:
+    it runs the product of the query's _Expander options per axis, looks
+    each child's key up first and skips a closed one before any other
+    work. Occupancy is read only for a code not seen yet, since a known
+    node is free. The endpoints are checked against the expander's
+    feasibility tables at their stored patterns; a seed start
+    (allow_occupied_start) skips those checks.
 
     A query does no work in proportion to the grid. The heuristic is
-    heuristic(), (lam*dt) times the Chebyshev cell distance between last
-    cells. The Chebyshev distance splits by axis: each successor carries
-    the max of the per-axis goal distances that the expander memoizes with
-    its step options, and the product is formed only for pushed nodes, the
-    same IEEE product a table over the grid would hold.
+    (lam*dt) times the Chebyshev cell distance between the last cells of
+    a tuple and the goal: every expansion moves the last cell by at most
+    one cell per axis and costs at least lam*dt, so it never exceeds the
+    remaining cost. The distance splits by axis: each option carries its
+    axis's goal distance, and the product is formed only for pushed
+    nodes.
     """
     world = cs.world
     dims = world.dims
     lam, dt, l, d = q.lam, q.dt, q.order, q.d
     t0 = time.perf_counter()
-    expand = _Expander(cs, q.bounds, dt, lam, l, q.start.k, q.region,
-                       q.goal.last_cell)
+    ex = _Expander(cs, q.bounds, dt, lam, l, q.start.k, q.region,
+                   q.goal.last_cell)
     if not q.allow_occupied_start:
-        _validate_endpoint(q.start, cs, expand.feas, "start")
-    _validate_endpoint(q.goal, cs, expand.feas, "goal")
-    nyz = int(dims[1]) * int(dims[2])
-    nz = int(dims[2])
+        _validate_endpoint(q.start, cs, ex.feas, "start")
+    _validate_endpoint(q.goal, cs, ex.feas, "goal")
+    nyz, nz, top = ex.nyz, ex.nz, ex.top
+    axis = ex._axis
+    memo_x, memo_y, memo_z = ex.memo
+    occ = ex.occ
+    sc = ex.step_cost
     hs = lam * dt if q.use_heuristic else 0.0
 
     start_cost = tuple_cost(q.start, lam, l, dt)
@@ -317,79 +261,109 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
         goal_key = object()  # matches nothing; drain the open set
 
     h0 = hs * int(np.max(np.abs(q.start.last_cell - q.goal.last_cell)))
-    # visited: key -> [g, full codes, parent key, closed, axis patterns]
-    visited = {start_key: [start_cost, start_full, None, False,
-                           q.start.patterns]}
+    # visited: key -> [g, last code, parent key, closed, axis patterns,
+    #                  full codes (None until the node closes)]
+    visited = {start_key: [start_cost, start_full[-1], None, False,
+                           q.start.patterns, start_full]}
+    closed_keys = []
     heap = [(start_cost + h0, start_cost, start_key)]
     expanded = 0
     open_peak = 1
     status = "no-path"
     budget = None
     budget_wall = q.max_wall_ms / 1000.0
+    max_expansions = q.max_expansions
+    clock = time.perf_counter
     vget = visited.get
+    pop = heapq.heappop
     push = heapq.heappush
 
     while heap:
-        f, g, key = heapq.heappop(heap)
+        f, g, key = pop(heap)
         node = visited[key]
         if node[3] or g > node[0]:
             continue
         node[3] = True
+        full = node[5]
+        if full is None:
+            full = node[5] = visited[node[2]][5][1:] + (node[1],)
+        closed_keys.append(key)
         if key == goal_key:
             status = "success"
             break
         expanded += 1
-        if expanded >= q.max_expansions:
+        if expanded >= max_expansions:
             status, budget = "budget-exceeded", "expansions"
             break
-        if time.perf_counter() - t0 > budget_wall:
+        if clock() - t0 > budget_wall:
             status, budget = "budget-exceeded", "wall"
             break
-        full = node[1]
-        succ = expand(full, node[4])
-        tail = full[1:]
+        last = node[1]
+        pats = node[4]
+        cx, rem = divmod(last, nyz)
+        cy, cz = divmod(rem, nz)
+        w = pats[0] // 3
+        xs = memo_x.get(cx * top + w)
+        if xs is None:
+            xs = axis(0, cx, w)
+        w = pats[1] // 3
+        ys = memo_y.get(cy * top + w)
+        if ys is None:
+            ys = axis(1, cy, w)
+        w = pats[2] // 3
+        zs = memo_z.get(cz * top + w)
+        if zs is None:
+            zs = axis(2, cz, w)
         tail_d = full[len(full) - d + 1:] if d > 1 else None
-        for code, cost, cpats, cheb in succ:
-            child_key = code if d == 1 else tail_d + (code,)
-            ng = g + cost
-            entry = vget(child_key)
-            if entry is None:
-                visited[child_key] = [ng, tail + (code,), key, False, cpats]
-                push(heap, (ng + hs * cheb, ng, child_key))
-            elif not entry[3]:
-                if ng < entry[0]:
-                    entry[0] = ng
-                    entry[1] = tail + (code,)
-                    entry[2] = key
-                    entry[4] = cpats
-                    push(heap, (ng + hs * cheb, ng, child_key))
-                elif ng == entry[0]:
-                    child_full = tail + (code,)
-                    if child_full < entry[1]:
-                        entry[1] = child_full
-                        entry[2] = key
-                        entry[4] = cpats
+        for ox, tx, px, hx in xs:
+            for oy, ty, py, hy in ys:
+                base = last + ox + oy
+                txy = tx + ty
+                hxy = hx if hx > hy else hy
+                for oz, tz, pz, hz in zs:
+                    code = base + oz
+                    child_key = code if d == 1 else tail_d + (code,)
+                    entry = vget(child_key)
+                    if entry is None:
+                        if occ[code]:
+                            continue
+                        ng = g + (sc + (txy + tz))
+                        visited[child_key] = [ng, code, key, False,
+                                              (px, py, pz), None]
+                        push(heap, (ng + hs * (hxy if hxy > hz else hz), ng,
+                                    child_key))
+                    elif not entry[3]:
+                        ng = g + (sc + (txy + tz))
+                        if ng < entry[0]:
+                            entry[0] = ng
+                            entry[2] = key
+                            entry[4] = (px, py, pz)
+                            push(heap, (ng + hs * (hxy if hxy > hz else hz),
+                                        ng, child_key))
+                        elif (ng == entry[0] and full[1:] + (code,)
+                              < visited[entry[2]][5][1:] + (code,)):
+                            entry[2] = key
+                            entry[4] = (px, py, pz)
         if len(heap) > open_peak:
             open_peak = len(heap)
 
     wall = time.perf_counter() - t0
     closed = None
     if collect_closed:
-        closed = frozenset(node[1][-1] for node in visited.values() if node[3])
+        closed = frozenset(visited[key][1] for key in closed_keys)
     end_key = goal_key
     if status != "success":
         if best_effort:
             # fall back to the optimal path toward the closed node whose
             # last cell lies nearest the goal (receding-horizon progress)
-            gl = q.goal.last_cell
+            gx, gy, gz = ex.goal
             best = None
-            for key, node in visited.items():
-                if not node[3]:
-                    continue
-                cx, rem = divmod(node[1][-1], nyz)
+            for key in closed_keys:
+                node = visited[key]
+                cx, rem = divmod(node[1], nyz)
                 cy, cz = divmod(rem, nz)
-                dist = max(abs(cx - gl[0]), abs(cy - gl[1]), abs(cz - gl[2]))
-                cand = (dist, node[0], node[1])
+                dist = max(abs(cx - gx), abs(cy - gy), abs(cz - gz))
+                cand = (dist, node[0], node[5])
                 if best is None or cand < best[0]:
                     best = (cand, key)
             if best is not None and best[1] != start_key:
@@ -404,7 +378,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     key = end_key
     while key != start_key:
         node = visited[key]
-        append_codes.append(node[1][-1])
+        append_codes.append(node[1])
         key = node[2]
     append_codes.reverse()
     all_codes = np.array(list(start_full) + append_codes, dtype=np.int64)
@@ -428,11 +402,17 @@ def explore_reachable(start: VertexTuple, cs: ConfigSpace,
 
     Runs the zero-heuristic search to exhaustion against an unmatchable
     goal key, which is exactly the graph the search is complete over.
+    Raises RuntimeError when max_expansions ends the flood first, since
+    the closed set is then only part of the reachable one.
     """
     q = SearchQuery(start=start, goal=start, dt=dt, lam=lam, order=order,
                     bounds=bounds, d=d, use_heuristic=False,
                     max_expansions=max_expansions, max_wall_ms=1e9)
     res = search(q, cs, collect_closed=True, _exhaust=True)
+    if res.status == "budget-exceeded":
+        raise RuntimeError(f"the {res.budget} budget (max_expansions="
+                           f"{max_expansions}) ended the flood before it "
+                           "drained")
     return res.closed_codes
 
 

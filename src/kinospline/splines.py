@@ -294,20 +294,6 @@ def span_cost(P, l: int, dt: float):
                       * dt ** (1 - 2 * l), 0.0)
 
 
-def derivative_span(P, l: int, dt: float) -> np.ndarray:
-    """Control-point span of the l-th derivative: S_l P.
-
-    Evaluating the returned rows through b^T M_k reproduces the l-th time
-    derivative of the original span, so per-axis row bounds on it bound the
-    whole derivative profile (sufficient condition).
-    """
-    P = np.asarray(P, dtype=float)
-    k = P.shape[0] - 1
-    if not (0 <= l <= k):
-        raise ValueError(f"derivative order {l} outside 0..{k}")
-    return blending_tables(k).bound_transform(l, dt) @ P
-
-
 def _horner(c, x) -> np.ndarray:
     """Each row of c (ascending powers) at the points in the same row of x.
 
@@ -444,18 +430,3 @@ def check_feasible(P, bounds: DerivativeBounds, dt: float):
         lo, hi = _span_motion_extrema(spans[rest], dt)
         ok[rest] = np.all((lower <= lo) & (hi <= upper), axis=(-2, -1))
     return bool(ok[0]) if P.ndim == 2 else ok
-
-
-def insert_control_point(spline: SplineDef, index: int, point) -> SplineDef:
-    """New SplineDef with point inserted before control point index.
-
-    The knot spacing is unchanged; the span count grows by exactly one.
-    """
-    n1 = spline.points.shape[0]
-    if not (0 <= index <= n1):
-        raise IndexError(f"insert index {index} outside 0..{n1}")
-    point = np.asarray(point, dtype=float).reshape(3)
-    if not np.all(np.isfinite(point)):
-        raise ValueError("inserted point must be finite")
-    pts = np.insert(spline.points, index, point, axis=0)
-    return SplineDef(k=spline.k, dt=spline.dt, points=pts)

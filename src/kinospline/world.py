@@ -16,7 +16,7 @@ planes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,13 +27,6 @@ MAP_MAGIC = "KSGRID1"
 
 # stencil targets an incremental config-space update places at a time
 _SCATTER_TARGETS = 1 << 13
-
-_NEIGHBOR_OFFSETS = np.array(
-    [(dx, dy, dz)
-     for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-     if (dx, dy, dz) != (0, 0, 0)],
-    dtype=np.int64)
-
 
 @dataclass(frozen=True, eq=False)
 class VoxelWorld:
@@ -81,13 +74,6 @@ class VoxelWorld:
 
     def with_occ(self, occ) -> "VoxelWorld":
         return VoxelWorld(self.dims, self.cell_sizes, self.origin, occ)
-
-
-def neighbors26(cell, dims) -> np.ndarray:
-    """All grid neighbors at Chebyshev distance 1, clipped at the boundary."""
-    cand = np.asarray(cell, dtype=np.int64) + _NEIGHBOR_OFFSETS
-    keep = np.all(cand >= 0, axis=1) & np.all(cand < np.asarray(dims), axis=1)
-    return cand[keep]
 
 
 @lru_cache(maxsize=64)

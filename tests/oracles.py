@@ -1,12 +1,14 @@
 """Independent reference implementations used as test oracles."""
 
 import heapq
+import time
 from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from kinospline.splines import blending_tables, eval_span_many
+from kinospline import patterns
+from kinospline.splines import blending_tables, eval_span_many, span_cost
 from kinospline.search import cell_code
 
 
@@ -67,6 +69,19 @@ def brute_force_inflation(world, delta):
 
 
 _OFFSETS27 = np.array(list(product((-1, 0, 1), repeat=3)))
+
+
+def neighbors26(cell, dims):
+    """In-grid cells at Chebyshev distance 1 from a cell, as tuples."""
+    return [tuple(int(v) for v in c) for c in np.asarray(cell) + _OFFSETS27
+            if np.any(c != cell) and np.all((c >= 0) & (c < dims))]
+
+
+def balls_chained(centers, radii, slack=0.0):
+    """Whether each ball of a chain meets the next: center gap at most the
+    radius sum plus slack."""
+    gaps = np.sqrt((np.diff(centers, axis=0) ** 2).sum(axis=1))
+    return bool(np.all(gaps <= radii[:-1] + radii[1:] + slack))
 
 
 def _extrema01(q):
@@ -226,6 +241,151 @@ def aggregated_dijkstra(graph, start, start_cost, goal_codes, d):
             elif ck not in closed and ng == cur[0] and child < cur[1]:
                 best[ck] = (ng, child)
     return None, expanded
+
+
+def tuple_search(q, cs, collect_closed=False, best_effort=False,
+                 exhaust=False):
+    """Best-first search over aggregated vertex tuples: the reference for
+    search.search, as a dict of its result fields (wall_time left out).
+
+    Each node keeps its full cell codes from the moment it is pushed. A
+    popped tuple's successors are built whole, as a list: the product over
+    the axes of the steps whose appended pattern the feasibility tables
+    accept inside the crop box, filtered by occupancy before the visited
+    lookup, each with its node cost lam*dt plus the three cost table
+    entries and its Chebyshev cell distance to the goal. Heap entries,
+    tie rules, budgets and the best-effort pick follow search.search's
+    docstring; exhaust drains the open set against a goal key that
+    matches nothing. The endpoints are not validated.
+    """
+    world = cs.world
+    dims = [int(v) for v in world.dims]
+    lam, dt, l, d = q.lam, q.dt, q.order, q.d
+    k = q.start.cells.shape[0] - 1
+    feas = patterns.feasible_tables(k, dt, world.cell_sizes, q.bounds)
+    costs = [patterns.cost_table(k, l, float(dt), float(world.cell_sizes[a]))
+             for a in range(3)]
+    top = 3 ** (k - 1)
+    strides = (dims[1] * dims[2], dims[2], 1)
+    if q.region is None:
+        lo, hi = [0, 0, 0], [n - 1 for n in dims]
+    else:
+        lo, hi = ([int(v) for v in q.region[0]],
+                  [int(v) for v in q.region[1]])
+    goal = [int(v) for v in q.goal.cells[-1]]
+    occ = cs.occ_bytes
+    sc = lam * dt
+    hs = lam * dt if q.use_heuristic else 0.0
+
+    def options(a, c0, wcode):
+        out = []
+        for step in (-1, 0, 1):
+            c = c0 + step
+            child = wcode + (step + 1) * top
+            if lo[a] <= c <= hi[a] and feas[a][child]:
+                out.append((step * strides[a], costs[a][child], child,
+                            abs(c - goal[a])))
+        return out
+
+    def successors(full, pats):
+        last = full[-1]
+        cell = (last // strides[0], last // dims[2] % dims[1],
+                last % dims[2])
+        xs, ys, zs = (options(a, cell[a], pats[a] // 3) for a in range(3))
+        out = []
+        for ox, tx, px, hx in xs:
+            for oy, ty, py, hy in ys:
+                for oz, tz, pz, hz in zs:
+                    code = last + ox + oy + oz
+                    if occ[code] == 0:
+                        out.append((code, sc + ((tx + ty) + tz),
+                                    (px, py, pz), max(max(hx, hy), hz)))
+        return out
+
+    start_cells = np.asarray(q.start.cells)
+    start_full = tuple(int(c) for c in cell_code(start_cells, dims))
+    goal_full = tuple(int(c) for c in cell_code(q.goal.cells, dims))
+    start_key = start_full[-d:]
+    goal_key = None if exhaust else goal_full[-d:]
+    start_cost = lam * dt + float(span_cost(q.start.positions, l, dt))
+    h0 = hs * max(abs(int(a) - b) for a, b in zip(start_cells[-1], goal))
+    # key -> [g, full codes, parent key, closed, axis patterns]
+    visited = {start_key: [start_cost, start_full, None, False,
+                           patterns.axis_patterns(np.diff(start_cells,
+                                                          axis=0))]}
+    heap = [(start_cost + h0, start_cost, start_key)]
+    expanded = 0
+    open_peak = 1
+    status = "no-path"
+    budget = None
+    t0 = time.perf_counter()
+    while heap:
+        f, g, key = heapq.heappop(heap)
+        node = visited[key]
+        if node[3] or g > node[0]:
+            continue
+        node[3] = True
+        if key == goal_key:
+            status = "success"
+            break
+        expanded += 1
+        if expanded >= q.max_expansions:
+            status, budget = "budget-exceeded", "expansions"
+            break
+        if time.perf_counter() - t0 > q.max_wall_ms / 1000.0:
+            status, budget = "budget-exceeded", "wall"
+            break
+        full = node[1]
+        for code, cost, cpats, cheb in successors(full, node[4]):
+            child_full = full[1:] + (code,)
+            child_key = child_full[-d:]
+            ng = g + cost
+            entry = visited.get(child_key)
+            if entry is None:
+                visited[child_key] = [ng, child_full, key, False, cpats]
+                heapq.heappush(heap, (ng + hs * cheb, ng, child_key))
+            elif not entry[3]:
+                if ng < entry[0]:
+                    entry[:] = [ng, child_full, key, False, cpats]
+                    heapq.heappush(heap, (ng + hs * cheb, ng, child_key))
+                elif ng == entry[0] and child_full < entry[1]:
+                    entry[:] = [ng, child_full, key, False, cpats]
+        open_peak = max(open_peak, len(heap))
+
+    closed = [node for node in visited.values() if node[3]]
+    out = {"status": status, "cells": None, "positions": None,
+           "cost": np.inf, "effort": np.inf, "expanded": expanded,
+           "open_peak": open_peak, "budget": budget,
+           "closed_codes": (frozenset(node[1][-1] for node in closed)
+                            if collect_closed else None)}
+    end = visited.get(goal_key)
+    if status != "success":
+        end = None
+        if best_effort:
+            def rank(node):
+                cell = (node[1][-1] // strides[0],
+                        node[1][-1] // dims[2] % dims[1],
+                        node[1][-1] % dims[2])
+                return (max(abs(c - g) for c, g in zip(cell, goal)),
+                        node[0], node[1])
+
+            best = min(closed, key=rank)
+            if best[2] is not None:
+                end = best
+                out["status"] = "partial"
+        if end is None:
+            return out
+    codes = []
+    node = end
+    while node[2] is not None:
+        codes.append(node[1][-1])
+        node = visited[node[2]]
+    codes = list(start_full) + codes[::-1]
+    cells = np.column_stack(np.unravel_index(codes, dims)).astype(np.int64)
+    out.update(cells=cells, positions=world.cell_center(cells),
+               cost=float(end[0]),
+               effort=float(end[0] - lam * dt * (len(codes) - k)))
+    return out
 
 
 def dense_hessian(prob):

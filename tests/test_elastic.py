@@ -100,7 +100,8 @@ class TestTubeExpansion:
         pts = w.cell_center(np.array(chain))
         params = el.EoParams.default([0.25] * 3)
         tube = el.tube_expansion(pts, cs, params)
-        assert tube.well_connected(slack=2 * params.d_thres)
+        assert oracles.balls_chained(tube.centers, tube.radii,
+                                     slack=2 * params.d_thres)
 
     def test_occupied_center_rejected(self):
         occ = np.zeros((9, 9, 9), dtype=bool)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,34 @@ def empty_world(dims=(9, 9, 1), cell=0.2):
 def plane_world(rng, dims=(6, 6, 1), frac=0.2, cell=0.5):
     occ = rng.random(dims) < frac
     return wd.VoxelWorld(np.array(dims), np.full(3, cell), np.zeros(3), occ)
+
+
+def successors(ex, cells, pats):
+    """(code, node cost, child patterns) of a tuple's feasible free
+    successors, in lexicographic offset order: the product of the per-axis
+    options of search._Expander._axis, filtered by occupancy, with the
+    node cost summed in search()'s order."""
+    last = np.asarray(cells)[-1]
+    opts = [ex._axis(a, int(last[a]), pats[a] // 3) for a in range(3)]
+    base = int(last[0]) * ex.nyz + int(last[1]) * ex.nz + int(last[2])
+    out = []
+    for (ox, tx, px, _), (oy, ty, py, _), (oz, tz, pz, _) in product(*opts):
+        code = base + ox + oy + oz
+        if ex.occ[code] == 0:
+            out.append((code, ex.step_cost + ((tx + ty) + tz), (px, py, pz)))
+    return out
+
+
+def feasible_succs(t, cs, bounds, dt, lam=0.0, l=2):
+    """Successor tuples of t in lexicographic offset order."""
+    w = cs.world
+    ex = se._Expander(cs, bounds, dt, lam, l, t.k)
+    out = []
+    for code, _, _ in successors(ex, t.cells, t.patterns):
+        cell = np.array(np.unravel_index(code, tuple(w.dims)))
+        out.append(se.VertexTuple.from_cells(np.vstack([t.cells[1:], cell]),
+                                             w))
+    return out
 
 
 class TestIndexing:
@@ -94,14 +124,14 @@ class TestFeasibleSuccs:
         w = empty_world((9, 9, 9))
         cs = wd.build_config_space(w, 0.0)
         t = se.static_tuple((4, 4, 4), 5, w)
-        succs = se.feasible_succs(t, cs, BOUNDS, 0.17)
+        succs = feasible_succs(t, cs, BOUNDS, 0.17)
         assert len(succs) == 27
 
     def test_corner_clipping(self):
         w = empty_world((9, 9, 9))
         cs = wd.build_config_space(w, 0.0)
         t = se.static_tuple((0, 0, 0), 5, w)
-        succs = se.feasible_succs(t, cs, WIDE, 0.17)
+        succs = feasible_succs(t, cs, WIDE, 0.17)
         assert len(succs) == 8  # 2x2x2 block including the self step
 
     def test_full_speed_reversal_infeasible(self):
@@ -110,13 +140,13 @@ class TestFeasibleSuccs:
         cs = wd.build_config_space(w, 0.0)
         cells = np.array([[3 + i, 4, 0] for i in range(6)])
         t = se.VertexTuple.from_cells(cells, w)
-        succs = se.feasible_succs(t, cs, BOUNDS, 0.17)
+        succs = feasible_succs(t, cs, BOUNDS, 0.17)
         ends = {tuple(int(v) for v in s.cells[-1]) for s in succs}
         assert (9, 4, 0) in ends  # continuing straight stays in bounds
         # one backward step smooths out, but continuing the reversal does
         # not: the second step of the turnaround breaks the bound
         t2 = se.VertexTuple.from_cells(np.vstack([cells[1:], [7, 4, 0]]), w)
-        succs2 = se.feasible_succs(t2, cs, BOUNDS, 0.17)
+        succs2 = feasible_succs(t2, cs, BOUNDS, 0.17)
         ends2 = {tuple(int(v) for v in s.cells[-1]) for s in succs2}
         assert (6, 4, 0) not in ends2
         bad = np.vstack([cells[2:], [7, 4, 0], [6, 4, 0]])
@@ -145,13 +175,13 @@ class TestFeasibleSuccs:
             l = int(rng.integers(1, 3))
             mask, costs, ncells = oracles._scan27(
                 w.cell_center(cells), cells[-1], cs, BOUNDS, dt, lam, l, tab)
-            expand = se._Expander(cs, BOUNDS, dt, lam, l, k)
-            full = tuple(int(c) for c in se.cell_code(cells, w.dims))
-            got = expand(full, se.VertexTuple.from_cells(cells, w).patterns)
+            ex = se._Expander(cs, BOUNDS, dt, lam, l, k)
+            got = successors(ex, cells,
+                             se.VertexTuple.from_cells(cells, w).patterns)
             ref = [(int(se.cell_code(ncells[i], w.dims)), float(costs[i]))
                    for i in range(27) if mask[i]]
-            assert [c for c, _, _, _ in got] == [c for c, _ in ref]
-            for (_, v, _, _), (_, r) in zip(got, ref):
+            assert [c for c, _, _ in got] == [c for c, _ in ref]
+            for (_, v, _), (_, r) in zip(got, ref):
                 assert v == pytest.approx(r, rel=1e-12)
 
     def test_shifted_tuple_costs_bit_identical(self):
@@ -163,7 +193,7 @@ class TestFeasibleSuccs:
                           np.array([-1.3, 0.7, 2.1]),
                           np.zeros(tuple(dims), dtype=bool))
         cs = wd.build_config_space(w, 0.0)
-        expand = se._Expander(cs, WIDE, 0.17, 20.0, 2, 5)
+        ex = se._Expander(cs, WIDE, 0.17, 20.0, 2, 5)
         for _ in range(200):
             cells = [rng.integers(6, 14, 3)]
             for _ in range(5):
@@ -171,9 +201,9 @@ class TestFeasibleSuccs:
             cells = np.array(cells)
             moved = cells + rng.integers(0, 20, 3)
             pats = se.VertexTuple.from_cells(cells, w).patterns
-            a = expand(tuple(int(c) for c in se.cell_code(cells, dims)), pats)
-            b = expand(tuple(int(c) for c in se.cell_code(moved, dims)), pats)
-            assert [v for _, v, _, _ in a] == [v for _, v, _, _ in b]
+            a = successors(ex, cells, pats)
+            b = successors(ex, moved, pats)
+            assert [v for _, v, _ in a] == [v for _, v, _ in b]
             assert len(a) == 27
 
     def test_non_unit_step_start_rejected(self):
@@ -216,29 +246,71 @@ class TestFeasibleSuccs:
         w = empty_world((9, 9, 9))
         cs = wd.build_config_space(w, 0.0)
         t = se.static_tuple((4, 4, 4), 5, w)
-        a = [tuple(s.cells[-1]) for s in se.feasible_succs(t, cs, BOUNDS, 0.17)]
-        b = [tuple(s.cells[-1]) for s in se.feasible_succs(t, cs, BOUNDS, 0.17)]
+        a = [tuple(s.cells[-1]) for s in feasible_succs(t, cs, BOUNDS, 0.17)]
+        b = [tuple(s.cells[-1]) for s in feasible_succs(t, cs, BOUNDS, 0.17)]
         assert a == b
         assert a == sorted(a)  # lexicographic offset order
 
 
 class TestHeuristic:
-    def test_zero_at_goal(self):
-        w = empty_world()
-        g = se.static_tuple((4, 4, 0), 5, w)
-        assert se.heuristic(g, g, 20.0, 0.17) == 0.0
+    """The heuristic is read off search()'s own heap entries: f - g of each
+    popped (f, g, key)."""
 
-    def test_admissible_against_dijkstra(self):
+    @staticmethod
+    def _pops(monkeypatch, q, cs):
+        pops = []
+        real = se.heapq.heappop
+
+        def spy(heap):
+            entry = real(heap)
+            pops.append(entry)
+            return entry
+
+        monkeypatch.setattr(se.heapq, "heappop", spy)
+        res = se.search(q, cs)
+        monkeypatch.undo()
+        return res, pops
+
+    def test_zero_at_goal(self, monkeypatch):
+        w = empty_world()
+        cs = wd.build_config_space(w, 0.0)
+        goal = se.static_tuple((6, 4, 0), 5, w)
+        q = se.SearchQuery(start=se.static_tuple((2, 2, 0), 5, w), goal=goal,
+                           dt=0.17, lam=20.0, order=2, bounds=BOUNDS, d=1)
+        res, pops = self._pops(monkeypatch, q, cs)
+        goal_code = int(se.cell_code(goal.last_cell, w.dims))
+        assert res.ok and pops[-1][2] == goal_code
+        assert pops[-1][0] == pops[-1][1]
+        for f, g, key in pops:
+            cell = np.array(np.unravel_index(key, tuple(w.dims)))
+            cheb = int(np.abs(cell - goal.last_cell).max())
+            assert f - g == pytest.approx(20.0 * 0.17 * cheb, abs=1e-9)
+
+    def test_admissible_against_dijkstra(self, monkeypatch):
+        # h of every node on the found path is at most its remaining cost,
+        # the optimal cost of a heuristic-off search less the node's g
         w = empty_world()
         cs = wd.build_config_space(w, 0.0)
         start = se.static_tuple((2, 2, 0), 5, w)
         goal = se.static_tuple((7, 2, 0), 5, w)  # five cells apart
-        h = se.heuristic(start, goal, 20.0, 0.17)
-        res = se.search(se.SearchQuery(start=start, goal=goal, dt=0.17,
+        q = se.SearchQuery(start=start, goal=goal, dt=0.17, lam=20.0,
+                           order=2, bounds=BOUNDS, d=1)
+        res, pops = self._pops(monkeypatch, q, cs)
+        off = se.search(se.SearchQuery(start=start, goal=goal, dt=0.17,
                                        lam=20.0, order=2, bounds=BOUNDS, d=1,
                                        use_heuristic=False), cs)
-        # remaining cost after the start tuple's own cost
-        assert h <= res.cost - se.tuple_cost(start, 20.0, 2, 0.17) + 1e-9
+        assert res.ok and off.ok and res.cost == off.cost
+        closing = {}
+        for f, g, key in pops:
+            if key not in closing or g < closing[key][1]:
+                closing[key] = (f, g)
+        f0, g0 = closing[int(se.cell_code(start.last_cell, w.dims))]
+        assert f0 - g0 == pytest.approx(20.0 * 0.17 * 5, abs=1e-9)
+        assert g0 == se.tuple_cost(start, 20.0, 2, 0.17)
+        path = [int(c) for c in se.cell_code(res.cells[5:], w.dims)]
+        for key in path:
+            f, g = closing[key]
+            assert f - g <= off.cost - g + 1e-9
 
 
 class TestSearch:
@@ -250,7 +322,9 @@ class TestSearch:
                                      order=2, bounds=BOUNDS, d=1), cs)
         assert r.ok
         assert r.cost == pytest.approx(se.tuple_cost(t, 20.0, 2, 0.17))
-        assert r.free_slice(5).shape[0] == 0
+        # no cells between the start tuple and the goal tuple
+        n = r.cells.shape[0]
+        assert n == 6 and r.cells[6:n - 6].shape[0] == 0
 
     def test_heuristic_on_off_equal_cost(self):
         w = empty_world()
@@ -453,6 +527,132 @@ class TestDijkstraOracle:
         assert matched >= 8
 
 
+class TestReferenceSearch:
+    """search() against oracles.tuple_search, the loop it replaced: one
+    successor list per popped tuple, occupancy read before the visited
+    lookup, full codes kept from the push."""
+
+    FIELDS = ("status", "cost", "effort", "expanded", "open_peak", "budget",
+              "closed_codes")
+
+    @staticmethod
+    def _queries(rng, d_rule):
+        """Seeded pillar worlds; k 3 (dt 0.3) or 5 (dt 0.17); moving,
+        static and seed starts; crop boxes; budgets 1, 5, 200 and 3000."""
+        for seed in range(6):
+            w = wd.generate(wd.MapGenSpec("pillars", (3.2, 3.2, 1.2),
+                                          (0.2,) * 3, density=0.15,
+                                          seed=seed))
+            cs = wd.build_config_space(w, 0.0)
+            free = np.argwhere(~cs.occ_inflated)
+            occupied = np.argwhere(cs.occ_inflated)
+            for _ in range(12):
+                k = int(rng.choice([3, 5]))
+                dt = 0.3 if k == 3 else 0.17
+                d = {"1": 1, "2": 2, "k+1": k + 1}[d_rule]
+                seed_start = bool(occupied.size and rng.random() < 0.15)
+                pool = occupied if seed_start else free
+                s = pool[rng.integers(len(pool))]
+                g = np.clip(s + (rng.integers(-5, 6, 3)
+                                 * [1, 1, 0.4]).astype(int), 0, w.dims - 1)
+                if not cs.is_free(g):
+                    g = free[rng.integers(len(free))]
+                if not seed_start and rng.random() < 0.5:
+                    st = se.snap_tuple(se.state_reference_points(
+                        w.cell_center(s), rng.uniform(-1, 1, 3) * [1, 1, 0],
+                        k, dt), w, dt, cs, BOUNDS)
+                    if st is None:
+                        continue
+                else:
+                    st = se.static_tuple(s, k, w)
+                region = None
+                if rng.random() < 0.4:
+                    lo = np.minimum(st.cells.min(0), g) \
+                        - rng.integers(0, 3, 3)
+                    hi = np.maximum(st.cells.max(0), g) \
+                        + rng.integers(0, 3, 3)
+                    region = (np.maximum(lo, 0), np.minimum(hi, w.dims - 1))
+                q = se.SearchQuery(
+                    start=st, goal=se.static_tuple(g, k, w), dt=dt,
+                    lam=float(rng.uniform(5, 30)), order=2, bounds=BOUNDS,
+                    d=d, max_expansions=int(rng.choice([1, 5, 200, 3000])),
+                    max_wall_ms=1e9, region=region,
+                    use_heuristic=bool(rng.random() < 0.75),
+                    allow_occupied_start=seed_start)
+                yield q, cs, bool(rng.random() < 0.5), bool(rng.random() < 0.5)
+
+    @pytest.mark.parametrize("d_rule", ["1", "2", "k+1"])
+    def test_matches_reference_on_pillar_worlds(self, d_rule):
+        rng = np.random.default_rng(["1", "2", "k+1"].index(d_rule))
+        seen = set()
+        for q, cs, collect, best_effort in self._queries(rng, d_rule):
+            got = se.search(q, cs, collect_closed=collect,
+                            best_effort=best_effort)
+            ref = oracles.tuple_search(q, cs, collect_closed=collect,
+                                       best_effort=best_effort)
+            for name in self.FIELDS:
+                assert getattr(got, name) == ref[name], name
+            for name in ("cells", "positions"):
+                a, b = getattr(got, name), ref[name]
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+            seen.add((got.status, q.max_expansions))
+        statuses = {st for st, _ in seen}
+        assert {"success", "partial", "budget-exceeded"} <= statuses
+        assert {n for _, n in seen} == {1, 5, 200, 3000}
+
+    def test_explore_reachable_matches_reference_flood(self):
+        rng = np.random.default_rng(12)
+        for seed in range(3):
+            w = wd.generate(wd.MapGenSpec("pillars", (3.2, 3.2, 1.2),
+                                          (0.2,) * 3, density=0.15,
+                                          seed=seed))
+            cs = wd.build_config_space(w, 0.0)
+            free = np.argwhere(~cs.occ_inflated)
+            for k, dt in ((3, 0.3), (5, 0.17)):
+                st = se.static_tuple(free[rng.integers(len(free))], k, w)
+                got = se.explore_reachable(st, cs, BOUNDS, dt, 20.0, 2)
+                q = se.SearchQuery(start=st, goal=st, dt=dt, lam=20.0,
+                                   order=2, bounds=BOUNDS, d=1,
+                                   use_heuristic=False,
+                                   max_expansions=2_000_000, max_wall_ms=1e9)
+                ref = oracles.tuple_search(q, cs, collect_closed=True,
+                                           exhaust=True)
+                assert ref["status"] == "no-path"
+                assert got == ref["closed_codes"] and len(got) > 1
+
+
+class TestExploreReachable:
+    @staticmethod
+    def _open_grid():
+        # a 9x9x9 open grid; the z bounds admit no z step, so the flood
+        # covers the start's z plane and the explicit tuple graph stays
+        # small enough to build
+        w = empty_world((9, 9, 9))
+        bounds = sp.DerivativeBounds(np.array([-2.0, -2.0, -0.01]),
+                                     np.array([2.0, 2.0, 0.01]),
+                                     np.array([-1.0, -1.0, -1.0]),
+                                     np.array([1.0, 1.0, 1.0]))
+        return w, wd.build_config_space(w, 0.0), bounds
+
+    def test_budget_end_raises(self):
+        w, cs, bounds = self._open_grid()
+        st = se.static_tuple((4, 4, 4), 3, w)
+        with pytest.raises(RuntimeError, match="max_expansions=5"):
+            se.explore_reachable(st, cs, bounds, 0.5, 20.0, 2,
+                                 max_expansions=5)
+
+    def test_full_flood_equals_tuple_graph(self):
+        w, cs, bounds = self._open_grid()
+        st = se.static_tuple((4, 4, 4), 3, w)
+        got = se.explore_reachable(st, cs, bounds, 0.5, 20.0, 2)
+        graph, _ = oracles.build_tuple_graph(st.cells, cs, bounds, 0.5,
+                                             20.0, 2)
+        assert got == {node[-1] for node in graph}
+        assert len(got) == 81
+
+
 class TestSnapTuple:
     def test_on_grid_identity(self):
         w = empty_world((9, 9, 1))
@@ -465,7 +665,7 @@ class TestSnapTuple:
         w = empty_world((9, 9, 1))
         refs = np.tile(w.cell_center((4, 4, 0)) + 0.04, (6, 1))
         t = se.snap_tuple(refs, w, 0.17)
-        assert t.is_static()
+        assert np.all(t.cells == t.cells[0])
 
     def test_matches_exhaustive_enumeration_k3(self):
         # the per-axis dynamic programs must reproduce brute force over all

@@ -166,21 +166,26 @@ class TestSpanCost:
 
 
 class TestDerivativeSpan:
+    """S_l P, the derivative span that feasibility checks and refinement
+    rows bound, as the blending tables' bound_transform."""
+
     def test_order_zero_unchanged(self):
         rng = np.random.default_rng(5)
         P = random_span(rng)
-        assert np.allclose(sp.derivative_span(P, 0, 0.17), P, atol=1e-12)
+        S0 = sp.blending_tables(5).bound_transform(0, 0.17)
+        assert np.allclose(S0 @ P, P, atol=1e-12)
 
     def test_equal_points_zero_rows(self):
         P = np.tile([1.0, 2.0, 3.0], (6, 1))
-        assert np.abs(sp.derivative_span(P, 1, 0.17)).max() < 1e-10
+        S1 = sp.blending_tables(5).bound_transform(1, 0.17)
+        assert np.abs(S1 @ P).max() < 1e-10
 
     def test_transformed_span_evaluates_derivative(self):
         rng = np.random.default_rng(6)
         tab = sp.blending_tables(5)
         for _ in range(10):
             P = random_span(rng)
-            SP = sp.derivative_span(P, 1, 0.17)
+            SP = tab.bound_transform(1, 0.17) @ P
             us = np.linspace(0.0, 1.0, 1000)
             B = np.vander(us, 6, increasing=True)
             direct = sp.eval_span_many(P, us, 1, 0.17)
@@ -285,10 +290,17 @@ class TestCheckFeasible:
 
 
 class TestSplineDef:
+    @staticmethod
+    def _inserted(s, index, point):
+        """s with one control point inserted before index, as refinement
+        inserts a lens point: same degree and knot spacing."""
+        return sp.SplineDef(k=s.k, dt=s.dt,
+                            points=np.insert(s.points, index, point, axis=0))
+
     def test_insert_counts_and_dt(self):
         rng = np.random.default_rng(8)
         s = sp.SplineDef(k=5, dt=0.17, points=rng.normal(size=(9, 3)))
-        s2 = sp.insert_control_point(s, 4, [0.0, 0.0, 0.0])
+        s2 = self._inserted(s, 4, [0.0, 0.0, 0.0])
         assert s2.points.shape[0] == 10
         assert s2.dt == s.dt
         assert s2.n_spans == s.n_spans + 1
@@ -297,7 +309,7 @@ class TestSplineDef:
         step = np.array([0.1, 0.2, 0.0])
         s = sp.SplineDef(k=3, dt=0.2, points=np.arange(8)[:, None] * step)
         mid = 0.5 * (s.points[3] + s.points[4])
-        s2 = sp.insert_control_point(s, 4, mid)
+        s2 = self._inserted(s, 4, mid)
         ts, pos = s2.sample(0.01)
         d = pos - pos[0]
         cross = np.cross(d[1:], step)
@@ -306,16 +318,22 @@ class TestSplineDef:
     def test_insert_duplicate_stays_in_hull(self):
         s = sp.SplineDef(k=3, dt=0.2,
                          points=np.arange(6)[:, None] * np.array([0.3, 0.0, 0.0]))
-        s2 = sp.insert_control_point(s, 2, s.points[2])
+        s2 = self._inserted(s, 2, s.points[2])
         _, pos = s2.sample(0.01)
         assert pos[:, 0].min() >= s.points[:, 0].min() - 1e-12
         assert pos[:, 0].max() <= s.points[:, 0].max() + 1e-12
         assert np.abs(pos[:, 1:]).max() < 1e-12
 
     def test_insert_index_range(self):
+        # a spline's spans are indexed 0..n_spans-1, before and after an
+        # insertion
         s = sp.SplineDef(k=3, dt=0.2, points=np.zeros((6, 3)))
-        with pytest.raises(IndexError):
-            sp.insert_control_point(s, 9, [0, 0, 0])
+        for spline in (s, self._inserted(s, 6, [0, 0, 0])):
+            n = spline.n_spans
+            assert spline.span(n - 1).shape == (4, 3)
+            for j in (-1, n):
+                with pytest.raises(IndexError):
+                    spline.span(j)
 
     def test_sample_trajectory_matches_single_order_samples(self):
         # one time grid and coefficient gather for orders 0-2 gives the

@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kinospline import search as se
+from kinospline import splines as sp
 from kinospline import world as wd
 
 import oracles
+from test_search import feasible_succs
 
 
 def small_random_world(seed=0, dims=(20, 20, 20), frac=0.03,
@@ -207,14 +210,30 @@ class TestNNSearch:
 
 
 class TestNeighbors:
+    """The tuple search's successor cells of a tuple at rest, under bounds
+    too wide to bind, are the cell itself and its in-grid 26-neighbors."""
+
+    @staticmethod
+    def _neighbors(cell, dims):
+        w = wd.VoxelWorld(np.array(dims), np.full(3, 0.2), np.zeros(3),
+                          np.zeros(dims, dtype=bool))
+        wide = sp.DerivativeBounds.symmetric(50.0, 500.0)
+        succs = feasible_succs(se.static_tuple(cell, 5, w),
+                               wd.build_config_space(w, 0.0), wide, 0.17)
+        ends = [tuple(int(v) for v in s.cells[-1]) for s in succs]
+        assert tuple(cell) in ends and len(set(ends)) == len(ends)
+        ends.remove(tuple(cell))
+        assert set(ends) == set(oracles.neighbors26(cell, dims))
+        return ends
+
     def test_interior_26(self):
-        assert len(wd.neighbors26((5, 5, 5), (40, 40, 40))) == 26
+        assert len(self._neighbors((5, 5, 5), (40, 40, 40))) == 26
 
     def test_corner_7(self):
-        assert len(wd.neighbors26((0, 0, 0), (40, 40, 40))) == 7
+        assert len(self._neighbors((0, 0, 0), (40, 40, 40))) == 7
 
     def test_face_17(self):
-        assert len(wd.neighbors26((0, 5, 5), (40, 40, 40))) == 17
+        assert len(self._neighbors((0, 5, 5), (40, 40, 40))) == 17
 
 
 class TestMapIO:
