@@ -14,6 +14,9 @@ on that axis's step sequence and cell size. The production path therefore
 evaluates the 3^k per-axis patterns (in one batch, enumerated as
 `patterns` enumerates them); the 27^k full product survives as a
 cross-check oracle for small degrees.
+
+A certificate is the degree, the cell sizes, delta_bk, the worst step
+sequence and the enumeration mode, saved as `key value` lines.
 """
 
 from dataclasses import dataclass
@@ -33,15 +36,6 @@ class InflationCertificate:
     delta_bk: float
     worst_pattern: tuple
     mode: str = "per-axis"
-    connectivity: int = 1
-
-    def scaled(self, cell_sizes) -> "InflationCertificate":
-        """Certificate for different cell sizes (deviation scales linearly)."""
-        unit = self.delta_bk / max(self.cell_sizes)
-        cs = tuple(float(c) for c in cell_sizes)
-        return InflationCertificate(self.degree, cs, unit * max(cs),
-                                    self.worst_pattern, self.mode,
-                                    self.connectivity)
 
 
 def _match_pieces(k: int):
@@ -78,23 +72,6 @@ def _deviations(steps, cell: float, k: int) -> np.ndarray:
         worst = np.maximum(worst, np.maximum((pos[:, m] - cell / 2.0) - lo,
                                              hi - (pos[:, m] + cell / 2.0)))
     return worst
-
-
-def pattern_deviation_axis(steps, cell: float, k: int) -> float:
-    """Excursion of one axis profile beyond its matched cell intervals.
-
-    steps are the k per-knot increments in {-1, 0, +1}; see _deviations.
-    """
-    return float(_deviations(steps, cell, k)[0])
-
-
-def pattern_deviation(steps3, cell_sizes, k: int) -> float:
-    """Deviation of a 3-D span pattern: largest per-axis excursion."""
-    steps3 = np.asarray(steps3)
-    if steps3.shape != (k, 3) or np.any(np.abs(steps3) > 1):
-        raise ValueError("pattern must be k steps with components in {-1,0,1}")
-    return max(pattern_deviation_axis(steps3[:, ax], float(cell_sizes[ax]), k)
-               for ax in range(3))
 
 
 @lru_cache(maxsize=None)
@@ -165,10 +142,11 @@ def save_certificate(cert: InflationCertificate, path) -> None:
         fh.write(f"delta_bk {cert.delta_bk:.17g}\n")
         fh.write("worst_pattern " + ",".join(str(s) for s in cert.worst_pattern) + "\n")
         fh.write(f"mode {cert.mode}\n")
-        fh.write(f"connectivity {cert.connectivity}\n")
 
 
 def load_certificate(path) -> InflationCertificate:
+    """Read save_certificate's format; keys it does not write (such as
+    the `connectivity` line of older files) are ignored."""
     kv = {}
     with open(path) as fh:
         for line in fh:
@@ -182,5 +160,4 @@ def load_certificate(path) -> InflationCertificate:
         cell_sizes=(float(kv["cell_x"]), float(kv["cell_y"]), float(kv["cell_z"])),
         delta_bk=float(kv["delta_bk"]),
         worst_pattern=tuple(int(s) for s in kv["worst_pattern"].split(",")),
-        mode=kv.get("mode", "per-axis"),
-        connectivity=int(kv.get("connectivity", 1)))
+        mode=kv.get("mode", "per-axis"))

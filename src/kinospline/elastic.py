@@ -1,14 +1,18 @@
 """Elastic tube refinement of a searched control point placement.
 
 The free placement is wrapped in a tube of overlapping clearance balls,
-each pushed away from its nearest obstacle by binary search, then the
-control points are re-optimized inside the tube by a convex QCQP with the
+each pushed away from its nearest obstacle by binary search (up to
+D_INFL_MAX, with thresholds set by the smallest cell), then the control
+points are re-optimized inside the tube by a convex QCQP with the
 boundary tuples pinned. Safety of the resulting spline is enforced by an
 iterative shrinking loop: when a span exits the tube, one extra control
 point constrained to the lens of two consecutive balls is inserted and the
-problem is re-solved, at most k times per ball gap (k^2 per span).
+problem is re-solved, at most k times per ball gap (k^2 per span). Spans
+the tube cannot certify are sampled and looked up in the raw occupancy
+(world.occupied).
 """
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,8 +20,9 @@ import numpy as np
 from . import qcqp
 from .splines import (SplineDef, blending_tables, check_feasible,
                       eval_span_many, span_stack)
-from .world import ConfigSpace, VoxelWorld
-from .kernels import occupied
+from .world import ConfigSpace, VoxelWorld, occupied
+
+D_INFL_MAX = 5.0    # longest push of a clearance ball, meters
 
 
 @dataclass(frozen=True)
@@ -69,39 +74,27 @@ class InflationContract:
                                  float(body_radius))
 
 
-@dataclass(frozen=True)
-class EoParams:
-    """Tube expansion knobs; thresholds default from the map resolution."""
-
-    d_thres: float
-    d_infl_tol: float
-    d_infl_max: float = 5.0
-    d_infl_min: float = 0.0
-
-    @staticmethod
-    def default(cell_sizes) -> "EoParams":
-        res = float(min(cell_sizes))
-        return EoParams(d_thres=0.25 * res, d_infl_tol=res)
-
-
 @dataclass(frozen=True, eq=False)
 class ElasticTube:
     centers: np.ndarray
     radii: np.ndarray
-    supports: np.ndarray
 
 
-def tube_expansion(points, cs: ConfigSpace, params: EoParams) -> ElasticTube:
+def tube_expansion(points, cs: ConfigSpace) -> ElasticTube:
     """Push each clearance ball away from its nearest obstacle.
 
-    Binary search on the push distance, accepting d while the grown ball
-    still contains the original one within d_thres; the ball at the final
-    accepted distance is re-queried so its radius is a true clearance.
-    Every point runs its own search; the searches advance in lockstep so
-    each round is one batched clearance query.
+    Binary search on the push distance over [0, D_INFL_MAX], accepting d
+    while the grown ball still contains the original one within d_thres,
+    a quarter of the smallest cell; the search stops once its bracket is
+    one smallest cell wide. The ball at the final accepted distance is
+    re-queried so its radius is a true clearance. Every point runs its
+    own search; the searches advance in lockstep so each round is one
+    batched clearance query.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     world = cs.world
+    res = float(min(world.cell_sizes))
+    d_thres = 0.25 * res
     n0, r0 = cs.nn_search(points)
     blocked = np.flatnonzero(r0 <= 0.0)
     if blocked.size:
@@ -111,10 +104,10 @@ def tube_expansion(points, cs: ConfigSpace, params: EoParams) -> ElasticTube:
     nn = np.linalg.norm(nhat, axis=1)
     moving = nn >= 1e-12
     nhat[moving] /= nn[moving, None]
-    lo = np.full(points.shape[0], float(params.d_infl_min))
-    hi = np.full(points.shape[0], float(params.d_infl_max))
+    lo = np.zeros(points.shape[0])
+    hi = np.full(points.shape[0], D_INFL_MAX)
     while True:
-        open_ = moving & (hi - lo > params.d_infl_tol)
+        open_ = moving & (hi - lo > res)
         if not open_.any():
             break
         d = 0.5 * (lo + hi)
@@ -123,17 +116,16 @@ def tube_expansion(points, cs: ConfigSpace, params: EoParams) -> ElasticTube:
         ok = np.zeros_like(inside)
         if inside.any():
             _, r = cs.nn_search(cand[inside])
-            ok[inside] = np.abs(r - d[inside] - r0[inside]) <= params.d_thres
+            ok[inside] = np.abs(r - d[inside] - r0[inside]) <= d_thres
         lo = np.where(open_ & ok, d, lo)
         hi = np.where(open_ & ~ok, d, hi)
     centers = points.copy()
     radii = r0.copy()
-    supports = n0.copy()
     if moving.any():
         q = points[moving] + lo[moving, None] * nhat[moving]
         centers[moving] = q
-        supports[moving], radii[moving] = cs.nn_search(q)
-    return ElasticTube(centers=centers, radii=radii, supports=supports)
+        radii[moving] = cs.nn_search(q)[1]
+    return ElasticTube(centers=centers, radii=radii)
 
 
 def assemble_qcqp(balls_per_point, init_points, start_pins, goal_pins,
@@ -291,7 +283,6 @@ class RefineResult:
     status: str
     points: np.ndarray = None
     spline: SplineDef = None
-    tube: ElasticTube = None
     cost: float = np.inf
     initial_cost: float = np.inf
     inserted: int = 0
@@ -319,18 +310,15 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
     before the loop gives up); or solver-failed when a solve ends without
     converging (status max-iter), which proves nothing either way.
     """
-    import time as _time
-
     contract.validate()
     start_pins = np.asarray(start_pins, dtype=float)
     goal_pins = np.asarray(goal_pins, dtype=float)
     free_points = np.asarray(free_points, dtype=float).reshape(-1, 3)
     k = start_pins.shape[0] - 1
 
-    t0 = _time.perf_counter()
-    tube = tube_expansion(free_points, cs_elas,
-                          EoParams.default(cs_elas.world.cell_sizes))
-    expand_time = _time.perf_counter() - t0
+    t0 = time.perf_counter()
+    tube = tube_expansion(free_points, cs_elas)
+    expand_time = time.perf_counter() - t0
 
     initial_seq = np.vstack([start_pins, free_points, goal_pins])
     initial_cost = SplineDef(k=k, dt=dt, points=initial_seq).cost(l)
@@ -346,55 +334,47 @@ def refine(free_points, start_pins, goal_pins, cs_elas: ConfigSpace,
     inserted = 0
     iterations = 0
     solve_time = 0.0
+
+    def result(status, **fields):
+        return RefineResult(status=status, initial_cost=initial_cost,
+                            inserted=inserted, iterations=iterations,
+                            solver_iterations=sol.iterations,
+                            solve_time=solve_time, expand_time=expand_time,
+                            **fields)
+
     while True:
         iterations += 1
         balls_per_point = [[(centers[b], radii[b]) for b in bl] for bl in point_balls]
         problem = assemble_qcqp(balls_per_point, np.asarray(init_pts), start_pins,
                                 goal_pins, l, dt, bounds)
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         sol = qcqp.solve(problem, tol=solver_tol,
                          x0=np.asarray(init_pts, dtype=float).reshape(-1),
                          max_iter=solver_max_iter)
-        solve_time += _time.perf_counter() - t0
+        solve_time += time.perf_counter() - t0
         if sol.status != "optimal":
             # only a converged solve certifies the derivative-bound rows
-            status = "infeasible" if sol.status == "infeasible-detected" \
-                else "solver-failed"
-            return RefineResult(status=status, inserted=inserted,
-                                iterations=iterations,
-                                solver_iterations=sol.iterations,
-                                solve_time=solve_time,
-                                expand_time=expand_time, initial_cost=initial_cost)
+            return result("infeasible" if sol.status == "infeasible-detected"
+                          else "solver-failed")
         new_free = sol.x.reshape(-1, 3)
         seq = np.vstack([start_pins, new_free, goal_pins])
         ball_map = {k + 1 + i: tuple(bl) for i, bl in enumerate(point_balls)}
         bad = verify_safety(seq, k, dt, ball_map, (centers, radii), raw_world)
         if not bad:
             # the derivative-bound rows cover every span touching a free
-            # point; spans made purely of pins still need the exact check
-            pins = span_stack(seq, k)[list(_pin_spans(k, len(init_pts)))]
+            # point; spans made purely of pins (the first and the last, or
+            # all of them without free points) still need the exact check
+            spans = span_stack(seq, k)
+            pins = spans[[0, -1]] if init_pts else spans
             if not check_feasible(pins, bounds, dt).all():
-                return RefineResult(status="infeasible", inserted=inserted,
-                                    iterations=iterations,
-                                    solver_iterations=sol.iterations,
-                                    solve_time=solve_time,
-                                    expand_time=expand_time,
-                                    initial_cost=initial_cost)
+                return result("infeasible")
             spline = SplineDef(k=k, dt=dt, points=seq)
-            cost = spline.cost(l)
-            return RefineResult(status="safe", points=seq, spline=spline,
-                                tube=tube, cost=cost, initial_cost=initial_cost,
-                                inserted=inserted, iterations=iterations,
-                                solver_iterations=sol.iterations,
-                                solve_time=solve_time, expand_time=expand_time)
+            return result("safe", points=seq, spline=spline,
+                          cost=spline.cost(l))
         site = _insertion_site(bad[0], k, point_balls, centers, radii,
                                new_free, gap_of_point, gap_inserts)
         if site is None:
-            return RefineResult(status="infeasible", inserted=inserted,
-                                iterations=iterations,
-                                solver_iterations=sol.iterations,
-                                solve_time=solve_time,
-                                expand_time=expand_time, initial_cost=initial_cost)
+            return result("infeasible")
         pos, ball_a, ball_b, gap = site
         lens_point = _lens_center(centers[ball_a], radii[ball_a],
                                   centers[ball_b], radii[ball_b])
@@ -434,13 +414,6 @@ def refine_adaptive(free_points, start_pins, goal_pins, cs_elas, raw_world,
         if res.ok:
             break
     return res
-
-
-def _pin_spans(k: int, nf: int) -> range:
-    """Spans of [k+1 start pins, nf free points, k+1 goal pins] that touch
-    no free point: the first and the last, or all of them when nf = 0."""
-    nspan = k + 2 + nf
-    return range(nspan) if nf == 0 else range(0, nspan, nspan - 1)
 
 
 def _insertion_site(bad_span, k, point_balls, centers, radii, free_pts,

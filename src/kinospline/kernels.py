@@ -1,10 +1,12 @@
 """Grid collision scan of sampled trajectory points (plain numpy).
 
-Span evaluation, extrema and feasibility live in ``splines``; successor
-sets come from the step-pattern tables in ``patterns``.
+The occupancy lookup itself is `world.occupied`; span evaluation,
+extrema and feasibility live in ``splines``.
 """
 
 import numpy as np
+
+from .world import occupied
 
 
 def numba_active() -> bool:
@@ -13,21 +15,6 @@ def numba_active() -> bool:
     Kept because benchmark reports record it in their environment block.
     """
     return False
-
-
-def occupied(points, occ, dims, origin, cells) -> np.ndarray:
-    """Per sample, whether its cell is occupied in the flat grid occ.
-
-    Samples outside the grid count as occupied (conservative).
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    c = np.floor((pts - origin) / cells).astype(np.int64)
-    dims = np.asarray(dims, dtype=np.int64)
-    hit = ~np.all((c >= 0) & (c < dims), axis=1)
-    inside = c[~hit]
-    hit[~hit] = occ[(inside[:, 0] * dims[1] + inside[:, 1]) * dims[2]
-                    + inside[:, 2]] != 0
-    return hit
 
 
 def collision_scan(points, occ, dims, origin, cells):

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 from scipy.linalg import blas
 
 _pbtrf, _pbtrs = linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
@@ -60,7 +60,6 @@ _TRIL3 = np.tril_indices(3)     # lower entries (a, b) of a 3x3 block
 
 _STEP = 0.99          # fraction of the way to the cone boundary
 FEAS_TOL = 5e-7       # phase I calls a common violation above it infeasible
-ACTIVE_TOL = 1e-6     # kkt_residual counts a constraint this close as active
 
 
 @dataclass(frozen=True, eq=False)
@@ -709,50 +708,3 @@ def _certified(cones: _Cones, x, t, zb, zl) -> bool:
         b3 = box.reshape(-1, 3)
         b3[cones.ball_pts] = np.minimum(b3[cones.ball_pts], reach)
     return support + float(np.abs(r) @ box) < -FEAS_TOL
-
-
-def kkt_residual(p: QcqpProblem, x) -> float:
-    """Scaled KKT residual of x: primal, stationarity and complementarity.
-
-    Multipliers for the active set are recovered by nonnegative least
-    squares against the objective gradient, so a true optimum scores at
-    roundoff level while any constraint violation passes straight through.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != p.n:
-        raise ValueError("x dimension mismatch")
-    grad = p.hess_dot(x) + p.g
-    scale = 1.0 + float(np.max(np.abs(grad), initial=0.0))
-    primal = p.violation(x)
-
-    cols = []
-    slacks = []
-    for b in p.balls:
-        v = x[3 * b.point:3 * b.point + 3] - b.center
-        nrm = float(np.linalg.norm(v))
-        s = b.radius - nrm
-        if s <= ACTIVE_TOL * (1 + b.radius) and nrm > 1e-12:
-            col = np.zeros(p.n)
-            col[3 * b.point:3 * b.point + 3] = v / nrm
-            cols.append(col)
-            slacks.append(abs(s))
-    if p.n_rows:
-        ax = np.einsum("ij,ij->i", p.A, x[p.A_cols])
-        for i in range(p.n_rows):
-            for sign, bound in ((1.0, p.hi[i]), (-1.0, p.lo[i])):
-                slack = sign * (bound - ax[i])
-                # an infinite bound is no constraint, never an active one
-                if np.isfinite(bound) \
-                        and slack <= ACTIVE_TOL * (1 + abs(bound)):
-                    cols.append(sign * np.bincount(p.A_cols[i], weights=p.A[i],
-                                                   minlength=p.n))
-                    slacks.append(abs(slack))
-    if cols:
-        G = np.column_stack(cols)
-        mu, _ = optimize.nnls(G, -grad)
-        stationarity = float(np.max(np.abs(grad + G @ mu))) / scale
-        comp = float(np.max(mu * np.asarray(slacks))) / scale
-    else:
-        stationarity = float(np.max(np.abs(grad), initial=0.0)) / scale
-        comp = 0.0
-    return max(primal, stationarity, comp)

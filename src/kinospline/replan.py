@@ -104,7 +104,7 @@ class PlanWindow:
     def check_cells(self, grid: world.VoxelWorld) -> np.ndarray:
         """Flat (C-order) cell of each check sample in grid, -1 outside it.
 
-        Floored exactly as kernels.collision_scan floors points, computed
+        Floored exactly as world.occupied floors points, computed
         once per committed `cps` (and grid) and sliced by trim with the
         samples, so a collision check is one gather.
         """
@@ -639,6 +639,12 @@ class Replanner:
                 and not (self.s.mode == "active" and advanced > 0):
             return
         cs_bk, cs_elas = self.map.spaces()
+        # after a stop the clock rests at the window's end, where no seam
+        # tuple fits: hover on at rest until one does
+        win = self.window
+        while win.seam_index() + win.k + 1 > win.cps.shape[0] \
+                and win.extend_brake():
+            pass
         if self._plan(cs_bk, cs_elas):
             self._kick = 0
             self.stopped = False

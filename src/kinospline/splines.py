@@ -15,27 +15,28 @@ from math import comb, factorial, perm
 
 import numpy as np
 
-SUPPORTED_EVAL_DEGREES = range(1, 8)
 EXTREMA_DEGREES = (3, 5)
+
+
+def _exact_blending(k: int) -> list:
+    """M_k over the rationals, from the combinatorial closed form
+    m[i, j] = C(k, k-i)/k! * sum_{s=j..k} (-1)^(s-j) C(k+1, s-j) (k-s)^(k-i).
+    """
+    return [[Fraction(comb(k, k - i)) / factorial(k)
+             * sum((-1) ** (s - j) * comb(k + 1, s - j) * (k - s) ** (k - i)
+                   for s in range(j, k + 1))
+             for j in range(k + 1)] for i in range(k + 1)]
 
 
 def blending_matrix(k: int) -> np.ndarray:
     """(k+1)x(k+1) uniform B-spline blending matrix M_k.
 
-    Entries follow the combinatorial closed form
-    m[i, j] = C(k, k-i)/k! * sum_{s=j..k} (-1)^(s-j) C(k+1, s-j) (k-s)^(k-i)
-    so that a span evaluates as b(u)^T M_k P with b = [1, u, .., u^k].
+    The floats of the exact rational entries (_exact_blending), so that a
+    span evaluates as b(u)^T M_k P with b = [1, u, .., u^k].
     """
     if not (0 <= k <= 7):
         raise ValueError(f"degree {k} outside supported range 0..7")
-    M = np.zeros((k + 1, k + 1))
-    for i in range(k + 1):
-        for j in range(k + 1):
-            acc = 0.0
-            for s in range(j, k + 1):
-                acc += (-1.0) ** (s - j) * comb(k + 1, s - j) * float(k - s) ** (k - i)
-            M[i, j] = comb(k, k - i) * acc / factorial(k)
-    return M
+    return np.array(_exact_blending(k), dtype=float)
 
 
 def _exact_derivative_spans(k: int) -> tuple:
@@ -46,46 +47,24 @@ def _exact_derivative_spans(k: int) -> tuple:
     products leave roundoff of order 1e-16 there).
     """
     n = k + 1
-    M = [[Fraction(comb(k, k - i)) / factorial(k)
-          * sum((-1) ** (s - j) * comb(k + 1, s - j) * (k - s) ** (k - i)
-                for s in range(j, k + 1))
-          for j in range(n)] for i in range(n)]
+    M = np.array(_exact_blending(k), dtype=object)
     # Gauss-Jordan inverse over the rationals
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(M)]
+    aug = np.hstack([M, np.eye(n, dtype=object)])
     for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv_p = 1 / aug[c][c]
-        aug[c] = [v * inv_p for v in aug[c]]
+        piv = next(r for r in range(c, n) if aug[r, c] != 0)
+        aug[[c, piv]] = aug[[piv, c]]
+        aug[c] = aug[c] / aug[c, c]
         for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    Minv = [row[n:] for row in aug]
-
-    def matmul(X, Y):
-        return [[sum(X[i][m] * Y[m][j] for m in range(n)) for j in range(n)]
-                for i in range(n)]
-
+            if r != c:
+                aug[r] = aug[r] - aug[r, c] * aug[c]
+    Minv = aug[:, n:]
     out = []
-    CT = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # C_1^T maps u^i to i u^(i-1): (C_1^T)[i-1][i] = i
-    C1T = [[Fraction(j if i == j - 1 else 0) for j in range(n)]
-           for i in range(n)]
-    for _ in range(k + 1):
-        S = matmul(matmul(Minv, CT), M)
-        out.append(np.array([[float(v) for v in row] for row in S]))
-        CT = matmul(CT, C1T)
+    for l in range(n):
+        # C_l^T maps u^j to perm(j, l) u^(j-l)
+        CT = np.diag(np.array([perm(j, l) for j in range(l, n)],
+                              dtype=object), l)
+        out.append((Minv @ CT @ M).astype(float))
     return tuple(out)
-
-
-def _basis_derivative_map(k: int, l: int) -> np.ndarray:
-    """C_l with d^l b / du^l = C_l b for the monomial basis b."""
-    C = np.zeros((k + 1, k + 1))
-    for i in range(1, k + 1):
-        C[i, i - 1] = i
-    return np.linalg.matrix_power(C, l)
 
 
 @dataclass(frozen=True)
@@ -98,15 +77,8 @@ class BlendingTables:
 
     k: int
     M: np.ndarray
-    Minv: np.ndarray
-    _C: tuple = field(repr=False, default=())
     _cost: tuple = field(repr=False, default=())
     _S: tuple = field(repr=False, default=())
-
-    def C(self, l: int) -> np.ndarray:
-        if not (0 <= l <= self.k):
-            raise ValueError(f"derivative order {l} outside 0..{self.k}")
-        return self._C[l]
 
     def cost_mat(self, l: int) -> np.ndarray:
         if not (1 <= l <= self.k):
@@ -126,20 +98,15 @@ class BlendingTables:
 @lru_cache(maxsize=None)
 def blending_tables(k: int) -> BlendingTables:
     M = blending_matrix(k)
-    Minv = np.linalg.inv(M)
-    Cs = []
-    for l in range(k + 1):
-        C = _basis_derivative_map(k, l)
-        Cs.append(C)
     # H[i, j] = integral of u^(i+j) over [0, 1]
     H = np.array([[1.0 / (i + j + 1) for j in range(k + 1)] for i in range(k + 1)])
     costs = [None]
     for l in range(1, k + 1):
-        Q = Cs[l] @ H @ Cs[l].T
-        cm = M.T @ Q @ M
-        cm = 0.5 * (cm + cm.T)
-        costs.append(cm)
-    return BlendingTables(k=k, M=M, Minv=Minv, _C=tuple(Cs), _cost=tuple(costs),
+        # C_l, with d^l b / du^l = C_l b: perm(i, l) on its l-th subdiagonal
+        C = np.diag(_derivative_rows(k, l)[0][l:], -l)
+        cm = M.T @ (C @ H @ C.T) @ M
+        costs.append(0.5 * (cm + cm.T))
+    return BlendingTables(k=k, M=M, _cost=tuple(costs),
                           _S=_exact_derivative_spans(k))
 
 
@@ -369,8 +336,7 @@ def _motion_extrema(a, dt: float):
     by 1/dt and (1/dt)(1/dt).
     """
     k = a.shape[-1] - 1
-    ff = [np.array([perm(i, l) for i in range(l, k + 1)], dtype=float)
-          for l in (1, 2)]
+    ff = [_derivative_rows(k, l)[0][l:] for l in (1, 2)]
     acc = a[..., 2:] * ff[1]
     rows = np.stack([a[..., 1:] * ff[0],
                      np.concatenate([acc, np.zeros(acc.shape[:-1] + (1,))],

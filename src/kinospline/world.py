@@ -42,8 +42,10 @@ class VoxelWorld:
         occ = np.ascontiguousarray(np.asarray(self.occ, dtype=bool))
         if dims.shape != (3,) or np.any(dims < 1):
             raise ValueError("dims must be three counts >= 1")
-        if cs.shape != (3,) or np.any(cs <= 0):
-            raise ValueError("cell sizes must be three positive lengths")
+        if cs.shape != (3,) or not np.all(np.isfinite(cs) & (cs > 0)):
+            raise ValueError("cell sizes must be three positive finite lengths")
+        if org.shape != (3,) or not np.all(np.isfinite(org)):
+            raise ValueError("origin must be three finite coordinates")
         if occ.shape != tuple(dims):
             raise ValueError("occupancy shape does not match dims")
         object.__setattr__(self, "dims", dims)
@@ -74,6 +76,19 @@ class VoxelWorld:
 
     def with_occ(self, occ) -> "VoxelWorld":
         return VoxelWorld(self.dims, self.cell_sizes, self.origin, occ)
+
+
+def occupied(points, occ, dims, origin, cells) -> np.ndarray:
+    """Per point, whether its cell is occupied in the flat (C-order) grid
+    occ. Points outside the grid count as occupied (conservative)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    c = np.floor((pts - origin) / cells).astype(np.int64)
+    dims = np.asarray(dims, dtype=np.int64)
+    hit = ~np.all((c >= 0) & (c < dims), axis=1)
+    inside = c[~hit]
+    hit[~hit] = occ[(inside[:, 0] * dims[1] + inside[:, 1]) * dims[2]
+                    + inside[:, 2]] != 0
+    return hit
 
 
 @lru_cache(maxsize=64)
@@ -122,14 +137,10 @@ class ConfigSpace:
     occ_inflated: np.ndarray
 
     @property
-    def occ_flat(self) -> np.ndarray:
-        """C-order read-only uint8 view of the inflated occupancy."""
-        return self._occ_flat
-
-    @property
     def occ_bytes(self) -> bytes:
-        """The bytes behind occ_flat, built once with the space: a search
-        indexes them per successor and copies nothing per query."""
+        """The inflated occupancy in C order, one byte 0 or 1 per cell,
+        built once with the space: a search indexes them per successor
+        and copies nothing per query."""
         return self._occ_bytes
 
     @property
@@ -247,9 +258,8 @@ def _inflate(occ, cell_sizes, delta: float) -> np.ndarray:
 
 def _finish_config_space(world, delta, inflated) -> ConfigSpace:
     cs = ConfigSpace(world=world, delta=float(delta), occ_inflated=inflated)
-    occ = inflated.tobytes()  # C order; a numpy bool is the byte 0 or 1
-    object.__setattr__(cs, "_occ_bytes", occ)
-    object.__setattr__(cs, "_occ_flat", np.frombuffer(occ, dtype=np.uint8))
+    # C order; a numpy bool is the byte 0 or 1
+    object.__setattr__(cs, "_occ_bytes", inflated.tobytes())
     return cs
 
 
@@ -484,24 +494,13 @@ def load_map(path) -> VoxelWorld:
         for line in fh:
             count_s, value_s = line.split()
             count = int(count_s)
-            if value_s != "0":
+            if count < 0 or pos + count > flat.size \
+                    or value_s not in ("0", "1"):
+                raise ValueError(f"{path}: bad RLE run {line.strip()!r} "
+                                 f"at cell {pos} of {flat.size}")
+            if value_s == "1":
                 flat[pos:pos + count] = True
             pos += count
         if pos != flat.size:
             raise ValueError(f"{path}: RLE covers {pos} of {flat.size} cells")
     return VoxelWorld(dims, cell_sizes, origin, flat.reshape(tuple(dims)))
-
-
-def load_cells_ascii(path, dims, cell_sizes, origin=(0.0, 0.0, 0.0)) -> VoxelWorld:
-    """World from a plain `x y z` occupied-cell list (test fixtures)."""
-    dims = np.asarray(dims, dtype=np.int64)
-    occ = np.zeros(tuple(dims), dtype=bool)
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            x, y, z = (int(v) for v in line.split())
-            occ[x, y, z] = True
-    return VoxelWorld(dims, np.asarray(cell_sizes, dtype=float),
-                      np.asarray(origin, dtype=float), occ)

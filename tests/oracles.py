@@ -6,10 +6,12 @@ from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy import optimize
 
-from kinospline import patterns
+from kinospline import certify, patterns
 from kinospline.splines import blending_tables, eval_span_many, span_cost
 from kinospline.search import cell_code
+from kinospline.world import VoxelWorld
 
 
 def quadrature_span_cost(P, l, dt, nodes=24):
@@ -95,7 +97,8 @@ def _extrema01(q):
     """
     n, m1 = q.shape
     dq = q[:, 1:] * np.arange(1, m1)
-    top = np.where(dq != 0.0, np.arange(m1 - 1), -1).max(axis=1)
+    # a constant (or empty) row has no derivative coefficient at all
+    top = np.where(dq != 0.0, np.arange(m1 - 1), -1).max(axis=1, initial=-1)
     xs = np.zeros((n, max(m1 - 2, 0) + 2))
     xs[:, 1] = 1.0
     for g in range(1, m1 - 1):
@@ -132,7 +135,7 @@ def _scan(positions, last_cells, cs, bounds, dt, lam, l, tab):
     cells = np.asarray(last_cells, dtype=np.int64)[:, None, :] + _OFFSETS27
     inside = np.all((cells >= 0) & (cells < dims), axis=2)
     flat = (cells[..., 0] * dims[1] + cells[..., 1]) * dims[2] + cells[..., 2]
-    free = inside & (cs.occ_flat[np.where(inside, flat, 0)] == 0)
+    free = inside & ~cs.occ_inflated.reshape(-1)[np.where(inside, flat, 0)]
     cand = world.origin + (cells + 0.5) * world.cell_sizes
     spans = np.concatenate([np.broadcast_to(positions[:, None, 1:],
                                             (n, 27, k, 3)),
@@ -144,7 +147,8 @@ def _scan(positions, last_cells, cs, bounds, dt, lam, l, tab):
                               (2, bounds.a_min, bounds.a_max)):
         fac = np.array([np.prod(np.arange(i - order + 1, i + 1))
                         for i in range(order, k + 1)], dtype=float)
-        lo, hi = _extrema01((a[..., order:] * fac).reshape(-1, k1 - order))
+        lo, hi = _extrema01((a[..., order:] * fac)
+                            .reshape(3 * free_at.size, k1 - order))
         lo = lo.reshape(-1, 3) / dt ** order
         hi = hi.reshape(-1, 3) / dt ** order
         good &= np.all((lo >= lo_b) & (hi <= hi_b), axis=1)
@@ -497,3 +501,85 @@ def astar_cells(cs, start_cell, goal_cell,
                 heapq.heappush(heap, (ng + h(xx, yy, zz), ng, ncode,
                                       (xx, yy, zz)))
     return None
+
+
+ACTIVE_TOL = 1e-6     # kkt_residual counts a constraint this close as active
+
+
+def kkt_residual(p, x) -> float:
+    """Scaled KKT residual of x: primal, stationarity and complementarity.
+
+    Multipliers for the active set are recovered by nonnegative least
+    squares against the objective gradient, so a true optimum scores at
+    roundoff level while any constraint violation passes straight through.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] != p.n:
+        raise ValueError("x dimension mismatch")
+    grad = p.hess_dot(x) + p.g
+    scale = 1.0 + float(np.max(np.abs(grad), initial=0.0))
+    primal = p.violation(x)
+
+    cols = []
+    slacks = []
+    for b in p.balls:
+        v = x[3 * b.point:3 * b.point + 3] - b.center
+        nrm = float(np.linalg.norm(v))
+        s = b.radius - nrm
+        if s <= ACTIVE_TOL * (1 + b.radius) and nrm > 1e-12:
+            col = np.zeros(p.n)
+            col[3 * b.point:3 * b.point + 3] = v / nrm
+            cols.append(col)
+            slacks.append(abs(s))
+    if p.n_rows:
+        ax = np.einsum("ij,ij->i", p.A, x[p.A_cols])
+        for i in range(p.n_rows):
+            for sign, bound in ((1.0, p.hi[i]), (-1.0, p.lo[i])):
+                slack = sign * (bound - ax[i])
+                # an infinite bound is no constraint, never an active one
+                if np.isfinite(bound) \
+                        and slack <= ACTIVE_TOL * (1 + abs(bound)):
+                    cols.append(sign * np.bincount(p.A_cols[i], weights=p.A[i],
+                                                   minlength=p.n))
+                    slacks.append(abs(slack))
+    if cols:
+        G = np.column_stack(cols)
+        mu, _ = optimize.nnls(G, -grad)
+        stationarity = float(np.max(np.abs(grad + G @ mu))) / scale
+        comp = float(np.max(mu * np.asarray(slacks))) / scale
+    else:
+        stationarity = float(np.max(np.abs(grad), initial=0.0)) / scale
+        comp = 0.0
+    return max(primal, stationarity, comp)
+
+
+def load_cells_ascii(path, dims, cell_sizes, origin=(0.0, 0.0, 0.0)):
+    """World from a plain `x y z` occupied-cell list ('#' starts a
+    comment line)."""
+    dims = np.asarray(dims, dtype=np.int64)
+    occ = np.zeros(tuple(dims), dtype=bool)
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            x, y, z = (int(v) for v in line.split())
+            occ[x, y, z] = True
+    return VoxelWorld(dims, np.asarray(cell_sizes, dtype=float),
+                      np.asarray(origin, dtype=float), occ)
+
+
+def pattern_deviation_axis(steps, cell: float, k: int) -> float:
+    """Excursion of one axis profile beyond its matched cell intervals:
+    certify's per-pattern measure (certify._deviations) for one row of k
+    per-knot increments in {-1, 0, +1}."""
+    return float(certify._deviations(steps, cell, k)[0])
+
+
+def pattern_deviation(steps3, cell_sizes, k: int) -> float:
+    """Deviation of a 3-D span pattern: largest per-axis excursion."""
+    steps3 = np.asarray(steps3)
+    if steps3.shape != (k, 3) or np.any(np.abs(steps3) > 1):
+        raise ValueError("pattern must be k steps with components in {-1,0,1}")
+    return max(pattern_deviation_axis(steps3[:, ax], float(cell_sizes[ax]), k)
+               for ax in range(3))

@@ -38,15 +38,15 @@ def sampled_axis_deviation(steps, cell, k, n=100001):
 
 class TestPatternDeviation:
     def test_stationary_zero(self):
-        assert ct.pattern_deviation_axis((0,) * 5, 0.16, 5) == 0.0
+        assert oracles.pattern_deviation_axis((0,) * 5, 0.16, 5) == 0.0
 
     def test_straight_line_zero(self):
-        assert ct.pattern_deviation_axis((1,) * 5, 0.16, 5) < 1e-12
-        assert ct.pattern_deviation_axis((-1,) * 5, 0.16, 5) < 1e-12
+        assert oracles.pattern_deviation_axis((1,) * 5, 0.16, 5) < 1e-12
+        assert oracles.pattern_deviation_axis((-1,) * 5, 0.16, 5) < 1e-12
 
     def test_reversal_positive_and_matches_sampling(self):
         steps = (1, 1, -1, -1, 1)
-        d = ct.pattern_deviation_axis(steps, 0.16, 5)
+        d = oracles.pattern_deviation_axis(steps, 0.16, 5)
         assert d > 0.0
         ref = sampled_axis_deviation(steps, 0.16, 5)
         assert abs(d - ref) < 1e-9
@@ -55,14 +55,14 @@ class TestPatternDeviation:
         rng = np.random.default_rng(0)
         for _ in range(20):
             steps3 = rng.integers(-1, 2, size=(5, 3))
-            d = ct.pattern_deviation(steps3, (0.16, 0.2, 0.3), 5)
-            ref = max(ct.pattern_deviation_axis(steps3[:, ax], c, 5)
+            d = oracles.pattern_deviation(steps3, (0.16, 0.2, 0.3), 5)
+            ref = max(oracles.pattern_deviation_axis(steps3[:, ax], c, 5)
                       for ax, c in enumerate((0.16, 0.2, 0.3)))
             assert d == ref
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError):
-            ct.pattern_deviation(np.full((5, 3), 2), (0.1,) * 3, 5)
+            oracles.pattern_deviation(np.full((5, 3), 2), (0.1,) * 3, 5)
 
 
 class TestCertify:
@@ -96,7 +96,7 @@ class TestCertify:
 
     def test_worst_pattern_attains_max(self):
         cert = ct.certify(5, (0.16,) * 3)
-        d = ct.pattern_deviation_axis(cert.worst_pattern, 0.16, 5)
+        d = oracles.pattern_deviation_axis(cert.worst_pattern, 0.16, 5)
         assert d == cert.delta_bk
 
 
@@ -150,12 +150,10 @@ def test_certificate_roundtrip(tmp_path):
     for key in ("degree", "cell_x", "cell_y", "cell_z", "delta_bk",
                 "worst_pattern"):
         assert key in text
-
-
-def test_scaled_certificate():
-    cert = ct.certify(5, (0.16,) * 3)
-    doubled = cert.scaled((0.32,) * 3)
-    assert doubled.delta_bk == pytest.approx(2 * cert.delta_bk, rel=1e-12)
+    assert "connectivity" not in text
+    # files written before the connectivity line was dropped still load
+    path.write_text(text + "connectivity 1\n")
+    assert ct.load_certificate(path) == cert
 
 
 @pytest.mark.parametrize("cells", [(0.0, 0.2, 0.2), (0.2, -0.2, 0.2),

@@ -91,7 +91,8 @@ def test_plan_with_body_radius_verifies_against_dilated_map(monkeypatch):
     assert seen and all(np.array_equal(m.occ, body.occ_inflated)
                         for m in seen)
     _, pos = spline.sample(0.01)
-    assert collision_scan(np.ascontiguousarray(pos), body.occ_flat, w.dims,
+    assert collision_scan(np.ascontiguousarray(pos),
+                          body.occ_inflated.reshape(-1), w.dims,
                           w.origin, w.cell_sizes) == -1
 
 
@@ -214,6 +215,25 @@ def test_malformed_plan_input_exits_1(small_map, tmp_path, capsys, extra):
             "--goal", "8.9 3.0 1.0", "--no-eo", "-o", str(tmp_path / "p")]
     assert cli.main(argv + extra) == cli.EXIT_OTHER
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("body", [
+    "KSGRID1 4 4 4 0.5 0.5 0.5 0 0 0\n10 0\n-5 1\n59 1\n",  # negative run
+    "KSGRID1 4 4 4 0.5 0.5 0.5 0 0 0\n60 0\n10 1\n-6 0\n",  # past the grid
+    "KSGRID1 4 4 4 0.5 0.5 0.5 0 0 0\n64 2\n",              # value not 0/1
+    "KSGRID1 4 4 4 0.5 0.5 0.5 inf 0 0\n64 0\n",            # infinite origin
+    "KSGRID1 4 4 4 nan 0.5 0.5 0 0 0\n64 0\n",              # NaN cell size
+], ids=["negative-run", "past-grid", "value-2", "inf-origin", "nan-cell"])
+def test_malformed_map_exits_1(tmp_path, capsys, body):
+    path = tmp_path / "bad.ksg"
+    path.write_text(body)
+    argv = ["plan", "--map", str(path), "--start", "0.25 0.25 0.25",
+            "--goal", "1.75 1.75 1.75", "--no-eo", "-o", str(tmp_path / "p")]
+    assert cli.main(argv) == cli.EXIT_OTHER
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["status"] == "error"
     assert not (tmp_path / "p").exists()
 
 

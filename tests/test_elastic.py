@@ -53,7 +53,7 @@ class TestTubeExpansion:
                           np.zeros(3), occ)
         cs = wd.build_config_space(w, 0.0)
         mid = np.array([41 * 0.25 / 2, 21 * 0.25 / 2, 2.6])
-        tube = el.tube_expansion(mid[None, :], cs, el.EoParams.default([0.25] * 3))
+        tube = el.tube_expansion(mid[None, :], cs)
         # equidistant between the near boundary pair: pushing gains nothing
         assert np.linalg.norm(tube.centers[0] - mid) < 0.7
         assert tube.radii[0] == pytest.approx(21 * 0.25 / 2, abs=0.3)
@@ -65,22 +65,23 @@ class TestTubeExpansion:
                           np.zeros(3), occ)
         cs = wd.build_config_space(w, 0.0)
         p = np.array([0.55, 5.0, 5.0])
-        params = el.EoParams(d_thres=0.125, d_infl_tol=0.25, d_infl_max=5.0)
-        tube = el.tube_expansion(p[None, :], cs, params)
+        tube = el.tube_expansion(p[None, :], cs)
         _, r0 = cs.nn_search(p)
         assert tube.centers[0][0] > p[0]     # pushed away from the wall
         assert tube.radii[0] > r0            # and gained clearance
         # containment of the original ball within threshold slack
         d = np.linalg.norm(tube.centers[0] - p)
-        assert d + r0 <= tube.radii[0] + params.d_thres + 1e-9
+        # d_thres is a quarter of the smallest cell
+        assert d + r0 <= tube.radii[0] + 0.25 * 0.25 + 1e-9
 
     def test_open_space_capped_by_max_inflation(self):
-        w = open_world(dims=(80, 80, 80))
+        w = open_world(dims=(100, 80, 80))
         cs = wd.build_config_space(w, 0.0)
-        p = np.array([10.0, 10.0, 10.0])
-        params = el.EoParams(d_thres=0.125, d_infl_tol=0.25, d_infl_max=2.0)
-        tube = el.tube_expansion(p[None, :], cs, params)
-        assert np.linalg.norm(tube.centers[0] - p) <= 2.0 + 1e-9
+        p = np.array([3.0, 10.0, 10.0])
+        tube = el.tube_expansion(p[None, :], cs)
+        push = np.linalg.norm(tube.centers[0] - p)
+        # pushed away from the near wall, as far as the cap allows
+        assert el.D_INFL_MAX - 0.25 <= push <= el.D_INFL_MAX + 1e-9
 
     def test_well_connected_preserved(self):
         rng = np.random.default_rng(1)
@@ -98,10 +99,10 @@ class TestTubeExpansion:
             if not cs.occ_inflated[tuple(cand)]:
                 chain.append(cand)
         pts = w.cell_center(np.array(chain))
-        params = el.EoParams.default([0.25] * 3)
-        tube = el.tube_expansion(pts, cs, params)
+        tube = el.tube_expansion(pts, cs)
+        # slack: twice d_thres, a quarter of the smallest cell
         assert oracles.balls_chained(tube.centers, tube.radii,
-                                     slack=2 * params.d_thres)
+                                     slack=2 * 0.25 * 0.25)
 
     def test_occupied_center_rejected(self):
         occ = np.zeros((9, 9, 9), dtype=bool)
@@ -109,8 +110,7 @@ class TestTubeExpansion:
         w = wd.VoxelWorld(np.array([9] * 3), np.full(3, 0.25), np.zeros(3), occ)
         cs = wd.build_config_space(w, 0.0)
         with pytest.raises(ValueError):
-            el.tube_expansion(w.cell_center((4, 4, 4))[None, :], cs,
-                              el.EoParams.default([0.25] * 3))
+            el.tube_expansion(w.cell_center((4, 4, 4))[None, :], cs)
 
 
 class TestAssemble:

@@ -259,7 +259,7 @@ class TestKnownMap:
                               (cs_el, contract.delta_elas)):
                 ref = wd.build_config_space(w_known, delta)
                 assert np.array_equal(cs.occ_inflated, ref.occ_inflated)
-                assert np.array_equal(cs.occ_flat, ref.occ_flat)
+                assert cs.occ_bytes == ref.occ_bytes
             body = (wd.build_config_space(w_known, body_radius).occ_inflated
                     if body_radius > 0 else m.known)
             assert np.array_equal(m.body_occupancy(), body)
@@ -550,7 +550,8 @@ class TestReplannerRuns:
         assert sim.goal_reached
         body = wd.build_config_space(w.with_occ(occ), 0.5)
         _, pos = sim.executed_spline().sample(0.01)
-        assert collision_scan(np.ascontiguousarray(pos), body.occ_flat, w.dims,
+        assert collision_scan(np.ascontiguousarray(pos),
+                              body.occ_inflated.reshape(-1), w.dims,
                               w.origin, w.cell_sizes) == -1
 
     def test_body_keeps_clear_of_revealed_obstacles(self):
@@ -563,7 +564,8 @@ class TestReplannerRuns:
         assert sim.goal_reached
         body = wd.build_config_space(w, 0.3)
         _, pos = sim.executed_spline().sample(0.01)
-        assert collision_scan(np.ascontiguousarray(pos), body.occ_flat, w.dims,
+        assert collision_scan(np.ascontiguousarray(pos),
+                              body.occ_inflated.reshape(-1), w.dims,
                               w.origin, w.cell_sizes) == -1
 
     def test_refine_fail_event_carries_its_reason(self, monkeypatch):
@@ -623,6 +625,41 @@ class TestReplannerRuns:
         for e in events:
             assert (e.get("reason"), e.get("partial"), e["budget"]) == (
                 reason, partial, named)
+
+    def test_stopped_vehicle_replans_again(self, monkeypatch):
+        # planning fails long enough for the vehicle to brake and stop at
+        # the end of its window; once planning works again, the window
+        # must hover on at rest until a seam fits and the mission resume
+        w = wd.generate(wd.MapGenSpec(kind="empty", extent=(30, 8, 2.4),
+                                      cell_sizes=(0.2,) * 3))
+        sim = rp.Replanner(w, (0.9, 4.1, 1.1), (28.9, 4.1, 1.1),
+                           make_settings())
+        plan = sim._plan
+        forced = []
+
+        def failing(cs_bk, cs_elas):
+            if sim.global_time > 5.0 and len(forced) < 30:
+                forced.append(sim.global_time)
+                return False
+            return plan(cs_bk, cs_elas)
+
+        monkeypatch.setattr(sim, "_plan", failing)
+        calls = []
+        for name in ("brake_at", "extend_brake"):
+            method = getattr(sim.window, name)
+
+            def spy(*args, _method=method, _name=name):
+                calls.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(sim.window, name, spy)
+        sim.run(max_time=80.0)
+        kinds = [e["kind"] for e in sim.events]
+        assert len(forced) == 30
+        assert "stop" in kinds and "snap_fail" not in kinds
+        assert "replan" in kinds[kinds.index("stop"):]
+        assert {"brake_at", "extend_brake"} <= set(calls)
+        assert sim.goal_reached
 
     def test_event_log_schema(self):
         w = self._world()

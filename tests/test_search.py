@@ -643,14 +643,22 @@ class TestExploreReachable:
             se.explore_reachable(st, cs, bounds, 0.5, 20.0, 2,
                                  max_expansions=5)
 
-    def test_full_flood_equals_tuple_graph(self):
+    def _flood_equals_tuple_graph(self, k):
         w, cs, bounds = self._open_grid()
-        st = se.static_tuple((4, 4, 4), 3, w)
+        st = se.static_tuple((4, 4, 4), k, w)
         got = se.explore_reachable(st, cs, bounds, 0.5, 20.0, 2)
         graph, _ = oracles.build_tuple_graph(st.cells, cs, bounds, 0.5,
                                              20.0, 2)
         assert got == {node[-1] for node in graph}
         assert len(got) == 81
+
+    def test_full_flood_equals_tuple_graph(self):
+        self._flood_equals_tuple_graph(3)
+
+    def test_full_flood_equals_tuple_graph_k2(self):
+        # degree 2: the acceleration rows of the oracle's scan are
+        # constants, with no derivative coefficient left
+        self._flood_equals_tuple_graph(2)
 
 
 class TestSnapTuple:

@@ -13,6 +13,15 @@ def random_span(rng, k=5, scale=1.0):
     return rng.normal(scale=scale, size=(k + 1, 3))
 
 
+def derivative_map(k, l):
+    """C_l with d^l b / du^l = C_l b for the monomial basis b: the l-th
+    power of the one-derivative map."""
+    C = np.zeros((k + 1, k + 1))
+    for i in range(1, k + 1):
+        C[i, i - 1] = i
+    return np.linalg.matrix_power(C, l)
+
+
 class TestBlendingMatrix:
     def test_degree0_is_indicator(self):
         assert np.array_equal(sp.blending_matrix(0), [[1.0]])
@@ -41,9 +50,30 @@ class TestBlendingMatrix:
         with pytest.raises(ValueError):
             sp.blending_matrix(-1)
 
+    @pytest.mark.parametrize("k", range(8))
+    def test_equals_float_closed_form(self, k):
+        # the floats of the exact rational entries are the closed form
+        # summed in floating point, bit for bit
+        M = np.zeros((k + 1, k + 1))
+        for i in range(k + 1):
+            for j in range(k + 1):
+                acc = sum((-1.0) ** (s - j) * math.comb(k + 1, s - j)
+                          * float(k - s) ** (k - i) for s in range(j, k + 1))
+                M[i, j] = math.comb(k, k - i) * acc / math.factorial(k)
+        assert np.array_equal(sp.blending_matrix(k), M)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_cost_tables_from_reference_derivative_maps(self, k):
+        tab = sp.blending_tables(k)
+        H = 1.0 / (np.arange(k + 1)[:, None] + np.arange(k + 1) + 1)
+        for l in range(1, k + 1):
+            C = derivative_map(k, l)
+            cm = tab.M.T @ (C @ H @ C.T) @ tab.M
+            assert np.array_equal(tab.cost_mat(l), 0.5 * (cm + cm.T))
+
     def test_c0_identity_and_s0_identity(self):
         tab = sp.blending_tables(5)
-        assert np.array_equal(tab.C(0), np.eye(6))
+        assert np.array_equal(derivative_map(5, 0), np.eye(6))
         assert np.allclose(tab.bound_transform(0, 1.0), np.eye(6), atol=1e-12)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
@@ -53,7 +83,8 @@ class TestBlendingMatrix:
         tab = sp.blending_tables(k)
         for l in range(k + 1):
             S = tab.bound_transform(l, 0.17)
-            ref = tab.Minv @ tab.C(l).T @ tab.M / 0.17 ** l
+            ref = (np.linalg.inv(tab.M) @ derivative_map(k, l).T @ tab.M
+                   / 0.17 ** l)
             scale = np.abs(ref).max()
             assert np.abs(S - ref).max() <= 1e-9 * scale
             assert np.all(S[np.abs(ref) < 1e-9 * scale] == 0.0)
