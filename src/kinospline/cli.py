@@ -370,35 +370,49 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args, argv) -> None:
-    """Fill settings from the config file; explicit flags keep priority."""
+def _apply_config(parser, args, argv) -> None:
+    """Fill settings from the config file; explicit flags keep priority.
+
+    A key names an option of the subcommand by its destination (dashes or
+    underscores alike), --config aside. The flags argv gives are those
+    the subcommand's parser reads again with every default suppressed.
+    """
     if not getattr(args, "config", None):
         return
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
-    cfg = load_config(args.config)
-    for key, value in cfg.items():
+    sub = next(a for a in parser._actions
+               if a.dest == "command").choices[args.command]
+    settable = {a.dest for a in sub._actions if a.option_strings}
+    settable -= {"help", "config"}
+    for a in sub._actions:
+        a.default = argparse.SUPPRESS
+    explicit = vars(sub.parse_args(argv[1:]))  # argv[0] is the command
+    for key, value in load_config(args.config).items():
         attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
-            continue
+        if attr not in settable:
+            raise ValueError(f"{args.config}: unknown setting {key!r}")
         current = getattr(args, attr)
         if isinstance(current, bool):
+            if value.lower() not in ("1", "0", "true", "false", "yes", "no"):
+                raise ValueError(f"{args.config}: {key} must be a boolean, "
+                                 f"got {value!r}")
             value = value.lower() in ("1", "true", "yes")
         elif isinstance(current, int):
             value = int(value)
         elif isinstance(current, float):
             value = float(value)
-        setattr(args, attr, value)
+        if attr not in explicit:
+            setattr(args, attr, value)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # usage error (1) or --help (0)
         return exc.code
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         _check_args(args)
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -341,15 +341,6 @@ class KnownMap:
             self.version += 1
         return int(idx.size)
 
-    def reveal_all(self) -> None:
-        fresh = np.flatnonzero(self.true_world.occ & ~self.known)
-        if fresh.size:
-            self.known.reshape(-1)[fresh] = True
-            self._fresh.append(fresh)
-            if self.contract.body_radius > 0:
-                self._fresh_body.append(fresh)
-            self.version += 1
-
     def _known_world(self) -> world.VoxelWorld:
         return self.true_world.with_occ(self.known.copy())
 

@@ -172,25 +172,12 @@ class SplineDef:
     def _spans(self) -> np.ndarray:
         return span_stack(self.points, self.k)
 
-    def span(self, j: int) -> np.ndarray:
-        if not (0 <= j < self.n_spans):
-            raise IndexError(f"span {j} outside 0..{self.n_spans - 1}")
-        return self.points[j:j + self.k + 1]
-
-    def sample(self, step: float, l: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """(times, values) on a uniform grid including both endpoints.
-
-        Time t is evaluated on span min(floor(t / dt), n_spans - 1), and
-        all times at once.
-        """
-        ts, (out,) = self.sample_orders(step, (l,))
-        return ts, out
-
     def sample_orders(self, step: float, orders) -> tuple[np.ndarray, list]:
-        """(times, [values per order]) on sample()'s grid.
+        """(times, [values per order]) on a uniform time grid, ends included.
 
-        The time grid, the span of each sample and its coefficients are
-        built once for all orders; each order's values equal sample()'s.
+        Time t is evaluated on span min(floor(t / dt), n_spans - 1). The
+        time grid, the span of each sample and its coefficients are built
+        once for all orders.
         """
         for l in orders:
             if not (0 <= l <= self.k):
@@ -206,13 +193,6 @@ class SplineDef:
     def cost(self, l: int) -> float:
         """Total order-l control cost: span_cost summed over every span."""
         return float(span_cost(self._spans(), l, self.dt).sum())
-
-
-def eval_span(P, u: float, l: int, dt: float) -> np.ndarray:
-    """l-th time derivative of a span at normalized u in [0, 1]."""
-    if not (0.0 <= u <= 1.0):
-        raise ValueError("u outside [0, 1]")
-    return eval_span_many(P, [u], l, dt)[0]
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +213,7 @@ def _derivative_basis(us, k: int, l: int) -> np.ndarray:
 
 
 def eval_span_many(P, us, l: int, dt: float) -> np.ndarray:
-    """Vectorized eval_span over an array of u values, (len(us), 3).
+    """l-th time derivative of a span at each u in [0, 1], (len(us), 3).
 
     P may also be a stack of spans, (nspan, k+1, 3); the result is then
     (nspan, len(us), 3).

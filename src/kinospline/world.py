@@ -7,10 +7,11 @@ lies within delta of some obstacle cell's axis-aligned box (Minkowski sum
 with a ball, evaluated at centers). That set is the occupancy dilated by
 one stencil of cell offsets (_stencil). The squared center-to-box distance
 is a sum of per-axis terms that grow with the shift along their axis, so
-every x-row of the stencil is one centered run of cells: a full build
-dilates along x once per run length and ORs each (y, z) row's run into
-place (_inflate), which marks exactly the stencil's cells, bit for bit;
-an update places the stencil at each fresh cell. Clearances come from a
+every x-row of the stencil is one centered run of cells: _inflate dilates
+along x once per run length and ORs each (y, z) row's run into place,
+which marks exactly the stencil's cells, bit for bit. A full build
+inflates the whole grid; an update after new obstacles appear re-inflates
+only the x-rows the stencil reaches from them. Clearances come from a
 KD-tree over the inflated-occupied cell centers plus the world's boundary
 planes.
 """
@@ -24,9 +25,6 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 MAP_MAGIC = "KSGRID1"
-
-# stencil targets an incremental config-space update places at a time
-_SCATTER_TARGETS = 1 << 13
 
 @dataclass(frozen=True, eq=False)
 class VoxelWorld:
@@ -108,18 +106,6 @@ def _stencil(cell_sizes: tuple, delta: float) -> np.ndarray:
     stencil = d2 <= delta * delta + 1e-12
     stencil.flags.writeable = False
     return stencil
-
-
-@lru_cache(maxsize=64)
-def _stencil_offsets(cell_sizes: tuple, delta: float) -> np.ndarray:
-    """(3, s) cell offsets of the stencil's cells from its center.
-
-    Memoized next to _stencil; the shared array is read-only.
-    """
-    stencil = _stencil(cell_sizes, delta)
-    offsets = np.argwhere(stencil).T - (np.array(stencil.shape) // 2)[:, None]
-    offsets.flags.writeable = False
-    return offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,33 +254,26 @@ def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
     """Fresh ConfigSpace after new obstacle cells appeared (copy-on-update).
 
     fresh holds the flat (C-order) grid indices of the newly occupied
-    cells. Dilation distributes over union and the stencil is symmetric,
-    so the new inflated cells are the stencil placed at each fresh cell,
-    with targets outside the grid dropped: the same grid as a full
-    rebuild, in O(fresh x stencil) work after one copy of the previous
-    grid. The stencil is placed at _SCATTER_TARGETS targets at a time, so
-    the scratch memory stays bounded however many cells arrive at once.
+    cells, which lie in x-rows [lo, hi). The stencil reaches rx rows
+    along x, so only rows [lo - rx, hi + rx) can change, and each of them
+    reads only occupancy rows [lo - 2 rx, hi + 2 rx): _inflate over that
+    slab, clipped to the grid, gives them exactly as a full rebuild does.
     The previous space stays untouched for concurrent readers.
     """
     inflated = prev.occ_inflated.copy()
-    out = inflated.reshape(-1)
     flat = np.asarray(fresh, dtype=np.int64)
-    out[flat] = True
-    if prev.delta > 0 and flat.size:
-        offsets = _stencil_offsets(tuple(float(c) for c in world.cell_sizes),
-                                   float(prev.delta))
-        dims = inflated.shape
-        # a target's flat index is its cell's plus the offset's, valid when
-        # each axis stays in the grid
-        shift = (offsets[0] * dims[1] + offsets[1]) * dims[2] + offsets[2]
-        chunk = max(1, _SCATTER_TARGETS // offsets.shape[1])
-        for i in range(0, flat.size, chunk):
-            part = flat[i:i + chunk]
-            cells = np.unravel_index(part, dims)
-            keep = np.ones((part.size, offsets.shape[1]), dtype=bool)
-            for c, off, n in zip(cells, offsets, dims):
-                keep &= (off >= -c[:, None]) & (off < n - c[:, None])
-            out[(part[:, None] + shift)[keep]] = True
+    if flat.size:
+        nx, ny, nz = inflated.shape
+        lo, hi = int(flat.min()) // (ny * nz), int(flat.max()) // (ny * nz) + 1
+        rx = 0 if prev.delta == 0 else _stencil(
+            tuple(float(c) for c in world.cell_sizes),
+            float(prev.delta)).shape[0] // 2
+        s0, s1 = max(lo - 2 * rx, 0), min(hi + 2 * rx, nx)
+        r0, r1 = max(lo - rx, 0), min(hi + rx, nx)
+        slab = world.occ[s0:s1]
+        if rx:
+            slab = _inflate(slab, world.cell_sizes, prev.delta)
+        inflated[r0:r1] = slab[r0 - s0:r1 - s0]
     return _finish_config_space(world, prev.delta, inflated)
 
 

@@ -31,9 +31,7 @@ def free_occf(w):
 
 
 def spline_clear_and_feasible(spline, w, bounds, step=0.02):
-    _, P = spline.sample(step)
-    _, V = spline.sample(step, 1)
-    _, A = spline.sample(step, 2)
+    _, (P, V, A) = spline.sample_orders(step, (0, 1, 2))
     hit = collision_scan(np.ascontiguousarray(P), free_occf(w), w.dims,
                          w.origin, w.cell_sizes)
     ok_v = np.all(np.abs(V) <= np.asarray(bounds.v_max) + 1e-6)
@@ -383,8 +381,9 @@ def test_criterion_8_local_control_and_seam_continuity():
         # seam continuity to order k-1 across every boundary after splice
         for b in range(seam, min(seam + 3, win.n_spans - 1)):
             for l in range(5):
-                left = sp.eval_span(win.cps[b:b + 6], 1.0, l, 0.17)
-                right = sp.eval_span(win.cps[b + 1:b + 7], 0.0, l, 0.17)
+                left = sp.eval_span_many(win.cps[b:b + 6], [1.0], l, 0.17)[0]
+                right = sp.eval_span_many(win.cps[b + 1:b + 7], [0.0], l,
+                                          0.17)[0]
                 assert np.abs(left - right).max() < 1e-9
     report(8, "1000 random splices leave executing-span samples "
               "bit-identical; seam derivatives continuous to order k-1")
@@ -455,9 +454,9 @@ def test_criterion_10_numerical_kernel_properties():
         # derivative against central finite differences
         u = float(rng.uniform(0.05, 0.95))
         l = int(rng.integers(1, 4))
-        v = sp.eval_span(P, u, l, dt)
-        fd = (sp.eval_span(P, u + h, l - 1, dt)
-              - sp.eval_span(P, u - h, l - 1, dt)) / (2 * h * dt)
+        v = sp.eval_span_many(P, [u], l, dt)[0]
+        fd = (sp.eval_span_many(P, [u + h], l - 1, dt)[0]
+              - sp.eval_span_many(P, [u - h], l - 1, dt)[0]) / (2 * h * dt)
         assert np.abs(v - fd).max() <= 1e-5 * (1 + np.abs(v).max())
     report(10, f"hull membership, bound sufficiency, extrema (1e-6), "
                f"cost-vs-quadrature (1e-6 rel) and derivative-vs-FD "

@@ -90,7 +90,7 @@ def test_plan_with_body_radius_verifies_against_dilated_map(monkeypatch):
     assert rec["status"] == "success"
     assert seen and all(np.array_equal(m.occ, body.occ_inflated)
                         for m in seen)
-    _, pos = spline.sample(0.01)
+    _, (pos,) = spline.sample_orders(0.01, (0,))
     assert collision_scan(np.ascontiguousarray(pos),
                           body.occ_inflated.reshape(-1), w.dims,
                           w.origin, w.cell_sizes) == -1
@@ -149,6 +149,41 @@ def test_config_file_with_flag_override(small_map, tmp_path):
     assert rec["lam"] == 35.0
     assert rec["dt"] == 0.2
     assert rec["order"] == 3
+
+
+@pytest.mark.parametrize("flag", [["-o", "{out}"], ["-o{out}"],
+                                  ["--out", "{out}"]])
+def test_output_flag_beats_config_output(small_map, tmp_path, flag):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(f"output {tmp_path / 'cfgout'}\n")
+    out = tmp_path / "flagout"
+    rc = cli.main(["plan", "--map", str(small_map), "--config", str(cfg),
+                   "--start", "0.9 3.0 1.0", "--goal", "6.9 3.0 1.0",
+                   "--no-eo"] + [f.format(out=out) for f in flag])
+    assert rc == 0
+    assert (out / "stats.json").exists()
+    assert not (tmp_path / "cfgout").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "func x",           # parsed-namespace attributes that are no option
+    "command replan",
+    "config other.txt",
+    "bogus 1",          # no option of plan
+    "no_eo maybe",      # a boolean outside 1/0/true/false/yes/no
+    "no-eo 2",
+])
+def test_malformed_config_exits_1(small_map, tmp_path, capsys, line):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(line + "\n")
+    rc = cli.main(["plan", "--map", str(small_map), "--config", str(cfg),
+                   "--start", "0.9 3.0 1.0", "--goal", "6.9 3.0 1.0",
+                   "--no-eo", "-o", str(tmp_path / "p")])
+    assert rc == cli.EXIT_OTHER
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["status"] == "error"
+    assert not (tmp_path / "p").exists()
 
 
 def test_replan_outputs(small_map, tmp_path):

@@ -283,7 +283,7 @@ class TestRefine:
         # jerk cost strictly below the searched placement on this map
         assert res.cost < res.initial_cost
         # refined trajectory clear of raw obstacles by dense sampling
-        _, pos = res.spline.sample(0.01)
+        _, (pos,) = res.spline.sample_orders(0.01, (0,))
         occf = np.ascontiguousarray(w.occ.reshape(-1).astype(np.uint8))
         assert collision_scan(np.ascontiguousarray(pos), occf, w.dims,
                               w.origin, w.cell_sizes) == -1
@@ -362,7 +362,7 @@ class TestRefine:
                         sp.DerivativeBounds.symmetric(4.0, 20.0), 2, 0.4)
         assert res.status in ("safe", "infeasible")
         if res.ok:
-            _, pos = res.spline.sample(0.01)
+            _, (pos,) = res.spline.sample_orders(0.01, (0,))
             occf = np.ascontiguousarray(w.occ.reshape(-1).astype(np.uint8))
             assert collision_scan(np.ascontiguousarray(pos), occf, w.dims,
                                   w.origin, w.cell_sizes) == -1

@@ -39,12 +39,12 @@ class TestPlanWindow:
                 continue
             us = np.linspace(0.0, 1.0, 100)
             j = win.exec_span
-            before = [sp.eval_span(win.cps[j:j + 6], u, l, 0.17)
+            before = [sp.eval_span_many(win.cps[j:j + 6], [u], l, 0.17)[0]
                       for u in us for l in (0, 1, 2)]
             tail = np.vstack([win.cps[seam:seam + 6],
                               rng.normal(size=(8, 3))])
             win.splice(seam, tail)
-            after = [sp.eval_span(win.cps[j:j + 6], u, l, 0.17)
+            after = [sp.eval_span_many(win.cps[j:j + 6], [u], l, 0.17)[0]
                      for u in us for l in (0, 1, 2)]
             for a, b in zip(before, after):
                 assert np.array_equal(a, b)  # bit-identical
@@ -72,8 +72,8 @@ class TestPlanWindow:
         # derivatives up to order k-1 continuous at every span boundary
         for j in range(win.n_spans - 1):
             for l in range(5):
-                a = sp.eval_span(win.cps[j:j + 6], 1.0, l, 0.17)
-                b = sp.eval_span(win.cps[j + 1:j + 7], 0.0, l, 0.17)
+                a = sp.eval_span_many(win.cps[j:j + 6], [1.0], l, 0.17)[0]
+                b = sp.eval_span_many(win.cps[j + 1:j + 7], [0.0], l, 0.17)[0]
                 assert np.abs(a - b).max() < 1e-9
 
     def test_brake_extension_static_tail(self):
@@ -81,7 +81,7 @@ class TestPlanWindow:
         win = rp.PlanWindow(5, 0.17, pts, bounds=BOUNDS)
         assert win.extend_brake()
         assert win.cps.shape[0] == 18
-        v_end = sp.eval_span(win.cps[-6:], 1.0, 1, 0.17)
+        v_end = sp.eval_span_many(win.cps[-6:], [1.0], 1, 0.17)[0]
         assert np.abs(v_end).max() < 1e-12
 
     def test_brake_from_cruise_is_feasible(self):
@@ -91,7 +91,7 @@ class TestPlanWindow:
         assert win.extend_brake()
         for j in range(win.n_spans):
             assert sp.check_feasible(win.cps[j:j + 6], BOUNDS, 0.17)
-        v_end = sp.eval_span(win.cps[-6:], 1.0, 1, 0.17)
+        v_end = sp.eval_span_many(win.cps[-6:], [1.0], 1, 0.17)[0]
         assert np.abs(v_end).max() < 1e-12
 
     def test_trim_rebases_clock(self):
@@ -333,7 +333,7 @@ def test_reveal_matches_full_grid_reference(seed, body_radius):
         check(pos, r)
     check(np.array([x_lo - 1.0, mid[1], mid[2]]), 2.0 * diag)
     assert not (true_occ & ~m.known).any()
-    m.reveal_all()
+    m.reveal(origin, np.inf)
     version += bool((true_occ & ~known).any())
     assert np.array_equal(m.known, known | true_occ)
     assert m.version == version
@@ -446,7 +446,7 @@ def test_agent_state_matches_eval_span():
         for a in (agent, tracked):
             for l, got in enumerate((a.position, a.velocity,
                                      a.acceleration)):
-                ref = sp.eval_span(win.cps[j:j + 6], u, l, dt)
+                ref = sp.eval_span_many(win.cps[j:j + 6], [u], l, dt)[0]
                 assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
@@ -465,7 +465,7 @@ class TestReplannerRuns:
                                       cell_sizes=(0.2,) * 3))
         sim = rp.Replanner(w, (0.9, 4.1, 1.1), (10.9, 4.1, 1.1),
                            make_settings())
-        sim.map.reveal_all()
+        sim.map.reveal(sim.map.true_world.origin, np.inf)
         traj = sim.run(max_time=40.0)
         assert sim.goal_reached
         # passive mode on a fully known clear map: only horizon-driven
@@ -538,7 +538,7 @@ class TestReplannerRuns:
         while sim.replans == 0:
             sim.step()
         assert sim._collision_ahead() is None
-        sim.map.reveal_all()
+        sim.map.reveal(sim.map.true_world.origin, np.inf)
         us = np.linspace(0.0, 1.0, 9)
         pts = np.concatenate([
             sp.eval_span_many(sim.window.cps[j:j + 6], us, 0, 0.17)
@@ -549,7 +549,7 @@ class TestReplannerRuns:
         sim.run(max_time=40.0)
         assert sim.goal_reached
         body = wd.build_config_space(w.with_occ(occ), 0.5)
-        _, pos = sim.executed_spline().sample(0.01)
+        _, (pos,) = sim.executed_spline().sample_orders(0.01, (0,))
         assert collision_scan(np.ascontiguousarray(pos),
                               body.occ_inflated.reshape(-1), w.dims,
                               w.origin, w.cell_sizes) == -1
@@ -563,7 +563,7 @@ class TestReplannerRuns:
         sim.run(max_time=40.0)
         assert sim.goal_reached
         body = wd.build_config_space(w, 0.3)
-        _, pos = sim.executed_spline().sample(0.01)
+        _, (pos,) = sim.executed_spline().sample_orders(0.01, (0,))
         assert collision_scan(np.ascontiguousarray(pos),
                               body.occ_inflated.reshape(-1), w.dims,
                               w.origin, w.cell_sizes) == -1

@@ -775,8 +775,10 @@ class TestSnapTuple:
         vel = np.array([1.2, -0.3, 0.0])
         refs = se.state_reference_points(pos, vel, 5, 0.17)
         P = np.asarray(refs)
-        assert np.allclose(sp.eval_span(P, 0.0, 0, 0.17), pos, atol=1e-12)
-        assert np.allclose(sp.eval_span(P, 0.0, 1, 0.17), vel, atol=1e-12)
+        start = sp.eval_span_many(P, [0.0], 0, 0.17)[0]
+        assert np.allclose(start, pos, atol=1e-12)
+        start_vel = sp.eval_span_many(P, [0.0], 1, 0.17)[0]
+        assert np.allclose(start_vel, vel, atol=1e-12)
 
 
 class TestAstar:

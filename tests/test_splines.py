@@ -97,23 +97,22 @@ class TestEvalSpan:
         q = np.array([1.5, -2.0, 0.25])
         P = np.tile(q, (6, 1))
         for u in (0.0, 0.3, 1.0):
-            assert np.allclose(sp.eval_span(P, u, 0, 0.2), q, atol=1e-12)
-            assert np.allclose(sp.eval_span(P, u, 1, 0.2), 0.0, atol=1e-12)
+            pos, vel = (sp.eval_span_many(P, [u], l, 0.2)[0] for l in (0, 1))
+            assert np.allclose(pos, q, atol=1e-12)
+            assert np.allclose(vel, 0.0, atol=1e-12)
 
     def test_collinear_points_have_zero_acceleration(self):
         step = np.array([0.3, -0.1, 0.2])
         P = np.arange(6)[:, None] * step
         for u in (0.0, 0.5, 1.0):
-            assert np.allclose(sp.eval_span(P, u, 2, 0.17), 0.0, atol=1e-10)
-            assert np.allclose(sp.eval_span(P, u, 1, 0.17), step / 0.17,
-                               atol=1e-10)
+            vel, acc = (sp.eval_span_many(P, [u], l, 0.17)[0] for l in (1, 2))
+            assert np.allclose(acc, 0.0, atol=1e-10)
+            assert np.allclose(vel, step / 0.17, atol=1e-10)
 
-    def test_rejects_bad_order_and_u(self):
+    def test_rejects_bad_order(self):
         P = np.zeros((6, 3))
         with pytest.raises(ValueError):
-            sp.eval_span(P, 0.5, 6, 0.2)
-        with pytest.raises(ValueError):
-            sp.eval_span(P, 1.5, 0, 0.2)
+            sp.eval_span_many(P, [0.5], 6, 0.2)
 
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -122,9 +121,9 @@ class TestEvalSpan:
             P = random_span(rng)
             u = rng.uniform(0.05, 0.95)
             for l in (1, 2, 3):
-                v = sp.eval_span(P, u, l, 0.17)
-                lo = sp.eval_span(P, u - h, l - 1, 0.17)
-                hi = sp.eval_span(P, u + h, l - 1, 0.17)
+                v = sp.eval_span_many(P, [u], l, 0.17)[0]
+                lo = sp.eval_span_many(P, [u - h], l - 1, 0.17)[0]
+                hi = sp.eval_span_many(P, [u + h], l - 1, 0.17)[0]
                 fd = (hi - lo) / (2 * h) / 0.17
                 assert np.abs(v - fd).max() < 1e-5 * (1 + np.abs(v).max())
 
@@ -341,7 +340,7 @@ class TestSplineDef:
         s = sp.SplineDef(k=3, dt=0.2, points=np.arange(8)[:, None] * step)
         mid = 0.5 * (s.points[3] + s.points[4])
         s2 = self._inserted(s, 4, mid)
-        ts, pos = s2.sample(0.01)
+        ts, (pos,) = s2.sample_orders(0.01, (0,))
         d = pos - pos[0]
         cross = np.cross(d[1:], step)
         assert np.abs(cross).max() < 1e-9
@@ -350,7 +349,7 @@ class TestSplineDef:
         s = sp.SplineDef(k=3, dt=0.2,
                          points=np.arange(6)[:, None] * np.array([0.3, 0.0, 0.0]))
         s2 = self._inserted(s, 2, s.points[2])
-        _, pos = s2.sample(0.01)
+        _, (pos,) = s2.sample_orders(0.01, (0,))
         assert pos[:, 0].min() >= s.points[:, 0].min() - 1e-12
         assert pos[:, 0].max() <= s.points[:, 0].max() + 1e-12
         assert np.abs(pos[:, 1:]).max() < 1e-12
@@ -360,11 +359,8 @@ class TestSplineDef:
         # insertion
         s = sp.SplineDef(k=3, dt=0.2, points=np.zeros((6, 3)))
         for spline in (s, self._inserted(s, 6, [0, 0, 0])):
-            n = spline.n_spans
-            assert spline.span(n - 1).shape == (4, 3)
-            for j in (-1, n):
-                with pytest.raises(IndexError):
-                    spline.span(j)
+            assert sp.span_stack(spline.points, spline.k).shape == (
+                spline.n_spans, 4, 3)
 
     def test_sample_trajectory_matches_single_order_samples(self):
         # one time grid and coefficient gather for orders 0-2 gives the
@@ -372,8 +368,8 @@ class TestSplineDef:
         rng = np.random.default_rng(5)
         for k, n, step in ((3, 7, 0.02), (5, 12, 0.013), (5, 6, 1.0)):
             s = sp.SplineDef(k=k, dt=0.17, points=rng.normal(size=(n, 3)))
-            ts, pos = s.sample(step, 0)
-            vel, acc = s.sample(step, 1)[1], s.sample(step, 2)[1]
+            ts, (pos,) = s.sample_orders(step, (0,))
+            vel, acc = (s.sample_orders(step, (l,))[1][0] for l in (1, 2))
             assert np.array_equal(stats.sample_trajectory(s, step),
                                   np.column_stack([ts, pos, vel, acc]))
 
@@ -382,8 +378,10 @@ class TestSplineDef:
         s = sp.SplineDef(k=5, dt=0.17, points=rng.normal(size=(12, 3)))
         for j in range(s.n_spans - 1):
             for l in range(5):  # up to order k-1
-                left = sp.eval_span(s.span(j), 1.0, l, s.dt)
-                right = sp.eval_span(s.span(j + 1), 0.0, l, s.dt)
+                left = sp.eval_span_many(s.points[j:j + 6], [1.0], l,
+                                         s.dt)[0]
+                right = sp.eval_span_many(s.points[j + 1:j + 7], [0.0], l,
+                                          s.dt)[0]
                 assert np.abs(left - right).max() < 1e-9
 
 

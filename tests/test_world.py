@@ -271,19 +271,23 @@ def test_updated_config_space_matches_rebuild():
     assert np.array_equal(cs1.occ_inflated, cs_ref.occ_inflated)
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.2, 0.45])
+@pytest.mark.parametrize("delta", [0.0, 0.2, 0.45, 0.9])
 def test_updated_config_space_on_faces_and_corners(delta):
-    # fresh cells on grid corners, edges and faces dilate into a clipped box
+    # fresh cells on grid corners, edges and faces dilate into a clipped
+    # box; at 0.9 m the stencil spans 11 x-rows, and the grid grows so the
+    # base's own inflation does not cover it whole
     rng = np.random.default_rng(3)
-    dims = (7, 6, 5)
+    dims, frac = ((7, 6, 5), 0.05) if delta < 0.9 else ((15, 13, 11), 0.002)
     base = wd.VoxelWorld(np.array(dims), np.array([0.2, 0.25, 0.15]),
                          np.array([-1.0, 0.5, 0.0]),
-                         rng.random(dims) < 0.05)
+                         rng.random(dims) < frac)
     cs0 = wd.build_config_space(base, delta)
     fresh = np.zeros(dims, dtype=bool)
     for cell in ((0, 0, 0), (6, 5, 4), (0, 5, 0), (6, 0, 4), (0, 3, 2),
                  (6, 2, 1), (3, 0, 4), (2, 5, 3), (4, 1, 0), (5, 4, 4)):
-        fresh[cell] = True
+        # an upper face of the 7 x 6 x 5 grid is the upper face of dims
+        fresh[tuple(n - 1 if c == t - 1 else c
+                    for c, t, n in zip(cell, (7, 6, 5), dims))] = True
     w = base.with_occ(base.occ | fresh)
     cs1 = wd.updated_config_space(cs0, w,
                                   np.flatnonzero(fresh & ~base.occ))
@@ -294,9 +298,10 @@ def test_updated_config_space_on_faces_and_corners(delta):
 
 
 def test_updated_config_space_memory_is_bounded():
-    # one update of 2,000 fresh cells on the bench_course grid: the stencil
-    # is placed in chunks, so the scratch memory stays well below the
-    # (3, fresh, stencil) index arrays a one-shot placement builds
+    # one update of 2,000 fresh cells spread over the whole bench_course
+    # grid: the slab it re-inflates is the grid, and the scratch memory
+    # stays well below the (3, fresh, stencil) index arrays a one-shot
+    # placement of the stencil at each fresh cell builds
     course = wd.bench_course(cell=0.2, seed=9)
     rng = np.random.default_rng(20)
     fresh = np.sort(rng.choice(np.flatnonzero(~course.occ), 2000,
@@ -305,7 +310,7 @@ def test_updated_config_space_memory_is_bounded():
     occ.reshape(-1)[fresh] = True
     w = course.with_occ(occ)
     delta = 0.22032592898698794     # the course's C_bk: a 27-cell stencil
-    assert wd._stencil_offsets((0.2,) * 3, delta).shape == (3, 27)
+    assert wd._stencil((0.2,) * 3, delta).sum() == 27
     cs0 = wd.build_config_space(course, delta)
     tracemalloc.start()
     try:
@@ -329,32 +334,24 @@ def test_inflation_stencil_is_shared_and_read_only():
     assert a[2, 2, 2] and not a[0, 0, 0]
 
 
-def test_stencil_offsets_are_shared_and_read_only():
-    off = wd._stencil_offsets((0.2, 0.2, 0.4), 0.3)
-    assert off is wd._stencil_offsets((0.2, 0.2, 0.4), 0.3)
-    with pytest.raises(ValueError):
-        off[0, 0] = 0
-    # the offsets place the stencil's cells around its center
-    stencil = wd._stencil((0.2, 0.2, 0.4), 0.3)
-    rebuilt = np.zeros_like(stencil)
-    rebuilt[tuple(off + (np.array(stencil.shape) // 2)[:, None])] = True
-    assert np.array_equal(rebuilt, stencil)
-
-
-def test_updated_config_space_runs_no_dilation(monkeypatch):
-    w = small_random_world(seed=10, dims=(12, 9, 7))
-    base = w.with_occ(w.occ & (np.arange(12) < 6)[:, None, None])
+def test_updated_config_space_inflates_only_the_changed_slab(monkeypatch):
+    # fresh cells in x-rows 12-14 of 30: the update runs _inflate once, on
+    # their rows and the 2 rx rows the stencil reads on each side
+    w = small_random_world(seed=10, dims=(30, 9, 7))
+    changed = (np.arange(30) >= 12) & (np.arange(30) < 15)
+    base = w.with_occ(w.occ & ~changed[:, None, None])
+    fresh = np.flatnonzero(w.occ & ~base.occ)
     cs0 = wd.build_config_space(base, 0.3)
-    ref = wd.build_config_space(w, 0.3)
-    calls = []
+    rx = wd._stencil(tuple(w.cell_sizes), 0.3).shape[0] // 2
+    rows = []
     inflate = wd._inflate
-    monkeypatch.setattr(wd, "_inflate",
-                        lambda *a, **kw: calls.append(1) or inflate(*a, **kw))
-    assert wd.build_config_space(base, 0.3) is not None and calls == [1]
-    calls.clear()
-    cs1 = wd.updated_config_space(cs0, w, np.flatnonzero(w.occ & ~base.occ))
-    assert calls == []
+    monkeypatch.setattr(wd, "_inflate", lambda occ, *a: rows.append(
+        occ.shape[0]) or inflate(occ, *a))
+    cs1 = wd.updated_config_space(cs0, w, fresh)
+    assert len(rows) == 1 and rows[0] <= 3 + 4 * rx < w.dims[0]
+    ref = wd.build_config_space(w, 0.3)
     assert np.array_equal(cs1.occ_inflated, ref.occ_inflated)
+    assert cs1.occ_bytes == ref.occ_bytes
 
 
 def _check_inflation(w, delta):
