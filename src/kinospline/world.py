@@ -254,8 +254,9 @@ def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
     """Fresh ConfigSpace after new obstacle cells appeared (copy-on-update).
 
     fresh holds the flat (C-order) grid indices of the newly occupied
-    cells, which lie in x-rows [lo, hi). The stencil reaches rx rows
-    along x, so only rows [lo - rx, hi + rx) can change, and each of them
+    cells, which lie in x-rows [lo, hi). The stencil reaches at most rx
+    rows along x (half its array's x-size, so 1 at delta 0), so only rows
+    [lo - rx, hi + rx) can change, and each of them
     reads only occupancy rows [lo - 2 rx, hi + 2 rx): _inflate over that
     slab, clipped to the grid, gives them exactly as a full rebuild does.
     The previous space stays untouched for concurrent readers.
@@ -265,14 +266,11 @@ def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
     if flat.size:
         nx, ny, nz = inflated.shape
         lo, hi = int(flat.min()) // (ny * nz), int(flat.max()) // (ny * nz) + 1
-        rx = 0 if prev.delta == 0 else _stencil(
-            tuple(float(c) for c in world.cell_sizes),
-            float(prev.delta)).shape[0] // 2
+        rx = _stencil(tuple(float(c) for c in world.cell_sizes),
+                      float(prev.delta)).shape[0] // 2
         s0, s1 = max(lo - 2 * rx, 0), min(hi + 2 * rx, nx)
         r0, r1 = max(lo - rx, 0), min(hi + rx, nx)
-        slab = world.occ[s0:s1]
-        if rx:
-            slab = _inflate(slab, world.cell_sizes, prev.delta)
+        slab = _inflate(world.occ[s0:s1], world.cell_sizes, prev.delta)
         inflated[r0:r1] = slab[r0 - s0:r1 - s0]
     return _finish_config_space(world, prev.delta, inflated)
 
