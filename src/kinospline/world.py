@@ -256,10 +256,10 @@ def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
     fresh holds the flat (C-order) grid indices of the newly occupied
     cells, which lie in x-rows [lo, hi). The stencil reaches at most rx
     rows along x (half its array's x-size, so 1 at delta 0), so only rows
-    [lo - rx, hi + rx) can change, and each of them
-    reads only occupancy rows [lo - 2 rx, hi + 2 rx): _inflate over that
-    slab, clipped to the grid, gives them exactly as a full rebuild does.
-    The previous space stays untouched for concurrent readers.
+    [lo - rx, hi + rx) can change, and each of them reads only occupancy
+    rows [lo - 2 rx, hi + 2 rx): _inflate over that slab, clipped to the
+    grid, gives them exactly as a full rebuild does. The previous space
+    stays untouched for concurrent readers.
     """
     inflated = prev.occ_inflated.copy()
     flat = np.asarray(fresh, dtype=np.int64)
