@@ -521,11 +521,14 @@ def astar_cells(cs: ConfigSpace, start_cell, goal_cell,
                 max_expansions: int = 2_000_000):
     """Position-only shortest path on free cells, 26-connected.
 
-    Euclidean step costs in meters. The heap orders nodes by (f, g, cell
-    code): a code is pushed again only at a strictly smaller g, so no two
-    entries tie, and ties in f and g go to the smaller code. Returns the
-    cell path as an (n, 3) array, or None when the goal is unreachable or
-    max_expansions nodes were expanded first.
+    Euclidean step costs in meters. The heuristic is the exact length of
+    the shortest obstacle-free path of these steps (_lattice_distance): a
+    shortest-path cost in a supergraph, so admissible and consistent. The
+    heap orders nodes by (f, g, cell code): a code is pushed again only
+    at a strictly smaller g, so no two entries tie, and ties in f and g
+    go to the smaller code. Returns the cell path as an (n, 3) array, or
+    None when the goal is unreachable or max_expansions nodes were
+    expanded first.
     """
     world = cs.world
     nx, ny, nz = (int(v) for v in world.dims)
@@ -534,12 +537,8 @@ def astar_cells(cs: ConfigSpace, start_cell, goal_cell,
     if not cs.is_free(start) or not cs.is_free(goal):
         return None
     occ = cs.occ_bytes
-    csz = tuple(float(v) for v in world.cell_sizes)
-    steps = _astar_steps(ny, nz, *csz)
-    # h = ((hx[x] + hy[y]) + hz[z]) ** 0.5, the Euclidean distance to the
-    # goal summed in the same order as its closed form
-    hx, hy, hz = ([(c * (i - g)) ** 2 for i in range(n)]
-                  for n, c, g in zip((nx, ny, nz), csz, goal))
+    steps = _astar_steps(ny, nz, *(float(v) for v in world.cell_sizes))
+    h = _lattice_distance(goal, steps)
     nyz = ny * nz
     xmax, ymax, zmax = nx - 1, ny - 1, nz - 1
     start_code = (start[0] * ny + start[1]) * nz + start[2]
@@ -548,8 +547,7 @@ def astar_cells(cs: ConfigSpace, start_cell, goal_cell,
     # no relaxation reopens it and its stale heap entries never match
     g_best = {start_code: 0.0}
     parent = {start_code: None}
-    heap = [((hx[start[0]] + hy[start[1]] + hz[start[2]]) ** 0.5, 0.0,
-             start_code)]
+    heap = [(h(*start), 0.0, start_code)]
     pop, push, get = heapq.heappop, heapq.heappush, g_best.get
     inf = math.inf
     n = 0
@@ -579,8 +577,7 @@ def astar_cells(cs: ConfigSpace, start_cell, goal_cell,
                 if ng < get(nc, inf):
                     g_best[nc] = ng
                     parent[nc] = code
-                    push(heap, (ng + (hx[x + dx] + hy[y + dy] + hz[z + dz])
-                                ** 0.5, ng, nc))
+                    push(heap, (ng + h(x + dx, y + dy, z + dz), ng, nc))
             continue
         for off, dx, dy, dz, sc in steps:
             xx = x + dx
@@ -595,8 +592,45 @@ def astar_cells(cs: ConfigSpace, start_cell, goal_cell,
             if ng < get(nc, inf):
                 g_best[nc] = ng
                 parent[nc] = code
-                push(heap, (ng + (hx[xx] + hy[yy] + hz[zz]) ** 0.5, ng, nc))
+                push(heap, (ng + h(xx, yy, zz), ng, nc))
     return None
+
+
+def _lattice_distance(goal, steps):
+    """h(x, y, z): the length of the shortest obstacle-free path of steps
+    (astar_cells' step table) from the cell to goal.
+
+    With the cell offsets sorted n_max >= n_mid >= n_min, the path takes
+    n_min three-axis steps, n_mid - n_min two-axis steps over the two
+    busiest axes and n_max - n_mid steps along the busiest axis. A step's
+    length sqrt(sum of c_i^2 over its axes) is submodular in that axis
+    set, so uncrossing turns any step multiset into this nested one at no
+    greater cost. Terms are summed in that order; on a tie the term whose
+    length is in doubt is 0.
+    """
+    length = {(dx * dx, dy * dy, dz * dz): sc for _, dx, dy, dz, sc in steps}
+    lx, ly, lz = length[1, 0, 0], length[0, 1, 0], length[0, 0, 1]
+    lxy, lxz, lyz = length[1, 1, 0], length[1, 0, 1], length[0, 1, 1]
+    l3 = length[1, 1, 1]
+    gx, gy, gz = goal
+
+    def h(x, y, z):
+        a = abs(x - gx)
+        b = abs(y - gy)
+        c = abs(z - gz)
+        if a >= b:
+            if b >= c:
+                return c * l3 + (b - c) * lxy + (a - b) * lx
+            if a >= c:
+                return b * l3 + (c - b) * lxz + (a - c) * lx
+            return b * l3 + (a - b) * lxz + (c - a) * lz
+        if a >= c:
+            return c * l3 + (a - c) * lxy + (b - a) * ly
+        if b >= c:
+            return a * l3 + (c - a) * lyz + (b - c) * ly
+        return a * l3 + (b - a) * lyz + (c - b) * lz
+
+    return h
 
 
 @lru_cache(maxsize=64)

@@ -104,6 +104,11 @@ def _stencil(cell_sizes: tuple, delta: float) -> np.ndarray:
         over = np.maximum(np.abs(g) - 0.5, 0.0) * c
         d2 += over * over
     stencil = d2 <= delta * delta + 1e-12
+    # trim the shell no offset reaches: reach is the centre index, and
+    # the array keeps the largest True offset per axis on both sides
+    far = [int(i.max()) for i in np.nonzero(stencil)]
+    stencil = stencil[tuple(slice(2 * r - f, f + 1)
+                            for r, f in zip(reach, far))]
     stencil.flags.writeable = False
     return stencil
 
@@ -255,7 +260,7 @@ def updated_config_space(prev: ConfigSpace, world: VoxelWorld,
 
     fresh holds the flat (C-order) grid indices of the newly occupied
     cells, which lie in x-rows [lo, hi). The stencil reaches at most rx
-    rows along x (half its array's x-size, so 1 at delta 0), so only rows
+    rows along x (half its array's x-size, so 0 at delta 0), so only rows
     [lo - rx, hi + rx) can change, and each of them reads only occupancy
     rows [lo - 2 rx, hi + 2 rx): _inflate over that slab, clipped to the
     grid, gives them exactly as a full rebuild does. The previous space

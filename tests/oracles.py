@@ -429,14 +429,34 @@ def all_axis_patterns(k):
     return list(product((-1, 0, 1), repeat=k))
 
 
+def _steps26(cell_sizes):
+    """The 26 grid steps as (dx, dy, dz, length in m)."""
+    steps = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                if dx == dy == dz == 0:
+                    continue
+                cost = float(np.linalg.norm([dx * cell_sizes[0],
+                                             dy * cell_sizes[1],
+                                             dz * cell_sizes[2]]))
+                steps.append((dx, dy, dz, cost))
+    return steps
+
+
 def astar_cells(cs, start_cell, goal_cell,
                 max_expansions: int = 2_000_000):
     """Textbook A* over free cells, 26-connected: the reference for
     search.astar_cells.
 
-    Euclidean step costs in meters; heap entries (f, g, code, cell) break
-    ties on the cell code, and a closed set skips settled cells. Returns
-    the cell path as an (n, 3) array or None.
+    Euclidean step costs in meters. The heuristic is the cost of the
+    cheapest obstacle-free path: with the axes ranked by their cell
+    offset to the goal (busiest first), it climbs the chain of steps
+    over all three axes, over the first two and over the first alone,
+    each as often as the offsets allow, summed in that order. Heap
+    entries (f, g, code, cell) break ties on the cell code, and a closed
+    set skips settled cells. Returns the cell path as an (n, 3) array or
+    None.
     """
     world = cs.world
     dims = world.dims
@@ -445,23 +465,18 @@ def astar_cells(cs, start_cell, goal_cell,
     goal = tuple(int(v) for v in goal_cell)
     if not cs.is_free(start) or not cs.is_free(goal):
         return None
-    csz = world.cell_sizes
     occ = cs.occ_bytes
-    steps = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if dx == dy == dz == 0:
-                    continue
-                cost = float(np.linalg.norm([dx * csz[0], dy * csz[1],
-                                             dz * csz[2]]))
-                steps.append((dx, dy, dz, cost))
-    cx, cy, cz = (float(v) for v in csz)
-    gx, gy, gz = goal
+    steps = _steps26(world.cell_sizes)
+    # the length of a unit step along a set of axes
+    unit = {frozenset(i for i, d in enumerate((dx, dy, dz)) if d): cost
+            for dx, dy, dz, cost in steps}
 
     def h(x, y, z):
-        return ((cx * (x - gx)) ** 2 + (cy * (y - gy)) ** 2
-                + (cz * (z - gz)) ** 2) ** 0.5
+        n = [abs(x - goal[0]), abs(y - goal[1]), abs(z - goal[2])]
+        busy = sorted(range(3), key=lambda i: -n[i])
+        return (n[busy[2]] * unit[frozenset(busy)]
+                + (n[busy[1]] - n[busy[2]]) * unit[frozenset(busy[:2])]
+                + (n[busy[0]] - n[busy[1]]) * unit[frozenset(busy[:1])])
 
     start_code = (start[0] * ny + start[1]) * nz + start[2]
     goal_code = (goal[0] * ny + goal[1]) * nz + goal[2]
@@ -500,6 +515,37 @@ def astar_cells(cs, start_cell, goal_cell,
                 parent[ncode] = code
                 heapq.heappush(heap, (ng + h(xx, yy, zz), ng, ncode,
                                       (xx, yy, zz)))
+    return None
+
+
+def dijkstra_cost(cs, start_cell, goal_cell):
+    """Shortest 26-connected path length in meters over free cells, by
+    plain Dijkstra (no heuristic), or None when the goal is unreachable
+    or either end is not free."""
+    occ = cs.occ_inflated
+    dims = occ.shape
+    start = tuple(int(v) for v in start_cell)
+    goal = tuple(int(v) for v in goal_cell)
+    if occ[start] or occ[goal]:
+        return None
+    steps = _steps26(cs.world.cell_sizes)
+    dist = {start: 0.0}
+    done = set()
+    heap = [(0.0, start)]
+    while heap:
+        d, cell = heapq.heappop(heap)
+        if cell in done:
+            continue
+        if cell == goal:
+            return d
+        done.add(cell)
+        for dx, dy, dz, sc in steps:
+            nb = (cell[0] + dx, cell[1] + dy, cell[2] + dz)
+            if not all(0 <= c < n for c, n in zip(nb, dims)) or occ[nb]:
+                continue
+            if d + sc < dist.get(nb, np.inf):
+                dist[nb] = d + sc
+                heapq.heappush(heap, (d + sc, nb))
     return None
 
 

@@ -817,11 +817,10 @@ class TestAstar:
             assert np.array_equal(got, ref), (start, goal, max_expansions)
         return ref
 
-    def test_matches_reference_on_random_worlds(self):
-        # anisotropic cells, ends on faces, edges and corners, interior
-        # ends, and small expansion budgets
-        rng = np.random.default_rng(29)
-        found = none = 0
+    @staticmethod
+    def _random_queries(rng):
+        """(cs, start, goal) on 30 random worlds: anisotropic cells, ends
+        on faces, edges and corners, and interior ends."""
         for _ in range(30):
             dims = rng.integers(1, 10, size=3)
             occ = rng.random(tuple(dims)) < rng.uniform(0.0, 0.3)
@@ -840,31 +839,26 @@ class TestAstar:
                 if corners and rng.random() < 0.5:
                     ends[rng.integers(2)] = corners[rng.integers(len(corners))]
                 start, goal = (tuple(int(v) for v in e) for e in ends)
-                for budget in (2_000_000, 1, 2, int(rng.integers(3, 40))):
-                    ref = self._same_as_reference(cs, start, goal, budget)
-                    found += ref is not None
-                    none += ref is None
-        assert found > 100 and none > 100
+                yield cs, start, goal
 
-    def test_matches_reference_when_goal_walled_off(self):
-        # a shell of obstacles around the goal: the search drains the
-        # start's component and returns None, exactly like the reference
+    @staticmethod
+    def _walled_goal_spaces():
+        """A shell of obstacles around the goal (6, 5, 2), closed and then
+        opened on a face, with the starts tried on each."""
         occ = np.zeros((10, 9, 6), dtype=bool)
         occ[5:8, 4:7, 1:4] = True
         occ[6, 5, 2] = False
         w = wd.VoxelWorld(np.array(occ.shape), np.array([0.2, 0.3, 0.25]),
                           np.zeros(3), occ)
-        cs = wd.build_config_space(w, 0.0)
-        for start in ((0, 0, 0), (9, 8, 5), (0, 4, 3), (4, 4, 2)):
-            assert self._same_as_reference(cs, start, (6, 5, 2)) is None
-            assert self._same_as_reference(cs, (6, 5, 2), start) is None
-        # with the shell opened on a face, both find the same path
+        closed = wd.build_config_space(w, 0.0)
+        occ = occ.copy()
         occ[7, 5, 2] = False
-        cs = wd.build_config_space(w.with_occ(occ), 0.0)
-        for start in ((0, 0, 0), (9, 8, 5), (9, 5, 2)):
-            assert self._same_as_reference(cs, start, (6, 5, 2)) is not None
+        opened = wd.build_config_space(w.with_occ(occ), 0.0)
+        return ((closed, ((0, 0, 0), (9, 8, 5), (0, 4, 3), (4, 4, 2))),
+                (opened, ((0, 0, 0), (9, 8, 5), (9, 5, 2))))
 
-    def test_matches_reference_on_inflated_maps(self):
+    @staticmethod
+    def _pillar_queries():
         w = wd.generate(wd.MapGenSpec(kind="pillars", extent=(8, 8, 2),
                                       cell_sizes=(0.25, 0.25, 0.4),
                                       density=0.3, seed=1))
@@ -874,8 +868,98 @@ class TestAstar:
         for _ in range(12):
             start, goal = (tuple(int(v) for v in free[rng.integers(len(free))])
                            for _ in range(2))
+            yield cs, start, goal
+
+    def test_matches_reference_on_random_worlds(self):
+        # every query also under small expansion budgets
+        rng = np.random.default_rng(29)
+        found = none = 0
+        for cs, start, goal in self._random_queries(rng):
+            for budget in (2_000_000, 1, 2, int(rng.integers(3, 40))):
+                ref = self._same_as_reference(cs, start, goal, budget)
+                found += ref is not None
+                none += ref is None
+        assert found > 100 and none > 100
+
+    def test_matches_reference_when_goal_walled_off(self):
+        # with the shell closed the search drains the start's component
+        # and returns None, exactly like the reference; with it opened on
+        # a face, both find the same path
+        (closed, starts), (opened, open_starts) = self._walled_goal_spaces()
+        for start in starts:
+            assert self._same_as_reference(closed, start, (6, 5, 2)) is None
+            assert self._same_as_reference(closed, (6, 5, 2), start) is None
+        for start in open_starts:
+            assert self._same_as_reference(opened, start,
+                                           (6, 5, 2)) is not None
+
+    def test_matches_reference_on_inflated_maps(self):
+        for cs, start, goal in self._pillar_queries():
             self._same_as_reference(cs, start, goal)
             self._same_as_reference(cs, start, goal, 25)
+
+    def test_optimal_against_dijkstra(self):
+        # judged without any heuristic: None exactly when plain Dijkstra
+        # cannot reach the goal, else a free 26-connected path as long as
+        # Dijkstra's shortest
+        queries = list(self._random_queries(np.random.default_rng(29)))
+        for cs, starts in self._walled_goal_spaces():
+            queries += [(cs, s, (6, 5, 2)) for s in starts]
+            queries += [(cs, (6, 5, 2), s) for s in starts]
+        queries += list(self._pillar_queries())
+        found = none = 0
+        for cs, start, goal in queries:
+            path = se.astar_cells(cs, start, goal)
+            best = oracles.dijkstra_cost(cs, start, goal)
+            if best is None:
+                assert path is None, (start, goal)
+                none += 1
+                continue
+            assert path is not None, (start, goal)
+            assert tuple(path[0]) == start and tuple(path[-1]) == goal
+            assert cs.cells_free(path).all()
+            steps = np.diff(path, axis=0)
+            assert (np.abs(steps).max(axis=1, initial=1) == 1).all()
+            length = float(np.linalg.norm(steps * cs.world.cell_sizes,
+                                          axis=1).sum())
+            assert abs(length - best) <= 1e-12 * (1.0 + best), (start, goal)
+            found += 1
+        assert found > 200 and none > 5
+
+    def test_heuristic_is_exact_in_free_space_and_consistent(self):
+        # on empty anisotropic grids h is the Dijkstra distance to the
+        # goal from every cell, no edge breaks consistency, and A* from
+        # every cell returns a path of exactly that length
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            dims = tuple(int(v) for v in rng.integers(2, 6, size=3))
+            w = wd.VoxelWorld(np.array(dims), rng.uniform(0.1, 0.4, size=3),
+                              np.zeros(3), np.zeros(dims, dtype=bool))
+            cs = wd.build_config_space(w, 0.0)
+            goal = tuple(int(rng.integers(n)) for n in dims)
+            steps = se._astar_steps(dims[1], dims[2],
+                                    *(float(c) for c in w.cell_sizes))
+            h = se._lattice_distance(goal, steps)
+            for cell in np.ndindex(dims):
+                dist = oracles.dijkstra_cost(cs, cell, goal)
+                assert abs(h(*cell) - dist) <= 1e-12 * (1.0 + dist)
+                path = se.astar_cells(cs, cell, goal)
+                length = float(np.linalg.norm(
+                    np.diff(path, axis=0) * w.cell_sizes, axis=1).sum())
+                assert abs(length - dist) <= 1e-12 * (1.0 + dist)
+                for _, dx, dy, dz, sc in steps:
+                    nb = (cell[0] + dx, cell[1] + dy, cell[2] + dz)
+                    if all(0 <= c < n for c, n in zip(nb, dims)):
+                        assert h(*cell) <= sc + h(*nb) + 1e-12
+
+    def test_open_grid_needs_few_expansions(self):
+        # the Euclidean heuristic needed 3,019 expansions for this query;
+        # the lattice distance leaves only ties off the path to settle
+        w = wd.VoxelWorld(np.array([30, 30, 10]), np.array([0.2, 0.25, 0.4]),
+                          np.zeros(3), np.zeros((30, 30, 10), dtype=bool))
+        cs = wd.build_config_space(w, 0.0)
+        path = se.astar_cells(cs, (0, 0, 0), (29, 20, 9), max_expansions=200)
+        assert path is not None and len(path) == 30
 
     def test_query_work_does_not_scale_with_grid(self):
         # a 10-cell path on a 2.7M-cell grid allocates what its nodes

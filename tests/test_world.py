@@ -334,6 +334,34 @@ def test_inflation_stencil_is_shared_and_read_only():
     assert a[2, 2, 2] and not a[0, 0, 0]
 
 
+def test_inflation_stencil_has_no_empty_shell():
+    # every face of the stencil array holds a reached offset, over
+    # anisotropic cells, delta 0, an exact boundary (0.3 m is 1.5 cells
+    # of 0.2 m) and random radii; config spaces still equal a rebuild
+    rng = np.random.default_rng(23)
+    cases = [((0.2, 0.2, 0.2), 0.0), ((0.2, 0.2, 0.2), 0.3),
+             ((0.2, 0.25, 0.4), 0.3), ((0.1, 0.4, 0.2), 0.0)]
+    cases += [(tuple(float(c) for c in rng.uniform(0.1, 0.4, size=3)),
+               float(rng.uniform(0.0, 1.0))) for _ in range(20)]
+    for cells, delta in cases:
+        st = wd._stencil(cells, delta)
+        assert all(n % 2 == 1 for n in st.shape)
+        for axis in range(3):
+            assert np.take(st, 0, axis).any() and np.take(st, -1, axis).any()
+        assert np.array_equal(st, st[::-1, ::-1, ::-1])
+        assert st[tuple(n // 2 for n in st.shape)]
+    assert wd._stencil((0.2, 0.2, 0.2), 0.0).shape == (1, 1, 1)
+    assert wd._stencil((0.2, 0.2, 0.2), 0.3).shape == (5, 5, 5)
+    assert wd._stencil((0.2, 0.2, 0.2), 0.22032592898698794).shape == (3, 3, 3)
+    for cells, delta in cases[:8]:
+        w = small_random_world(seed=11, dims=(12, 10, 8), cells=cells)
+        base = w.with_occ(w.occ & (np.arange(12) != 5)[:, None, None])
+        cs1 = wd.updated_config_space(wd.build_config_space(base, delta), w,
+                                      np.flatnonzero(w.occ & ~base.occ))
+        ref = wd.build_config_space(w, delta)
+        assert np.array_equal(cs1.occ_inflated, ref.occ_inflated)
+
+
 def test_updated_config_space_inflates_only_the_changed_slab(monkeypatch):
     # fresh cells in x-rows 12-14 of 30: the update runs _inflate once, on
     # their rows and the 2 rx rows the stencil reads on each side
