@@ -56,24 +56,35 @@ def _vec(text) -> np.ndarray:
 
 
 _POSITIVE = ("dt", "sample_step", "max_time", "goal_sep", "vmax", "amax",
-             "budget_ms", "sense", "local_range", "cell", "cell_y", "cell_z")
+             "budget_ms", "sense", "local_range", "cell", "cell_y", "cell_z",
+             "noise_freq")
 _NONNEGATIVE = ("lam", "body_radius", "max_goals", "density")
+_FINITE = ("noise_threshold",)
 
 
 def _check_args(args) -> None:
     """Parse the vector settings in place and reject numeric settings out
-    of range (not finite, or not positive, or negative), once flags and
-    config file are merged."""
+    of range (not finite, or not positive, or negative, or a spline degree
+    or cost order the planner cannot use), once flags and config file are
+    merged."""
     for name in ("start", "start_vel", "goal"):
         if getattr(args, name, None) is not None:
             setattr(args, name, _vec(getattr(args, name)))
-    for names, ok, what in ((_POSITIVE, lambda v: v > 0, "positive"),
-                            (_NONNEGATIVE, lambda v: v >= 0, "nonnegative")):
+    for names, ok, what in (
+            (_POSITIVE, lambda v: v > 0, "positive and finite"),
+            (_NONNEGATIVE, lambda v: v >= 0, "nonnegative and finite"),
+            (_FINITE, lambda v: True, "finite")):
         for name in names:
             v = getattr(args, name, None)
             if v is not None and not (math.isfinite(v) and ok(v)):
                 flag = "--" + name.replace("_", "-")
-                raise ValueError(f"{flag} must be {what} and finite, got {v}")
+                raise ValueError(f"{flag} must be {what}, got {v}")
+    order = getattr(args, "order", None)
+    if order is not None and not 1 <= order <= DEGREE:
+        raise ValueError(f"--order must lie in 1..{DEGREE}, got {order}")
+    degree = getattr(args, "degree", None)
+    if degree is not None and degree < 1:
+        raise ValueError(f"--degree must be at least 1, got {degree}")
     for name in ("extent", "footprint"):
         v = getattr(args, name, None)
         if v is not None and not all(math.isfinite(x) and x > 0 for x in v):

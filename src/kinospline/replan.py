@@ -56,7 +56,7 @@ class PlanWindow:
     array and tied to it by identity.
     """
 
-    def __init__(self, k: int, dt: float, points, bounds=None):
+    def __init__(self, k: int, dt: float, points, bounds):
         points = np.asarray(points, dtype=float)
         if points.shape[0] < k + 1:
             raise ValueError("window needs at least k+1 points")
@@ -145,35 +145,34 @@ class PlanWindow:
             raise ValueError("tail does not preserve the seam tuple")
         self.cps = np.vstack([self.cps[:seam], tail_points])
 
-    def brake_at(self, seam: int, cs_free=None) -> bool:
+    def brake_at(self, seam: int, cs_free) -> bool:
         """Cut the plan at the earliest feasible seam and stop there.
 
         Tries seams from the given index forward, splicing a tail of the
         seam tuple followed by k+1 copies of its last point whenever the
-        resulting spans stay dynamically feasible. When a configuration
-        space is given, stop points whose cell stays free in it are
-        preferred, so the hover does not strand inside the inflated set.
+        resulting spans stay dynamically feasible. Stop points whose cell
+        is free in the configuration space cs_free are preferred, so the
+        hover does not strand inside the inflated set.
         """
         k = self.k
         seams = [s for s in range(max(seam, self.exec_span + 1), self.n_spans)
                  if s + k + 1 <= self.cps.shape[0]]
+        if not seams:
+            return False
         tails = [np.vstack([self.cps[s:s + k + 1],
                             np.tile(self.cps[s + k], (k + 1, 1))])
                  for s in seams]
-        ok = [True] * len(seams)
-        if self.bounds is not None and seams:
-            spans = np.concatenate([span_stack(t, k) for t in tails])
-            ok = check_feasible(spans, self.bounds, self.dt).reshape(
-                len(seams), -1).all(axis=1)
+        spans = np.concatenate([span_stack(t, k) for t in tails])
+        ok = check_feasible(spans, self.bounds, self.dt).reshape(
+            len(seams), -1).all(axis=1)
         candidates = [(s, t) for s, t, good in zip(seams, tails, ok) if good]
         if not candidates:
             return False
-        if cs_free is not None:
-            for s, tail in candidates:
-                cell = cs_free.world.point_to_cell(tail[-1])
-                if cs_free.world.in_bounds(cell) and cs_free.is_free(cell):
-                    self.splice(s, tail)
-                    return True
+        for s, tail in candidates:
+            cell = cs_free.world.point_to_cell(tail[-1])
+            if cs_free.world.in_bounds(cell) and cs_free.is_free(cell):
+                self.splice(s, tail)
+                return True
         self.splice(*candidates[0])
         return True
 
@@ -181,11 +180,10 @@ class PlanWindow:
         """Append k+1 copies of the last point; False when infeasible."""
         last = self.cps[-1]
         ext = np.vstack([self.cps, np.tile(last, (self.k + 1, 1))])
-        if self.bounds is not None:
-            j0 = max(ext.shape[0] - 2 * (self.k + 1), 0)
-            if not check_feasible(span_stack(ext[j0:], self.k), self.bounds,
-                                  self.dt).all():
-                return False
+        j0 = max(ext.shape[0] - 2 * (self.k + 1), 0)
+        if not check_feasible(span_stack(ext[j0:], self.k), self.bounds,
+                              self.dt).all():
+            return False
         self.cps = ext
         return True
 
@@ -238,9 +236,6 @@ def match_boundary(window: PlanWindow, grid: world.VoxelWorld, cs_bk):
         tup = search.snap_tuple(line, grid, window.dt, cs_bk, None)
         if tup is None:
             tup = search.snap_tuple(line, grid, window.dt, None, None)
-    if tup is None:
-        # last resort after a hard stop inside the inflated set
-        tup = search.snap_tuple(refs, grid, window.dt, None, None)
     return seam, tup
 
 
@@ -292,7 +287,6 @@ class KnownMap:
         self._dx = float(true_world.cell_sizes[0])
         self._nx = int(true_world.dims[0])
         self._x_stride = int(true_world.dims[1] * true_world.dims[2])
-        self.version = 0
         self._fresh = []         # revealed since C_bk and C_elas were updated
         self._fresh_body = []    # revealed since the body space was updated
         self._cs_bk = None
@@ -321,7 +315,7 @@ class KnownMap:
     def reveal(self, position, radius: float) -> int:
         """Merge true occupancy within radius of position; returns new cells.
 
-        Cells already known (say, given as prior knowledge) never count.
+        Cells already known never count.
         """
         if radius <= 0:
             return 0
@@ -338,7 +332,6 @@ class KnownMap:
             self._fresh.append(idx)
             if self.contract.body_radius > 0:
                 self._fresh_body.append(idx)
-            self.version += 1
         return int(idx.size)
 
     def _known_world(self) -> world.VoxelWorld:
@@ -406,7 +399,7 @@ class Replanner:
     """The per-step state machine driving window, agent and map."""
 
     def __init__(self, true_world: world.VoxelWorld, start_position,
-                 global_goal, settings: ReplanSettings, prior_known=None):
+                 global_goal, settings: ReplanSettings):
         self.world = true_world
         self.s = settings
         self.goal = np.asarray(global_goal, dtype=float)
@@ -417,8 +410,6 @@ class Replanner:
                                  bounds=settings.bounds)
         self.time_offset = 0.0
         self.map = KnownMap(true_world, settings.contract)
-        if prior_known is not None:
-            self.map.known |= prior_known
         self.agent = SimAgent.from_window(self.window, settings.sense_radius)
         self.events = []
         self.replans = 0
@@ -504,7 +495,6 @@ class Replanner:
 
         Searches the crop box around seam and goal; when that yields no
         usable progress, retries on the whole grid with a larger budget.
-        None when an endpoint is out of the search's reach.
         """
         lo = np.minimum(tup.cells.min(axis=0), goal_cell)
         hi = np.maximum(tup.cells.max(axis=0), goal_cell)
@@ -517,18 +507,15 @@ class Replanner:
                                max_expansions=self.s.search_expansions,
                                max_wall_ms=self.s.search_wall_ms,
                                region=region, allow_occupied_start=True)
-        try:
-            res = search.search(q, cs_bk, best_effort=True)
-            if self._poor_progress(res, tup):
-                # detours can leave the cropped box, and pockets behind
-                # obstacles need a much deeper flood under aggregation
-                res = search.search(
-                    replace(q, region=None,
-                            max_expansions=6 * q.max_expansions,
-                            max_wall_ms=16.0 * q.max_wall_ms),
-                    cs_bk, best_effort=True)
-        except ValueError:
-            return None
+        res = search.search(q, cs_bk, best_effort=True)
+        if self._poor_progress(res, tup):
+            # detours can leave the cropped box, and pockets behind
+            # obstacles need a much deeper flood under aggregation
+            res = search.search(
+                replace(q, region=None,
+                        max_expansions=6 * q.max_expansions,
+                        max_wall_ms=16.0 * q.max_wall_ms),
+                cs_bk, best_effort=True)
         return res
 
     def _plan(self, cs_bk, cs_elas) -> bool:
@@ -561,13 +548,8 @@ class Replanner:
         else:
             res = self._search(cs_bk, tup, goal_cell, goal_tup)
             self.search_time.append(time.perf_counter() - t0)
-            if res is None:
-                self._event("search_fail", planner="tuple", reason="endpoint",
-                            budget=None)
-                return False
             budget = res.budget
-            if res.status not in ("success", "partial") \
-                    or self._poor_progress(res, tup):
+            if self._poor_progress(res, tup):
                 self._event("search_fail", planner="tuple", reason=res.status,
                             budget=budget)
                 return False

@@ -157,7 +157,6 @@ class SearchQuery:
     d: int = 1
     max_expansions: int = 500_000
     max_wall_ms: float = 500.0
-    use_heuristic: bool = True
     region: tuple = None            # optional (lo_cell, hi_cell) crop box
     allow_occupied_start: bool = False  # treat the start as a seed: it may
                                         # sit inside the inflated set or
@@ -182,7 +181,6 @@ class SearchResult:
     expanded: int = 0
     open_peak: int = 0
     wall_time: float = 0.0
-    closed_codes: frozenset = None
     budget: str = None              # "expansions" or "wall" when that
                                     # budget ended the loop, else None
 
@@ -200,14 +198,14 @@ def _validate_endpoint(t: VertexTuple, cs: ConfigSpace, tables, name):
         raise ValueError(f"{name} tuple violates derivative bounds")
 
 
-def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
-           best_effort: bool = False, _exhaust: bool = False) -> SearchResult:
+def search(q: SearchQuery, cs: ConfigSpace,
+           best_effort: bool = False) -> SearchResult:
     """Best-first search over aggregated vertex tuples.
 
     Pops are ordered by (f, g, key); on equal cost the representative with
     the lexicographically smallest full tuple key wins, which makes the
-    result independent of heap insertion order and keeps heuristic-on and
-    heuristic-off runs cost-identical. A node closes on first pop (the
+    result independent of heap insertion order and its cost equal to that
+    of the same search without the heuristic. A node closes on first pop (the
     heuristic is consistent). Returns status success, no-path, or
     budget-exceeded. Under best_effort, a search that does not reach the
     goal returns partial instead, with the path to the closed node whose
@@ -250,17 +248,14 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     memo_x, memo_y, memo_z = ex.memo
     occ = ex.occ
     sc = ex.step_cost
-    hs = lam * dt if q.use_heuristic else 0.0
 
     start_cost = tuple_cost(q.start, lam, l, dt)
     start_full = tuple(int(c) for c in cell_code(q.start.cells, dims))
     goal_full = tuple(int(c) for c in cell_code(q.goal.cells, dims))
     start_key = start_full[-1] if d == 1 else start_full[-d:]
     goal_key = goal_full[-1] if d == 1 else goal_full[-d:]
-    if _exhaust:
-        goal_key = object()  # matches nothing; drain the open set
 
-    h0 = hs * int(np.max(np.abs(q.start.last_cell - q.goal.last_cell)))
+    h0 = sc * int(np.max(np.abs(q.start.last_cell - q.goal.last_cell)))
     # visited: key -> [g, last code, parent key, closed, axis patterns,
     #                  full codes (None until the node closes)]
     visited = {start_key: [start_cost, start_full[-1], None, False,
@@ -330,7 +325,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
                         ng = g + (sc + (txy + tz))
                         visited[child_key] = [ng, code, key, False,
                                               (px, py, pz), None]
-                        push(heap, (ng + hs * (hxy if hxy > hz else hz), ng,
+                        push(heap, (ng + sc * (hxy if hxy > hz else hz), ng,
                                     child_key))
                     elif not entry[3]:
                         ng = g + (sc + (txy + tz))
@@ -338,7 +333,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
                             entry[0] = ng
                             entry[2] = key
                             entry[4] = (px, py, pz)
-                            push(heap, (ng + hs * (hxy if hxy > hz else hz),
+                            push(heap, (ng + sc * (hxy if hxy > hz else hz),
                                         ng, child_key))
                         elif (ng == entry[0] and full[1:] + (code,)
                               < visited[entry[2]][5][1:] + (code,)):
@@ -348,9 +343,6 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
             open_peak = len(heap)
 
     wall = time.perf_counter() - t0
-    closed = None
-    if collect_closed:
-        closed = frozenset(visited[key][1] for key in closed_keys)
     end_key = goal_key
     if status != "success":
         if best_effort:
@@ -372,7 +364,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
         if status in ("no-path", "budget-exceeded"):
             return SearchResult(status=status, expanded=expanded,
                                 open_peak=open_peak, wall_time=wall,
-                                closed_codes=closed, budget=budget)
+                                budget=budget)
 
     append_codes = []
     key = end_key
@@ -391,29 +383,7 @@ def search(q: SearchQuery, cs: ConfigSpace, collect_closed: bool = False,
     return SearchResult(status=status, cells=cells, positions=positions,
                         cost=float(total), effort=float(effort),
                         expanded=expanded, open_peak=open_peak, wall_time=wall,
-                        closed_codes=closed, budget=budget)
-
-
-def explore_reachable(start: VertexTuple, cs: ConfigSpace,
-                      bounds: DerivativeBounds, dt: float, lam: float,
-                      order: int, d: int = 1,
-                      max_expansions: int = 2_000_000) -> frozenset:
-    """Cell codes of every aggregated node reachable from the start.
-
-    Runs the zero-heuristic search to exhaustion against an unmatchable
-    goal key, which is exactly the graph the search is complete over.
-    Raises RuntimeError when max_expansions ends the flood first, since
-    the closed set is then only part of the reachable one.
-    """
-    q = SearchQuery(start=start, goal=start, dt=dt, lam=lam, order=order,
-                    bounds=bounds, d=d, use_heuristic=False,
-                    max_expansions=max_expansions, max_wall_ms=1e9)
-    res = search(q, cs, collect_closed=True, _exhaust=True)
-    if res.status == "budget-exceeded":
-        raise RuntimeError(f"the {res.budget} budget (max_expansions="
-                           f"{max_expansions}) ended the flood before it "
-                           "drained")
-    return res.closed_codes
+                        budget=budget)
 
 
 def snap_tuple(ref_points, world, dt: float, cs: ConfigSpace = None,

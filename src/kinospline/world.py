@@ -197,11 +197,8 @@ def build_config_space(world: VoxelWorld, delta: float) -> ConfigSpace:
     built by separating the stencil into centered x-runs (_inflate)."""
     if delta < 0:
         raise ValueError("inflation radius must be >= 0")
-    if delta == 0:
-        inflated = world.occ.copy()
-    else:
-        inflated = _inflate(world.occ, world.cell_sizes, delta)
-    return _finish_config_space(world, delta, inflated)
+    return _finish_config_space(
+        world, delta, _inflate(world.occ, world.cell_sizes, delta))
 
 
 def _inflate(occ, cell_sizes, delta: float) -> np.ndarray:
@@ -321,6 +318,10 @@ class MapGenSpec:
                              "finite")
         if not all(f > 0 for f in self.footprint):
             raise ValueError("footprint sizes must be positive")
+        if not (math.isfinite(self.noise_freq) and self.noise_freq > 0):
+            raise ValueError("noise_freq must be positive and finite")
+        if not math.isfinite(self.noise_threshold):
+            raise ValueError("noise_threshold must be finite")
 
 
 def generate(spec: MapGenSpec) -> VoxelWorld:

@@ -248,7 +248,7 @@ def aggregated_dijkstra(graph, start, start_cost, goal_codes, d):
 
 
 def tuple_search(q, cs, collect_closed=False, best_effort=False,
-                 exhaust=False):
+                 exhaust=False, use_heuristic=True):
     """Best-first search over aggregated vertex tuples: the reference for
     search.search, as a dict of its result fields (wall_time left out).
 
@@ -260,7 +260,8 @@ def tuple_search(q, cs, collect_closed=False, best_effort=False,
     entries and its Chebyshev cell distance to the goal. Heap entries,
     tie rules, budgets and the best-effort pick follow search.search's
     docstring; exhaust drains the open set against a goal key that
-    matches nothing. The endpoints are not validated.
+    matches nothing, and use_heuristic=False orders the heap by g alone
+    (f = g). The endpoints are not validated.
     """
     world = cs.world
     dims = [int(v) for v in world.dims]
@@ -279,7 +280,7 @@ def tuple_search(q, cs, collect_closed=False, best_effort=False,
     goal = [int(v) for v in q.goal.cells[-1]]
     occ = cs.occ_bytes
     sc = lam * dt
-    hs = lam * dt if q.use_heuristic else 0.0
+    hs = lam * dt if use_heuristic else 0.0
 
     def options(a, c0, wcode):
         out = []

@@ -17,7 +17,6 @@ from kinospline import replan as rp
 from kinospline import search as se
 from kinospline import splines as sp
 from kinospline import world as wd
-from kinospline.kernels import collision_scan
 
 import oracles
 
@@ -32,11 +31,10 @@ def free_occf(w):
 
 def spline_clear_and_feasible(spline, w, bounds, step=0.02):
     _, (P, V, A) = spline.sample_orders(step, (0, 1, 2))
-    hit = collision_scan(np.ascontiguousarray(P), free_occf(w), w.dims,
-                         w.origin, w.cell_sizes)
+    hit = wd.occupied(P, free_occf(w), w.dims, w.origin, w.cell_sizes).any()
     ok_v = np.all(np.abs(V) <= np.asarray(bounds.v_max) + 1e-6)
     ok_a = np.all(np.abs(A) <= np.asarray(bounds.a_max) + 1e-6)
-    return hit < 0 and ok_v and ok_a
+    return not hit and ok_v and ok_a
 
 
 def test_criterion_1_inflation_certificate():
@@ -87,21 +85,19 @@ def test_criterion_3_search_optimality_oracle():
         for d in (1, 2):
             ref_cost, _ = oracles.aggregated_dijkstra(graph, s0, start_cost,
                                                       goal_codes, d)
-            costs = {}
-            for use_h in (True, False):
-                q = se.SearchQuery(start=start, goal=goal, dt=dt, lam=lam,
-                                   order=2, bounds=wide, d=d,
-                                   use_heuristic=use_h,
-                                   max_expansions=10**6, max_wall_ms=60000)
-                res = se.search(q, cs)
-                assert res.ok and ref_cost is not None
-                costs[use_h] = res.cost
-                assert abs(res.cost - ref_cost) <= 1e-9
-            assert costs[True] == costs[False]
+            q = se.SearchQuery(start=start, goal=goal, dt=dt, lam=lam,
+                               order=2, bounds=wide, d=d,
+                               max_expansions=10**6, max_wall_ms=60000)
+            res = se.search(q, cs)
+            assert res.ok and ref_cost is not None
+            assert abs(res.cost - ref_cost) <= 1e-9
+            off = oracles.tuple_search(q, cs, use_heuristic=False)
+            assert off["status"] == "success" and res.cost == off["cost"]
         checked += 1
     assert checked >= 50
     report(3, f"search equals the aggregated-graph Dijkstra oracle on "
-              f"{checked} random worlds (d=1,2), heuristic on/off identical")
+              f"{checked} random worlds (d=1,2), and the unguided reference "
+              "search's cost exactly")
 
 
 def _field51():
@@ -129,8 +125,15 @@ def test_criterion_4_realtime_goal_sweep():
         w, dt, cs_bk, bounds)
     assert start is not None
 
-    # reachable = goal keys the aggregated search is complete over
-    reach_codes = se.explore_reachable(start, cs_bk, bounds, dt, lam, order)
+    # reachable = goal keys the aggregated search is complete over: the
+    # reference search's unguided flood, drained
+    flood = oracles.tuple_search(
+        se.SearchQuery(start=start, goal=start, dt=dt, lam=lam, order=order,
+                       bounds=bounds, d=1, max_expansions=2_000_000,
+                       max_wall_ms=1e9),
+        cs_bk, collect_closed=True, exhaust=True, use_heuristic=False)
+    assert flood["status"] == "no-path"
+    reach_codes = flood["closed_codes"]
     goals = []
     for gx in np.arange(0.7, 10.0, 0.7):
         for gy in np.arange(0.7, 10.0, 0.7):
@@ -365,7 +368,8 @@ def test_criterion_8_local_control_and_seam_continuity():
     for _ in range(1000):
         n = rng.integers(18, 32)
         cps = np.cumsum(rng.uniform(-0.2, 0.25, size=(n, 3)), axis=0)
-        win = rp.PlanWindow(5, 0.17, cps)
+        win = rp.PlanWindow(5, 0.17, cps,
+                            sp.DerivativeBounds.symmetric(2.0, 4.7))
         win.clock = rng.uniform(0.0, (n - 14) * 0.17)
         j = win.exec_span
         before = sp.eval_span_many(win.cps[j:j + 6], us, 0, 0.17)
@@ -404,9 +408,9 @@ def test_criterion_9_ablation_ordering():
         sim = rp.Replanner(w, (1.0, 5.0, 1.2), (19.0, 5.0, 1.2), settings)
         traj = sim.run(max_time=180.0)
         assert sim.goal_reached, planner
-        hit = collision_scan(np.ascontiguousarray(traj[:, 1:4]), free_occf(w),
-                             w.dims, w.origin, w.cell_sizes)
-        assert hit < 0, planner
+        hit = wd.occupied(traj[:, 1:4], free_occf(w), w.dims, w.origin,
+                          w.cell_sizes).any()
+        assert not hit, planner
         jerk[planner] = sim.executed_spline().cost(3)
         cycle[planner] = float(np.mean(sim.search_time)
                                + np.mean(sim.opt_time)

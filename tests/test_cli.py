@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from kinospline import certify, cli, elastic, stats, world as wd
-from kinospline.kernels import collision_scan
 from kinospline.splines import DerivativeBounds, SplineDef
 
 
@@ -91,9 +90,8 @@ def test_plan_with_body_radius_verifies_against_dilated_map(monkeypatch):
     assert seen and all(np.array_equal(m.occ, body.occ_inflated)
                         for m in seen)
     _, (pos,) = spline.sample_orders(0.01, (0,))
-    assert collision_scan(np.ascontiguousarray(pos),
-                          body.occ_inflated.reshape(-1), w.dims,
-                          w.origin, w.cell_sizes) == -1
+    assert not wd.occupied(pos, body.occ_inflated.reshape(-1), w.dims,
+                           w.origin, w.cell_sizes).any()
 
 
 def test_plan_goal_inside_obstacle_exit_code(small_map, tmp_path):
@@ -283,6 +281,8 @@ def test_malformed_map_exits_1(tmp_path, capsys, body):
     ("replan", ["--local-range", "0"]),
     ("replan", ["--local-range", "-1"]),
     ("suite", ["--max-goals", "-1"]),
+    ("replan", ["--order", "0", "--max-time", "1"]),
+    ("replan", ["--order", "6", "--max-time", "1"]),
 ])
 def test_malformed_numbers_exit_1_before_any_work(small_map, tmp_path, capsys,
                                                   cmd, extra):
@@ -321,6 +321,9 @@ def test_malformed_sizes_exit_1_and_write_nothing(tmp_path, capsys, argv):
     (["--extent", "20", "5", "-2"], "--extent"),
     (["--density", "nan"], "--density"),
     (["--density", "inf"], "--density"),
+    (["--kind", "noise", "--noise-threshold", "nan"], "--noise-threshold"),
+    (["--kind", "noise", "--noise-freq", "nan"], "--noise-freq"),
+    (["--kind", "noise", "--noise-freq", "0"], "--noise-freq"),
 ])
 def test_genmap_non_finite_spec_names_the_flag(tmp_path, capsys, extra, flag):
     out = tmp_path / "out"
@@ -331,4 +334,16 @@ def test_genmap_non_finite_spec_names_the_flag(tmp_path, capsys, extra, flag):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err)["message"].startswith(flag + " must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_certify_bad_degree_names_the_flag(tmp_path, capsys, degree):
+    out = tmp_path / "out"
+    rc = cli.main(["certify", "--cell", "0.2", "--degree", degree,
+                   "-o", str(out)])
+    assert rc == cli.EXIT_OTHER
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["message"].startswith("--degree must")
     assert not out.exists()

@@ -4,7 +4,6 @@ import pytest
 from kinospline import elastic as el
 from kinospline import splines as sp
 from kinospline import world as wd
-from kinospline.kernels import collision_scan
 
 import oracles
 
@@ -215,7 +214,7 @@ def verify_span_by_span(points, k, dt, ball_map, tube_balls, w):
                for b in listed):
             continue
         samples = el._span_samples(span[None], dt, step)[0]
-        if collision_scan(samples, occ, w.dims, w.origin, w.cell_sizes) >= 0:
+        if wd.occupied(samples, occ, w.dims, w.origin, w.cell_sizes).any():
             bad.append(j)
     return bad
 
@@ -285,8 +284,8 @@ class TestRefine:
         # refined trajectory clear of raw obstacles by dense sampling
         _, (pos,) = res.spline.sample_orders(0.01, (0,))
         occf = np.ascontiguousarray(w.occ.reshape(-1).astype(np.uint8))
-        assert collision_scan(np.ascontiguousarray(pos), occf, w.dims,
-                              w.origin, w.cell_sizes) == -1
+        assert not wd.occupied(pos, occf, w.dims, w.origin,
+                               w.cell_sizes).any()
 
     def test_zero_velocity_bounds_infeasible(self):
         w = open_world()
@@ -364,8 +363,8 @@ class TestRefine:
         if res.ok:
             _, (pos,) = res.spline.sample_orders(0.01, (0,))
             occf = np.ascontiguousarray(w.occ.reshape(-1).astype(np.uint8))
-            assert collision_scan(np.ascontiguousarray(pos), occf, w.dims,
-                                  w.origin, w.cell_sizes) == -1
+            assert not wd.occupied(pos, occf, w.dims, w.origin,
+                                   w.cell_sizes).any()
             assert res.inserted <= 9 * len(cells)
 
 

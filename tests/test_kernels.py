@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinospline import kernels
+from kinospline import world as wd
 from kinospline.splines import _poly_extrema
 
 
@@ -62,13 +62,16 @@ def test_poly_extrema_all_zero_rows():
 
 
 def test_collision_scan_modes():
+    # the collision scan of sampled points is world.occupied: a flag per
+    # point, set for an occupied cell and for a point outside the grid
     occ = np.zeros(27, dtype=np.uint8)
     occ[13] = 1  # center cell of a 3x3x3 grid
     dims = np.array([3, 3, 3], dtype=np.int64)
     pts = np.array([[0.5, 0.5, 0.5], [1.5, 1.5, 1.5]])
-    hit = kernels.collision_scan(pts, occ, dims, np.zeros(3), np.ones(3))
-    assert hit == 1
+    hit = wd.occupied(pts, occ, dims, np.zeros(3), np.ones(3))
+    assert hit.tolist() == [False, True]
     free = np.array([[0.5, 0.5, 0.5], [2.5, 2.5, 2.5]])
-    assert kernels.collision_scan(free, occ, dims, np.zeros(3), np.ones(3)) == -1
+    assert not wd.occupied(free, occ, dims, np.zeros(3), np.ones(3)).any()
     outside = np.array([[-0.1, 0.5, 0.5]])
-    assert kernels.collision_scan(outside, occ, dims, np.zeros(3), np.ones(3)) == 0
+    assert wd.occupied(outside, occ, dims, np.zeros(3), np.ones(3)).tolist() \
+        == [True]

@@ -7,7 +7,6 @@ import pytest
 from kinospline import certify, elastic as el, replan as rp
 from kinospline import splines as sp
 from kinospline import world as wd
-from kinospline.kernels import collision_scan
 
 BOUNDS = sp.DerivativeBounds.symmetric(2.0, 4.7)
 
@@ -119,6 +118,11 @@ class TestCheckSamples:
                             lambda *a, **kw: calls.append(1)
                             or evaluate(*a, **kw))
         rng = np.random.default_rng(11)
+        # an open space around every window, so a brake stops at its
+        # earliest feasible seam
+        open_space = wd.build_config_space(wd.VoxelWorld(
+            np.full(3, 40), np.full(3, 0.5), np.full(3, -10.0),
+            np.zeros((40,) * 3, dtype=bool)), 0.0)
         seen = set()
         for _ in range(40):
             win = random_window(rng, n=int(rng.integers(14, 40)))
@@ -139,7 +143,7 @@ class TestCheckSamples:
                 elif op == "extend_brake":
                     win.extend_brake()
                 elif op == "brake_at":
-                    win.brake_at(seam)
+                    win.brake_at(seam, open_space)
                 elif op == "advance":
                     win.advance(float(rng.uniform(0.0, 0.5)))
                 del calls[:]
@@ -166,9 +170,10 @@ class TestCheckSamples:
                 win.cps[first:], (win.k + 1, 3))[:, 0]
             pts = sp.eval_span_many(spans, us, 0, win.dt).reshape(-1, 3)
             occ = np.ascontiguousarray(sim.map.body_occupancy())
-            hit = collision_scan(pts, occ.reshape(-1).view(np.uint8), w.dims,
-                                 w.origin, w.cell_sizes)
-            return (None if hit < 0 else first + hit // len(us)), pts
+            hit = np.flatnonzero(wd.occupied(
+                pts, occ.reshape(-1).view(np.uint8), w.dims, w.origin,
+                w.cell_sizes))
+            return (first + int(hit[0]) // len(us) if hit.size else None), pts
 
         w = wd.bench_course(cell=0.2, seed=9)
         sim = rp.Replanner(w, (1.0, 5.0, 1.2), (19.0, 5.0, 1.2),
@@ -294,15 +299,11 @@ def test_reveal_matches_full_grid_reference(seed, body_radius):
     prior = (true_occ & (rng.random(dims) < 0.3)) | (rng.random(dims) < 0.02)
     m.known |= prior
     known = prior.copy()
-    version = 0
 
     def check(pos, radius):
-        nonlocal version
         want = _brute_force_reveal(true_occ, known, centers, pos, radius)
-        version += want > 0
         assert m.reveal(pos, radius) == want
         assert np.array_equal(m.known, known)
-        assert m.version == version
         cs_bk, cs_elas = m.spaces()
         ref_world = w.with_occ(known.copy())
         for cs, delta in ((cs_bk, contract.delta_bk),
@@ -333,10 +334,8 @@ def test_reveal_matches_full_grid_reference(seed, body_radius):
         check(pos, r)
     check(np.array([x_lo - 1.0, mid[1], mid[2]]), 2.0 * diag)
     assert not (true_occ & ~m.known).any()
-    m.reveal(origin, np.inf)
-    version += bool((true_occ & ~known).any())
+    assert m.reveal(origin, np.inf) == (true_occ & ~known).sum()
     assert np.array_equal(m.known, known | true_occ)
-    assert m.version == version
     assert m.reveal(origin, 2.0 * diag) == 0
     cs_bk, _ = m.spaces()
     ref = wd.build_config_space(w.with_occ(known | true_occ), contract.delta_bk)
@@ -416,13 +415,13 @@ def test_idle_steps_skip_the_config_spaces(monkeypatch, planner,
     for _ in range(1800):
         calls.clear()
         acted.clear()
-        version = sim.map.version
+        known = np.count_nonzero(sim.map.known)
         sim.step(0.1)
         sim.window.trim()
         plans += "plan" in acted
         if not acted:
             assert set(calls) <= body
-            idle_reveals += sim.map.version > version
+            idle_reveals += np.count_nonzero(sim.map.known) > known
             idle_body_updates += bool(calls)
         if sim.goal_reached:
             break
@@ -485,7 +484,7 @@ class TestReplannerRuns:
         assert len(replans) >= 2  # horizon extensions plus the wall dodge
         occf = np.ascontiguousarray(w.occ.reshape(-1).astype(np.uint8))
         pts = np.ascontiguousarray(traj[:, 1:4])
-        assert collision_scan(pts, occf, w.dims, w.origin, w.cell_sizes) == -1
+        assert not wd.occupied(pts, occf, w.dims, w.origin, w.cell_sizes).any()
 
     @pytest.mark.parametrize("planner", ["tuple", "astar"])
     def test_run_feasible_and_collision_free(self, planner):
@@ -505,7 +504,7 @@ class TestReplannerRuns:
         assert np.abs(traj[:, 7:10]).max() <= 4.7 + 1e-6
         occf = np.ascontiguousarray(w.occ.reshape(-1).astype(np.uint8))
         pts = np.ascontiguousarray(traj[:, 1:4])
-        assert collision_scan(pts, occf, w.dims, w.origin, w.cell_sizes) == -1
+        assert not wd.occupied(pts, occf, w.dims, w.origin, w.cell_sizes).any()
 
     def test_spliced_plan_not_flagged_on_its_own_map(self):
         # a refined plan is certified against the known occupancy, so the
@@ -544,15 +543,14 @@ class TestReplannerRuns:
             sp.eval_span_many(sim.window.cps[j:j + 6], us, 0, 0.17)
             for j in range(sim.window.exec_span + 1, sim.window.n_spans)])
         occf = np.ascontiguousarray(occ.reshape(-1).astype(np.uint8))
-        assert collision_scan(pts, occf, w.dims, w.origin, w.cell_sizes) == -1
+        assert not wd.occupied(pts, occf, w.dims, w.origin, w.cell_sizes).any()
         assert sim._collision_ahead() is not None
         sim.run(max_time=40.0)
         assert sim.goal_reached
         body = wd.build_config_space(w.with_occ(occ), 0.5)
         _, (pos,) = sim.executed_spline().sample_orders(0.01, (0,))
-        assert collision_scan(np.ascontiguousarray(pos),
-                              body.occ_inflated.reshape(-1), w.dims,
-                              w.origin, w.cell_sizes) == -1
+        assert not wd.occupied(pos, body.occ_inflated.reshape(-1), w.dims,
+                               w.origin, w.cell_sizes).any()
 
     def test_body_keeps_clear_of_revealed_obstacles(self):
         # with a body radius, the flown centre curve stays out of the map
@@ -564,9 +562,8 @@ class TestReplannerRuns:
         assert sim.goal_reached
         body = wd.build_config_space(w, 0.3)
         _, (pos,) = sim.executed_spline().sample_orders(0.01, (0,))
-        assert collision_scan(np.ascontiguousarray(pos),
-                              body.occ_inflated.reshape(-1), w.dims,
-                              w.origin, w.cell_sizes) == -1
+        assert not wd.occupied(pos, body.occ_inflated.reshape(-1), w.dims,
+                               w.origin, w.cell_sizes).any()
 
     def test_refine_fail_event_carries_its_reason(self, monkeypatch):
         failed = el.RefineResult(status="infeasible", solver_iterations=17,
@@ -593,8 +590,8 @@ class TestReplannerRuns:
         w = wd.VoxelWorld(np.array([40, 10, 10]), np.full(3, 0.2),
                           np.zeros(3), occ)
         sim = rp.Replanner(w, (1.0, 1.0, 1.0), (7.0, 1.0, 1.0),
-                           make_settings(planner="astar", local_range=10.0),
-                           prior_known=occ)
+                           make_settings(planner="astar", local_range=10.0))
+        sim.map.known |= occ
         sim.step(0.1)
         fails = [e for e in sim.events if e["kind"] == "search_fail"]
         assert fails
@@ -703,8 +700,8 @@ class TestNearestFree:
     def test_local_goal_in_inflated_set(self):
         w = self._world()
         goal = np.array([2.17, 0.93, 1.41])     # in cell (10, 4, 7)
-        sim = rp.Replanner(w, (0.9, 0.9, 1.1), goal, make_settings(),
-                           prior_known=w.occ)
+        sim = rp.Replanner(w, (0.9, 0.9, 1.1), goal, make_settings())
+        sim.map.known |= w.occ
         cs_bk, _ = sim.map.spaces()
         cell = w.point_to_cell(goal)
         assert not cs_bk.is_free(cell)
@@ -724,8 +721,8 @@ class TestNearestFree:
         monkeypatch.setattr(rp.search, "astar_cells", spy)
         start = (2.1, 1.3, 1.3)                  # in cell (10, 6, 6)
         sim = rp.Replanner(w, start, (4.1, 1.3, 1.3),
-                           make_settings(planner="astar", local_range=10.0),
-                           prior_known=w.occ)
+                           make_settings(planner="astar", local_range=10.0))
+        sim.map.known |= w.occ
         sim.step(0.1)
         cs_bk, _ = sim.map.spaces()
         cell = tuple(w.point_to_cell(start))

@@ -76,6 +76,11 @@ class TestGenerators:
         ("cell_sizes", (float("inf"), 0.2, 0.2)),
         ("density", float("nan")),
         ("density", float("inf")),
+        ("noise_freq", float("nan")),
+        ("noise_freq", 0.0),
+        ("noise_freq", -0.3),
+        ("noise_threshold", float("nan")),
+        ("noise_threshold", float("-inf")),
     ])
     def test_spec_rejects_non_finite(self, field, value):
         kw = dict(kind="pillars", extent=(20.0, 5.0, 2.0),
