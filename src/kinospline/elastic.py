@@ -14,6 +14,7 @@ the tube cannot certify are sampled and looked up in the raw occupancy
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,70 +87,76 @@ def tube_expansion(points, cs: ConfigSpace) -> ElasticTube:
     Binary search on the push distance over [0, D_INFL_MAX], accepting d
     while the grown ball still contains the original one within d_thres,
     a quarter of the smallest cell; the search stops once its bracket is
-    one smallest cell wide. The ball at the final accepted distance is
-    re-queried so its radius is a true clearance. Every point runs its
-    own search; the searches advance in lockstep so each round is one
-    batched clearance query.
+    one smallest cell wide. A ball keeps the clearance measured at the
+    distance it last accepted, so its radius is a true clearance. Every
+    bracket halves from the same width, so all points run the same rounds
+    in lockstep, each round one batched clearance query of the candidates
+    that their distance to the world box's planes does not already reject.
+    A run of equal consecutive points (a placement with repeated knots) is
+    expanded once; the tube holds one ball per point.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
+    first = np.ones(points.shape[0], dtype=bool)
+    first[1:] = np.any(points[1:] != points[:-1], axis=1)
+    pts = points[first]
     world = cs.world
     res = float(min(world.cell_sizes))
     d_thres = 0.25 * res
-    n0, r0 = cs.nn_search(points)
+    n0, r0 = cs.nn_search(pts)
     blocked = np.flatnonzero(r0 <= 0.0)
     if blocked.size:
-        raise ValueError(f"tube center {points[blocked[0]].tolist()} "
+        raise ValueError(f"tube center {pts[blocked[0]].tolist()} "
                          "has no clearance")
-    nhat = points - n0
-    nn = np.linalg.norm(nhat, axis=1)
+    away = pts - n0
+    nn = np.linalg.norm(away, axis=1)
     moving = nn >= 1e-12
-    nhat[moving] /= nn[moving, None]
-    lo = np.zeros(points.shape[0])
-    hi = np.full(points.shape[0], D_INFL_MAX)
-    while True:
-        open_ = moving & (hi - lo > res)
-        if not open_.any():
-            break
-        d = 0.5 * (lo + hi)
-        cand = points + d[:, None] * nhat
-        inside = open_ & world.points_in_bounds(cand)
-        ok = np.zeros_like(inside)
-        if inside.any():
-            _, r = cs.nn_search(cand[inside])
-            ok[inside] = np.abs(r - d[inside] - r0[inside]) <= d_thres
-        lo = np.where(open_ & ok, d, lo)
-        hi = np.where(open_ & ~ok, d, hi)
-    centers = points.copy()
+    p, r_base = pts[moving], r0[moving]
+    nhat = away[moving] / nn[moving, None]
+    lo = np.zeros(p.shape[0])
+    r = r_base.copy()
+    width = D_INFL_MAX
+    while width > res:
+        width *= 0.5
+        d = lo + width
+        cand = p + d[:, None] * nhat
+        # a clearance never exceeds the plane distance, so a candidate whose
+        # plane distance already fails the test (every one outside the box
+        # among them) is rejected without a query
+        at = np.flatnonzero(cs.plane_distance(cand) - d - r_base >= -d_thres)
+        if at.size:
+            ri = cs.clearance(cand[at])
+            ok = np.abs(ri - d[at] - r_base[at]) <= d_thres
+            lo[at[ok]] = d[at[ok]]
+            r[at[ok]] = ri[ok]
+    centers = pts.copy()
     radii = r0.copy()
-    if moving.any():
-        q = points[moving] + lo[moving, None] * nhat[moving]
-        centers[moving] = q
-        radii[moving] = cs.nn_search(q)[1]
-    return ElasticTube(centers=centers, radii=radii)
+    centers[moving] = p + lo[:, None] * nhat
+    radii[moving] = r
+    back = np.cumsum(first) - 1
+    return ElasticTube(centers=centers[back], radii=radii[back])
 
 
-def assemble_qcqp(balls_per_point, init_points, start_pins, goal_pins,
-                  l: int, dt: float, bounds) -> qcqp.QcqpProblem:
-    """QCQP over the free points of [start pins, free run, goal pins].
+@dataclass(frozen=True, eq=False)
+class _RowLayout:
+    """The read-only parts of assemble_qcqp's problem that depend only on
+    (k, cost order, dt, free-point count)."""
 
-    Objective: summed span control cost of order l (the time term is fixed
-    by the placement and drops out). Constraints: the given balls per free
-    point, plus derivative-span rows for velocity and acceleration per
-    span and axis (sufficient feasibility condition).
-    """
-    start_pins = np.asarray(start_pins, dtype=float)
-    goal_pins = np.asarray(goal_pins, dtype=float)
-    init_points = np.asarray(init_points, dtype=float).reshape(-1, 3)
-    k = start_pins.shape[0] - 1
-    if goal_pins.shape[0] != k + 1:
-        raise ValueError("boundary pins must both have k+1 points")
-    nf = init_points.shape[0]
-    if len(balls_per_point) != nf:
-        raise ValueError("need one ball list per free point")
-    seq = np.vstack([start_pins, init_points, goal_pins])
-    nspan = seq.shape[0] - k
+    cm: np.ndarray        # span cost matrix at dt
+    H_band: np.ndarray
+    idx: np.ndarray       # per span, its k+1 sequence indices
+    pin: np.ndarray       # per span entry: True on a pin, False on a free point
+    spans: slice          # the spans that touch a free point
+    S: np.ndarray         # velocity and acceleration span transforms at dt
+    coef: np.ndarray      # padded row coefficients, (k+1, rows)
+    cols: np.ndarray      # their decision-vector columns
+    has_free: np.ndarray  # per row: some coefficient is not 0
+
+
+@lru_cache(maxsize=32)
+def _row_layout(k: int, l: int, dt: float, nf: int) -> _RowLayout:
     tab = blending_tables(k)
     cm = tab.cost_mat(l) * dt ** (1 - 2 * l)
+    nspan = nf + k + 2
 
     # every free point lies in all k+1 spans that hold it, so diagonal d
     # of the free points' Gram band is the sum of cm's, and H = 2 hff (x) I3
@@ -159,35 +166,14 @@ def assemble_qcqp(balls_per_point, init_points, start_pins, goal_pins,
     H_band = np.zeros((3 * k + 1, n))
     H_band[::3] = np.where(np.arange(n) < n - 3 * np.arange(k + 1)[:, None],
                            2.0 * diag[:, None], 0.0)
-    # the pins' share per span, free points zeroed: its gradient at the
-    # free points is g / 2, its value const
     idx = np.arange(nspan)[:, None] + np.arange(k + 1)
     free_mask = (idx >= k + 1) & (idx < k + 1 + nf)
-    pinned = seq[idx] * ~free_mask[:, :, None]
-    cp = np.einsum("rc,jca->jra", cm, pinned)
-    grad = np.zeros_like(seq)
-    for r in range(k + 1):
-        grad[r:r + nspan] += cp[:, r]
-    g = 2.0 * grad[k + 1:k + 1 + nf].reshape(-1)
-    const = float(np.einsum("jca,jca->", pinned, cp))
-
-    balls = []
-    for i, lst in enumerate(balls_per_point):
-        for center, radius in lst:
-            balls.append(qcqp.BallConstraint(i, np.asarray(center, dtype=float),
-                                             float(radius)))
 
     # derivative-span rows, padded. Row (order, span j, r, axis) holds
-    # S_order[r, c] on free point j + c; the pinned points' share moves
-    # into the bounds. Spans 1..k+nf touch a free point. Built as (k+1, m)
-    # and transposed, so the rows come out column-major.
+    # S_order[r, c] on free point j + c. Spans 1..k+nf touch a free point.
+    # Built as (k+1, m) and transposed, so the rows come out column-major.
     spans = slice(1, nspan - 1) if nf else slice(0, 0)
     S = np.stack([tab.bound_transform(order, dt) for order in (1, 2)])
-    fixed = np.einsum("orc,jca->ojra", S, pinned[spans])
-    b_lo = np.stack([bounds.v_min, bounds.a_min]).astype(float)
-    b_hi = np.stack([bounds.v_max, bounds.a_max]).astype(float)
-    lo = (b_lo[:, None, None, :] - fixed).reshape(-1)
-    hi = (b_hi[:, None, None, :] - fixed).reshape(-1)
     # entry e of span j's rows sits on the span's (first free + e)-th
     # point; entries past its last free point repeat that one
     j = idx[spans, :1]
@@ -200,17 +186,72 @@ def assemble_qcqp(balls_per_point, init_points, start_pins, goal_pins,
                            shape).reshape(k + 1, -1)
     cols = np.broadcast_to(3 * (j + pos - (k + 1)).T[:, None, :, None, None]
                            + np.arange(3), shape).reshape(k + 1, -1)
+    lay = _RowLayout(cm=cm, H_band=H_band, idx=idx,
+                     pin=~free_mask[:, :, None], spans=spans, S=S, coef=coef,
+                     cols=cols, has_free=(coef != 0.0).any(axis=0))
+    for a in vars(lay).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return lay
+
+
+def assemble_qcqp(balls_per_point, init_points, start_pins, goal_pins,
+                  l: int, dt: float, bounds) -> qcqp.QcqpProblem:
+    """QCQP over the free points of [start pins, free run, goal pins].
+
+    Objective: summed span control cost of order l (the time term is fixed
+    by the placement and drops out). Constraints: the given balls per free
+    point, plus derivative-span rows for velocity and acceleration per
+    span and axis (sufficient feasibility condition). The Hessian band and
+    the rows' coefficients and columns depend only on (k, l, dt, free-point
+    count) and come read-only from a bounded cache (_row_layout); the
+    linear term, the constant and the row bounds are computed per call.
+    """
+    start_pins = np.asarray(start_pins, dtype=float)
+    goal_pins = np.asarray(goal_pins, dtype=float)
+    init_points = np.asarray(init_points, dtype=float).reshape(-1, 3)
+    k = start_pins.shape[0] - 1
+    if goal_pins.shape[0] != k + 1:
+        raise ValueError("boundary pins must both have k+1 points")
+    nf = init_points.shape[0]
+    if len(balls_per_point) != nf:
+        raise ValueError("need one ball list per free point")
+    seq = np.vstack([start_pins, init_points, goal_pins])
+    lay = _row_layout(k, int(l), float(dt), nf)
+
+    # the pins' share per span, free points zeroed: its gradient at the
+    # free points is g / 2, its value const
+    pinned = seq[lay.idx] * lay.pin
+    cp = np.einsum("rc,jca->jra", lay.cm, pinned)
+    grad = np.zeros_like(seq)
+    for r in range(k + 1):
+        grad[r:r + cp.shape[0]] += cp[:, r]
+    g = 2.0 * grad[k + 1:k + 1 + nf].reshape(-1)
+    const = float(np.einsum("jca,jca->", pinned, cp))
+
+    balls = []
+    for i, lst in enumerate(balls_per_point):
+        for center, radius in lst:
+            balls.append(qcqp.BallConstraint(i, np.asarray(center, dtype=float),
+                                             float(radius)))
+
+    # the pinned points' share of each row moves into its bounds
+    fixed = np.einsum("orc,jca->ojra", lay.S, pinned[lay.spans])
+    b_lo = np.stack([bounds.v_min, bounds.a_min]).astype(float)
+    b_hi = np.stack([bounds.v_max, bounds.a_max]).astype(float)
+    lo = (b_lo[:, None, None, :] - fixed).reshape(-1)
+    hi = (b_hi[:, None, None, :] - fixed).reshape(-1)
     # a row without free coefficients is a fixed number: drop it when it
     # holds, keep it as an empty row (the solver reports it) when not
-    keep = (coef != 0.0).any(axis=0) | (lo > 0.0) | (hi < 0.0)
+    keep = lay.has_free | (lo > 0.0) | (hi < 0.0)
     A = A_cols = None
     if keep.any():
-        A = np.compress(keep, coef, axis=1).T
-        A_cols = np.compress(keep, cols, axis=1).T
+        A = np.compress(keep, lay.coef, axis=1).T
+        A_cols = np.compress(keep, lay.cols, axis=1).T
         lo, hi = lo[keep], hi[keep]
     else:
         lo = hi = None
-    return qcqp.QcqpProblem(H_band=H_band, g=g, balls=tuple(balls), A=A,
+    return qcqp.QcqpProblem(H_band=lay.H_band, g=g, balls=tuple(balls), A=A,
                             A_cols=A_cols, lo=lo, hi=hi, const=const)
 
 
@@ -394,7 +435,8 @@ def refine_adaptive(free_points, start_pins, goal_pins, cs_elas, raw_world,
     profiles near rest, so a placement that cannot be certified gets its
     cells repeated (same route, more knots) and a bare seam-to-goal hop
     gets one synthesized midpoint. Returns the first certified result, or
-    the last failure; its knot_repeat is the factor it was refined at.
+    the last failure; its knot_repeat is the factor it was refined at, and
+    its solve_time and expand_time sum over every attempt.
     """
     free_points = np.asarray(free_points, dtype=float).reshape(-1, 3)
     start_pins = np.asarray(start_pins, dtype=float)
@@ -403,14 +445,18 @@ def refine_adaptive(free_points, start_pins, goal_pins, cs_elas, raw_world,
             and not np.allclose(start_pins[-1], goal_pins[0]):
         free_points = 0.5 * (start_pins[-1] + goal_pins[0])[None, :]
     res = None
+    solve_time = expand_time = 0.0
     for slow in (1, 2, 4):
         if slow > 2 and free_points.shape[0] > 24:
             break  # quadrupling a long placement buys nothing but solve time
         pts = np.repeat(free_points, slow, axis=0) if slow > 1 else free_points
-        res = replace(refine(pts, start_pins, goal_pins, cs_elas, raw_world,
-                             contract, bounds, l, dt, solver_tol=solver_tol,
-                             solver_max_iter=solver_max_iter),
-                      knot_repeat=slow)
+        res = refine(pts, start_pins, goal_pins, cs_elas, raw_world, contract,
+                     bounds, l, dt, solver_tol=solver_tol,
+                     solver_max_iter=solver_max_iter)
+        solve_time += res.solve_time
+        expand_time += res.expand_time
+        res = replace(res, knot_repeat=slow, solve_time=solve_time,
+                      expand_time=expand_time)
         if res.ok:
             break
     return res

@@ -156,6 +156,30 @@ class ConfigSpace:
         cells = np.asarray(cells, dtype=np.int64)
         return ~self.occ_inflated[cells[:, 0], cells[:, 1], cells[:, 2]]
 
+    def _sides(self, p) -> np.ndarray:
+        """Per row of an (n, 3) array, its signed distances to the boundary
+        planes (lo_x, hi_x, lo_y, hi_y, lo_z, hi_z), negative outside."""
+        lo = self.world.origin
+        return np.stack([p - lo, lo + self.world.extent - p],
+                        axis=2).reshape(-1, 6)
+
+    def plane_distance(self, points) -> np.ndarray:
+        """Distance of each row of an (n, 3) array to the nearest boundary
+        plane: negative outside the world box, and never below the
+        clearance of a point inside it."""
+        return self._sides(points).min(axis=1)
+
+    def clearance(self, points) -> np.ndarray:
+        """Clearance radius per row of an (n, 3) array of points the caller
+        keeps in bounds (unchecked): the distance to the nearest obstacle,
+        min(nearest plane, nearest occupied center), the radius nn_search
+        returns."""
+        r = self.plane_distance(points)
+        tree = self.tree
+        if tree is None or not r.size:
+            return r
+        return np.minimum(r, tree.query(points)[0])
+
     def nn_search(self, point):
         """Nearest obstacle point and clearance radius for a point in bounds.
 
@@ -173,8 +197,7 @@ class ConfigSpace:
                              "outside world bounds")
         lo = self.world.origin
         hi = lo + self.world.extent
-        # distances to the planes ordered (lo_x, hi_x, lo_y, hi_y, lo_z, hi_z)
-        sides = np.stack([p - lo, hi - p], axis=2).reshape(-1, 6)
+        sides = self._sides(p)
         pick = np.argmin(sides, axis=1)
         rows = np.arange(p.shape[0])
         best_d = sides[rows, pick]

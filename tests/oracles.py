@@ -48,6 +48,65 @@ def brute_force_nn(cs, point):
     return best
 
 
+def _brute_force_nearest(cs, point):
+    """(nearest obstacle point, distance) by full scan: boundary planes in
+    the order lo_x, hi_x, lo_y, hi_y, lo_z, hi_z, then an inflated-occupied
+    center only when strictly closer."""
+    w = cs.world
+    best, near = np.inf, None
+    for ax in range(3):
+        for face in (w.origin[ax], w.origin[ax] + w.extent[ax]):
+            dist = abs(point[ax] - face)
+            if dist < best:
+                best, near = dist, point.copy()
+                near[ax] = face
+    occ_pts = w.cell_center(np.argwhere(cs.occ_inflated))
+    if occ_pts.size:
+        d = np.sqrt(((occ_pts - point) ** 2).sum(axis=1))
+        i = int(np.argmin(d))
+        if d[i] < best:
+            best, near = float(d[i]), occ_pts[i]
+    return near, best
+
+
+def tube_expansion(points, cs, d_max):
+    """Per point, its clearance ball pushed away from the nearest obstacle,
+    by a scalar bisection over [0, d_max] on brute-force clearances.
+
+    A push d is accepted when its candidate center lies in the world box
+    (faces included) and its clearance r satisfies |r - d - r0| within a
+    quarter of the smallest cell; bisection stops at a bracket one
+    smallest cell wide. The ball is the last accepted center with its
+    clearance. Returns (centers, radii); raises ValueError for a point
+    without clearance.
+    """
+    w = cs.world
+    res = float(min(w.cell_sizes))
+    lo_box, hi_box = w.origin, w.origin + w.extent
+    centers, radii = [], []
+    for p in np.asarray(points, dtype=float).reshape(-1, 3):
+        near, r0 = _brute_force_nearest(cs, p)
+        if r0 <= 0.0:
+            raise ValueError(f"point {p.tolist()} has no clearance")
+        away = p - near
+        length = float(np.sqrt((away ** 2).sum()))
+        lo, hi = 0.0, d_max
+        if length >= 1e-12:
+            u = away / length
+            while hi - lo > res:
+                d = 0.5 * (lo + hi)
+                q = p + d * u
+                if np.all((q >= lo_box) & (q <= hi_box)) and \
+                        abs(brute_force_nn(cs, q) - d - r0) <= 0.25 * res:
+                    lo = d
+                else:
+                    hi = d
+            p = p + lo * u
+        centers.append(p)
+        radii.append(brute_force_nn(cs, p))
+    return np.array(centers).reshape(-1, 3), np.array(radii)
+
+
 def brute_force_inflation(world, delta):
     """Cells whose center lies within delta of some obstacle cell's box.
 

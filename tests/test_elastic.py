@@ -103,6 +103,40 @@ class TestTubeExpansion:
         assert oracles.balls_chained(tube.centers, tube.radii,
                                      slack=2 * 0.25 * 0.25)
 
+    def test_matches_scalar_bisection_oracle(self):
+        # jittered points, so no two obstacles tie for nearest; runs of
+        # repeated points; and, per world, a point beside a pillar near the
+        # far x face, whose first candidates leave the box
+        rng = np.random.default_rng(3)
+        checked = 0
+        for seed, cell, delta in ((0, 0.25, 0.12), (1, 0.2, 0.2),
+                                  (2, 0.25, 0.3)):
+            w = wd.generate(wd.MapGenSpec(kind="pillars", extent=(4, 3, 1.5),
+                                          cell_sizes=(cell,) * 3,
+                                          density=0.6, seed=seed))
+            occ = np.array(w.occ)
+            occ[-9:] = False
+            occ[-6, w.dims[1] // 2, :] = True
+            w = w.with_occ(occ)
+            cs = wd.build_config_space(w, delta)
+            free = np.argwhere(~cs.occ_inflated)
+            cells = free[rng.choice(len(free), 12, replace=False)]
+            pts = w.cell_center(cells) + rng.uniform(-0.3, 0.3, (12, 3)) * cell
+            pts = np.repeat(pts, rng.integers(1, 4, 12), axis=0)
+            edge = w.cell_center((w.dims[0] - 6, w.dims[1] // 2, 2))
+            edge[0] += 2.0 * cell + 1e-3
+            assert not cs.occ_inflated[tuple(w.point_to_cell(edge))]
+            assert edge[0] + el.D_INFL_MAX / 2 > w.extent[0]
+            pts = np.vstack([pts[:5], edge, edge, pts[5:]])
+            tube = el.tube_expansion(pts, cs)
+            centers, radii = oracles.tube_expansion(pts, cs, el.D_INFL_MAX)
+            assert tube.centers.shape == pts.shape
+            np.testing.assert_allclose(tube.centers, centers, rtol=0,
+                                       atol=1e-9)
+            np.testing.assert_allclose(tube.radii, radii, rtol=0, atol=1e-9)
+            checked += int(np.any(tube.centers[5] != edge))
+        assert checked == 3     # the edge point was pushed in every world
+
     def test_occupied_center_rejected(self):
         occ = np.zeros((9, 9, 9), dtype=bool)
         occ[4, 4, 4] = True
@@ -198,6 +232,68 @@ class TestAssemble:
             ex_a = oracles.sampled_extrema(seq[j:j + 6], 2, 0.25, n=2001)
             assert np.abs(ex_v).max() <= 2.0 + 1e-6
             assert np.abs(ex_a).max() <= 4.7 + 1e-6
+
+    @staticmethod
+    def _inputs(rng, k, nf, dt, l):
+        init = rng.normal(size=(nf, 3))
+        balls = [[(p + 0.1, 0.5), (p - 0.1, 0.7)] for p in init]
+        bounds = sp.DerivativeBounds.symmetric(*rng.uniform(0.5, 3.0, 2))
+        return (balls, init, rng.normal(size=(k + 1, 3)),
+                rng.normal(size=(k + 1, 3)), l, dt, bounds)
+
+    @staticmethod
+    def _fields(prob):
+        return [prob.H_band, prob.g, np.float64(prob.const), prob.A,
+                prob.A_cols, prob.lo, prob.hi,
+                *[np.hstack([b.point, b.center, b.radius])
+                  for b in prob.balls]]
+
+    def test_cached_layout_matches_cold_build(self):
+        # counts 0, 1, k, k+1 and 2k+3 at two dt and two cost orders,
+        # interleaved, twice with fresh pins and bounds: every problem
+        # equals one built after the cache is cleared
+        k = 5
+        rng = np.random.default_rng(4)
+        keys = [(nf, dt, l) for _ in range(2)
+                for nf in (0, 1, k, k + 1, 2 * k + 3)
+                for dt in (0.17, 0.3) for l in (2, 3)]
+        inputs = [self._inputs(rng, k, *key) for key in keys]
+        warm = [el.assemble_qcqp(*a) for a in inputs]
+        for a, prob in zip(inputs, warm):
+            el._row_layout.cache_clear()
+            cold = el.assemble_qcqp(*a)
+            fields = self._fields(prob)
+            assert len(fields) == len(self._fields(cold))
+            for got, want in zip(fields, self._fields(cold)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+
+    def test_cached_arrays_are_read_only(self):
+        rng = np.random.default_rng(5)
+        prob = el.assemble_qcqp(*self._inputs(rng, 3, 4, 0.25, 3))
+        with pytest.raises(ValueError):
+            prob.H_band[0, 0] = 1.0
+        layout = el._row_layout(3, 3, 0.25, 4)
+        arrays = [v for v in vars(layout).values()
+                  if isinstance(v, np.ndarray)]
+        assert len(arrays) == 8
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.reshape(-1)[0] = a.reshape(-1)[0]
+        # what the call owns stays writable
+        prob.g[0] = 1.0
+        prob.A[0, 0] = 1.0
+
+    def test_layout_cache_stays_within_its_bound(self):
+        bound = el._row_layout.cache_info().maxsize
+        rng = np.random.default_rng(6)
+        for nf in range(bound + 5):
+            el.assemble_qcqp(*self._inputs(rng, 3, nf, 0.25, 2))
+            assert el._row_layout.cache_info().currsize <= bound
+        assert el._row_layout.cache_info().currsize == bound
 
 
 def verify_span_by_span(points, k, dt, ball_map, tube_balls, w):
@@ -340,6 +436,30 @@ class TestRefine:
                                 cs, w, contract, BOUNDS, 3, 0.25)
         assert ok.ok and ok.knot_repeat == 1
         assert ok.solver_iterations == solves[-1].iterations
+
+    def test_times_sum_over_knot_repeats(self, monkeypatch):
+        # each attempt reports its own times; the result carries their sums
+        calls = []
+
+        def fake(pts, *args, **kw):
+            calls.append(len(pts))
+            i = len(calls)
+            return el.RefineResult(status="safe" if i == stop else "infeasible",
+                                   solve_time=2.0 ** i, expand_time=2.0 ** -i)
+
+        monkeypatch.setattr(el, "refine", fake)
+        pins = np.zeros((6, 3))
+        for stop, n_free, repeats in ((0, 10, (10, 20, 40)), (2, 10, (10, 20)),
+                                      (1, 10, (10,)), (0, 30, (30, 60))):
+            calls.clear()
+            res = el.refine_adaptive(np.ones((n_free, 3)), pins, pins + 1.0,
+                                     None, None, None, BOUNDS, 3, 0.25)
+            assert tuple(calls) == repeats
+            n = len(repeats)
+            assert res.knot_repeat == (1, 2, 4)[n - 1]
+            assert res.ok == (stop == n)
+            assert res.solve_time == sum(2.0 ** i for i in range(1, n + 1))
+            assert res.expand_time == sum(2.0 ** -i for i in range(1, n + 1))
 
     def test_insertion_resolves_corner(self):
         # concave notch; k=3 tube hugging the corner forces insertions
